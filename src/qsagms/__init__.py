@@ -39,13 +39,8 @@ from .decoder import (
     DecodeResult,
     DecoderConfig,
     GainParams,
-    cn_update,
     decode,
     decode_batch,
-    effective_gain,
-    hard_decision,
-    syndrome_ratio,
-    vn_update,
 )
 from .harness import FerPoint, SweepConfig, run_point, run_sweep, wilson_interval
 from .pauli import (
@@ -54,7 +49,6 @@ from .pauli import (
     PAULI_Y,
     PAULI_Z,
     check_orthogonality,
-    pauli_compose,
     residual_syndrome,
     syndrome,
     trace_inner,
@@ -90,13 +84,8 @@ __all__ = [
     "DecodeResult",
     "DecoderConfig",
     "GainParams",
-    "cn_update",
     "decode",
     "decode_batch",
-    "effective_gain",
-    "hard_decision",
-    "syndrome_ratio",
-    "vn_update",
     "FerPoint",
     "SweepConfig",
     "run_point",
@@ -107,7 +96,6 @@ __all__ = [
     "PAULI_Y",
     "PAULI_Z",
     "check_orthogonality",
-    "pauli_compose",
     "residual_syndrome",
     "syndrome",
     "trace_inner",

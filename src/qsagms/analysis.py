@@ -27,15 +27,21 @@ SAMPLE_SOURCES = ("point", "exponential")
 MIN_SAMPLES = 10_000
 
 
-def phi(x):
-    """Gallager phi: -ln tanh(x/2) for x > 0; self-inverse and decreasing.
+def phi_llr(x):
+    """Unchecked Gallager phi, -ln tanh(x/2), for the decoder's clamped arrays.
 
-    Uses log1p(2/expm1(x)), accurate over the whole positive axis.
+    log1p(2/expm1(x)) stays accurate for small x (where the naive form loses
+    digits) and large x (where tanh rounds to 1); phi(inf) = 0.
     """
+    return np.log1p(2.0 / np.expm1(x))
+
+
+def phi(x):
+    """Gallager phi: -ln tanh(x/2) for x > 0; self-inverse and decreasing."""
     arr = np.asarray(x, dtype=np.float64)
     if np.any(arr <= 0.0):
         raise ValueError("phi requires strictly positive arguments")
-    out = np.log1p(2.0 / np.expm1(arr))
+    out = phi_llr(arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
@@ -228,13 +234,14 @@ def alpha_opt(
     return transfer("bp4", mu, d_c=d_c) / g
 
 
-def linear_gain_fit(alpha_max: float, alpha_min: float, gamma: float) -> float:
+def linear_gain_fit(alpha_max: float, alpha_min: float, gamma):
     """Linear gain ramp alpha_max - (alpha_max - alpha_min)*gamma.
 
-    Matches the satisfied-check effective gain of the adaptive decoder
-    bit-for-bit (same expression, no boost factor).
+    This is the satisfied-check effective gain of the adaptive decoder,
+    which evaluates it elementwise over a batch of syndrome ratios.
     """
-    if not 0.0 <= gamma <= 1.0:
+    g = np.asarray(gamma)
+    if not np.all((g >= 0.0) & (g <= 1.0)):
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     return alpha_max - (alpha_max - alpha_min) * gamma
 

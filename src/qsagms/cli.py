@@ -130,10 +130,7 @@ def cmd_validate(args) -> int:
     except FileNotFoundError:
         print(f"error: no such file: {args.code}", file=sys.stderr)
         return EXIT_IO
-    except CodeFormatError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OrthogonalityError as exc:
+    except (CodeFormatError, OrthogonalityError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
@@ -144,24 +141,16 @@ def cmd_validate(args) -> int:
 
 
 def _decoder_config(args) -> DecoderConfig:
-    variant = args.decoder
-    if variant == "sms":
-        return DecoderConfig(
-            variant="sms", l_max=args.lmax, alpha=args.alpha, vn_mode=args.vn_mode
-        )
-    if variant == "sagms":
+    gain = None
+    if args.decoder == "sagms":
         try:
-            gain = GainParams(
-                alpha_min=args.alpha_min,
-                alpha_max=args.alpha_max,
-                eta_unsat=args.eta,
-            )
+            gain = GainParams(args.alpha_min, args.alpha_max, args.eta)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        return DecoderConfig(
-            variant="sagms", l_max=args.lmax, gain=gain, vn_mode=args.vn_mode
-        )
-    return DecoderConfig(variant=variant, l_max=args.lmax, vn_mode=args.vn_mode)
+    alpha = args.alpha if args.decoder == "sms" else None
+    return DecoderConfig(
+        args.decoder, l_max=args.lmax, alpha=alpha, gain=gain, vn_mode=args.vn_mode
+    )
 
 
 def cmd_simulate(args) -> int:

@@ -29,7 +29,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .pauli import PAULI_CODES, PAULI_NAMES, PAULI_X, PAULI_Z, check_orthogonality
+from .pauli import (
+    PAULI_CODES,
+    PAULI_NAMES,
+    PAULI_X,
+    PAULI_Z,
+    check_orthogonality,
+    check_syndromes,
+    dense_checks,
+)
 
 
 class CodeFormatError(ValueError):
@@ -117,77 +125,56 @@ class CodeParams:
 
 @dataclass
 class TannerGraph:
-    """Edge-indexed adjacency of a check matrix, decoder-ready.
+    """Dense check-major adjacency of a check matrix, decoder-ready.
 
-    Edges are numbered in row-major order (check index, then column), which
-    fixes the reduction order used by the message-passing kernels.  The
-    ``cn_*``/``vn_*`` arrays give, for each edge, its check, qubit and
-    symbol, plus contiguous-segment pointers for per-check grouping and a
-    permutation (with pointers) for per-qubit grouping.
+    Check i's edges fill row i of the (m, d_c) arrays in column order, so
+    their row-major order is the canonical edge order; qubit j's edges fill
+    row j of the (n, d_v) arrays in that same order.  Rows shorter than the
+    maximum degree are padded: padding slots carry symbol 0 (identity),
+    which is how kernels tell them apart, and gather index 0.
+
+    ``cn_gather`` maps each check slot to its slot in the flattened qubit
+    layout and ``vn_gather`` maps each qubit slot back, so one ``np.take``
+    turns messages held in one layout into the other.
     """
 
     n: int
     m: int
-    edges: list[tuple[int, int, int]]
-    cn_adjacency: list[list[int]]
-    vn_adjacency: list[list[int]]
     cn_degrees: np.ndarray
     vn_degrees: np.ndarray
-    # flat views for vectorized kernels
-    edge_cn: np.ndarray = field(repr=False)
-    edge_vn: np.ndarray = field(repr=False)
-    edge_sym: np.ndarray = field(repr=False)
-    cn_ptr: np.ndarray = field(repr=False)
-    vn_order: np.ndarray = field(repr=False)
-    vn_inverse: np.ndarray = field(repr=False)
-    vn_ptr: np.ndarray = field(repr=False)
+    cn_vn: np.ndarray = field(repr=False)
+    cn_sym: np.ndarray = field(repr=False)
+    cn_gather: np.ndarray = field(repr=False)
+    vn_sym: np.ndarray = field(repr=False)
+    vn_gather: np.ndarray = field(repr=False)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return int(self.cn_degrees.sum())
+
+    def syndromes(self, e: np.ndarray) -> np.ndarray:
+        """Syndrome bits of error patterns ``e`` (qubits on the last axis)."""
+        return check_syndromes(self.cn_vn, self.cn_sym, e)
 
 
 def tanner_graph(H: SparseCheckMatrix) -> TannerGraph:
-    """Build the bipartite adjacency of ``H`` with flat edge arrays."""
-    edges: list[tuple[int, int, int]] = []
-    cn_adjacency: list[list[int]] = []
-    vn_adjacency: list[list[int]] = [[] for _ in range(H.n)]
+    """Build the dense check-major and qubit-major layouts of ``H``."""
+    cn_vn, cn_sym = dense_checks(H)
+    cn_degrees = np.count_nonzero(cn_sym, axis=1)
+    vn_degrees = np.bincount(cn_vn[cn_sym != 0], minlength=H.n)
+    d_c, d_v = cn_sym.shape[1], int(vn_degrees.max(initial=0))
+    cn_gather = np.zeros((H.m, d_c), dtype=np.int64)
+    vn_sym = np.zeros((H.n, d_v), dtype=np.uint8)
+    vn_gather = np.zeros((H.n, d_v), dtype=np.int64)
+    filled = [0] * H.n
     for i, row in enumerate(H.rows):
-        members = []
-        for j, sym in row:
-            e = len(edges)
-            edges.append((i, j, sym))
-            members.append(e)
-            vn_adjacency[j].append(e)
-        cn_adjacency.append(members)
-
-    E = len(edges)
-    edge_cn = np.fromiter((e[0] for e in edges), dtype=np.int64, count=E)
-    edge_vn = np.fromiter((e[1] for e in edges), dtype=np.int64, count=E)
-    edge_sym = np.fromiter((e[2] for e in edges), dtype=np.uint8, count=E)
-    cn_degrees = np.array([len(a) for a in cn_adjacency], dtype=np.int64)
-    vn_degrees = np.array([len(a) for a in vn_adjacency], dtype=np.int64)
-    cn_ptr = np.concatenate(([0], np.cumsum(cn_degrees)))
-    vn_order = np.concatenate([np.array(a, dtype=np.int64) for a in vn_adjacency if a]) \
-        if E else np.zeros(0, dtype=np.int64)
-    vn_inverse = np.empty(E, dtype=np.int64)
-    vn_inverse[vn_order] = np.arange(E, dtype=np.int64)
-    vn_ptr = np.concatenate(([0], np.cumsum(vn_degrees)))
+        for k, (j, sym) in enumerate(row):
+            t = filled[j]
+            filled[j] += 1
+            cn_gather[i, k] = j * d_v + t
+            vn_sym[j, t], vn_gather[j, t] = sym, i * d_c + k
     return TannerGraph(
-        n=H.n,
-        m=H.m,
-        edges=edges,
-        cn_adjacency=cn_adjacency,
-        vn_adjacency=vn_adjacency,
-        cn_degrees=cn_degrees,
-        vn_degrees=vn_degrees,
-        edge_cn=edge_cn,
-        edge_vn=edge_vn,
-        edge_sym=edge_sym,
-        cn_ptr=cn_ptr,
-        vn_order=vn_order,
-        vn_inverse=vn_inverse,
-        vn_ptr=vn_ptr,
+        H.n, H.m, cn_degrees, vn_degrees, cn_vn, cn_sym, cn_gather, vn_sym, vn_gather
     )
 
 
@@ -268,9 +255,8 @@ def compute_params(H: SparseCheckMatrix) -> CodeParams:
     """Code parameters of ``H``; k = n minus the symplectic GF(2) rank."""
     rank = gf2_rank(symplectic_rows(H))
     k = H.n - rank
-    g = tanner_graph(H)
-    d_c = int(g.cn_degrees.max()) if H.m else 0
-    d_v = int(g.vn_degrees.max()) if H.n else 0
+    g = tanner_graph(H)  # layout widths are the maximum degrees
+    d_c, d_v = g.cn_sym.shape[1], g.vn_sym.shape[1]
     return CodeParams(
         n=H.n, k=k, m=H.m, d_c=d_c, d_v=d_v, overcomplete=H.m > H.n - k
     )

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import linear_gain_fit, phi_llr
 from .channel import ChannelPrior
 from .code import SparseCheckMatrix, TannerGraph
 from .pauli import residual_syndrome as _residual_syndrome
@@ -55,9 +56,6 @@ LLR_CLIP = 64.0
 PHI_ARG_FLOOR = 1e-12
 PHI_SUM_MIN = 1e-12
 PHI_SUM_MAX = 50.0
-
-_LN2 = math.log(2.0)
-
 
 @dataclass(frozen=True)
 class GainParams:
@@ -143,131 +141,49 @@ class BatchDecodeResult:
     message_trace: list[EdgeMessageState] | None = None
 
 
-def phi_llr(x):
-    """Gallager phi on positive arguments: -ln tanh(x/2), self-inverse.
-
-    Evaluated as log1p(2/expm1(x)), which stays accurate both for small x
-    (where the naive form loses digits) and large x (where tanh rounds
-    to 1).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    return np.log1p(2.0 / np.expm1(x))
-
-
-def syndrome_ratio(residual) -> float:
-    """Fraction of unsatisfied checks in a residual syndrome."""
-    residual = np.asarray(residual)
-    if residual.size < 1:
-        raise ValueError("residual syndrome must have at least one bit")
-    return float(np.count_nonzero(residual)) / residual.size
-
-
-def effective_gain(gamma: float, s_tilde_bit: int, p: GainParams) -> float:
-    """Per-check adaptive gain: linear ramp in gamma plus unsatisfied boost."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    base = p.alpha_max - (p.alpha_max - p.alpha_min) * gamma
-    return base * p.eta_unsat if s_tilde_bit else base
-
-
-def cn_update(variant: str, incoming, s_bit: int, gain: float = 1.0) -> float:
-    """One check-node output from the extrinsic incoming messages.
-
-    ``incoming`` excludes the target edge.  ``gain`` is the fixed alpha for
-    sms or the effective alpha for sagms; bp4 and ms ignore it.
-    """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    incoming = np.asarray(incoming, dtype=np.float64)
-    if incoming.size == 0:
-        raise ValueError("check-node update needs at least one incoming message")
-    sign = -1.0 if s_bit else 1.0
-    sign *= float(np.prod(np.where(incoming < 0.0, -1.0, 1.0)))
-    mags = np.abs(incoming)
-    if variant == "bp4":
-        total = float(np.sum(phi_llr(np.maximum(mags, PHI_ARG_FLOOR))))
-        total = min(max(total, PHI_SUM_MIN), PHI_SUM_MAX)
-        mag = float(phi_llr(total))
-    else:
-        mag = float(np.min(mags))
-        if variant in ("sms", "sagms"):
-            mag *= gain
-    return float(np.clip(sign * mag, -LLR_CLIP, LLR_CLIP))
-
-
-def _marginal_message(prior_llr_value, incoming, incoming_symbols, out_symbol):
-    """Commute/anticommute LLR of one qubit relative to ``out_symbol``.
-
-    Builds per-Pauli log-beliefs b(e) = [e != I]*L0 + sum of anticommuting
-    incoming messages, then returns
-    ln( sum_{e commutes} exp(-b(e)) / sum_{e anticommutes} exp(-b(e)) ).
-    """
-    b = {0: 0.0, 1: prior_llr_value, 2: prior_llr_value, 3: prior_llr_value}
-    for msg, sym in zip(incoming, incoming_symbols):
-        for e in (1, 2, 3):
-            if trace_inner(e, int(sym)):
-                b[e] += float(msg)
-    commute = [0, int(out_symbol)]
-    anti = [e for e in (1, 2, 3) if e not in commute]
-    num = np.logaddexp(-b[commute[0]], -b[commute[1]])
-    den = np.logaddexp(-b[anti[0]], -b[anti[1]])
-    return float(num - den)
-
-
-def vn_update(
-    mode: str,
-    prior: ChannelPrior,
-    incoming,
-    incoming_symbols=None,
-    out_symbol: int | None = None,
-) -> float:
-    """One qubit-node output toward an edge, from the extrinsic incoming set.
-
-    ``additive`` sums scalar messages onto the prior.  ``marginal`` needs the
-    symbols of the incoming edges and of the outgoing edge.
-    """
-    if mode not in VN_MODES:
-        raise ValueError(f"unknown vn mode {mode!r}")
-    incoming = np.asarray(incoming, dtype=np.float64)
-    if mode == "additive":
-        out = prior.llr + float(np.sum(incoming))
-    else:
-        if incoming_symbols is None or out_symbol is None:
-            raise ValueError("marginal mode needs incoming and outgoing symbols")
-        out = _marginal_message(prior.llr, incoming, incoming_symbols, out_symbol)
-    return float(np.clip(out, -LLR_CLIP, LLR_CLIP))
-
-
-def hard_decision(prior: ChannelPrior, incoming, incoming_symbols) -> int:
-    """Most plausible Pauli at one qubit from all its incoming messages.
-
-    Minimizes m(e) = [e != I]*L0 + sum of anticommuting messages over
-    e in {I, X, Z, Y}; ties break toward the smaller code (I < X < Z < Y).
-    """
-    metrics = [0.0, prior.llr, prior.llr, prior.llr]
-    for msg, sym in zip(np.asarray(incoming, dtype=np.float64), incoming_symbols):
-        for e in (1, 2, 3):
-            if trace_inner(e, int(sym)):
-                metrics[e] += float(msg)
-    return int(np.argmin(metrics))
-
-
 def _marginal_init(prior_llr_value: float) -> float:
     """Initial qubit-to-check message in marginal mode.
 
     Equals the marginal rule applied to an empty incoming set; independent
     of the edge symbol because the commuting set is always {I, S}.
     """
-    return math.log1p(math.exp(-prior_llr_value)) + prior_llr_value - _LN2
+    return math.log1p(math.exp(-prior_llr_value)) + prior_llr_value - math.log(2.0)
+
+
+def _degree_groups(degrees: np.ndarray):
+    """(degree, rows) pairs of a padded layout; None when no row is padded."""
+    if (degrees == degrees.max()).all():
+        return None
+    return [(int(d), np.flatnonzero(degrees == d)) for d in np.unique(degrees)]
+
+
+def _segment_sum(x, groups):
+    """Sum of each row's own slots (last axis), kept as a length-1 axis.
+
+    head + rest reproduces the summation order of the pinned results;
+    sum() alone pairs differently.  Rows of a padded layout are summed per
+    degree over their own slots only: numpy's pairwise sum groups terms
+    differently once padding makes a row 9 or more slots wide.
+    """
+    if groups is None:
+        return x[..., :1] + x[..., 1:].sum(axis=-1, keepdims=True)
+    out = np.empty((*x.shape[:-1], 1))
+    for d, rows in groups:
+        xs = np.take(x, rows, axis=-2)[..., :d]
+        out[..., rows, :] = xs[..., :1] + xs[..., 1:].sum(axis=-1, keepdims=True)
+    return out
 
 
 class _Kernel:
-    """Vectorized batch decoder over one immutable Tanner graph.
+    """Vectorized batch decoder over the dense layouts of one Tanner graph.
 
-    All message arrays are (frames, edges) with edges in the canonical
-    row-major order; per-check and per-qubit reductions use ``reduceat``
-    over contiguous segments, so every frame's arithmetic is independent of
-    the batch composition and of any worker partitioning.
+    Qubit-to-check messages are held check-major as (frames, m, d_c) and
+    check-to-qubit messages qubit-major as (frames, n, d_v).  Padding slots
+    hold the neutral element of every reduction over them: magnitude +inf
+    with sign + (min-sum; phi(inf) = 0 for bp4) in the check view, 0 in the
+    qubit view.  Every reduction runs along the last axis within one frame,
+    so each frame's arithmetic is independent of the batch composition and
+    of any worker partitioning.
     """
 
     def __init__(self, graph: TannerGraph):
@@ -276,99 +192,74 @@ class _Kernel:
         if (graph.cn_degrees == 0).any() or (graph.vn_degrees == 0).any():
             raise ValueError("graph has isolated checks or qubits")
         self.g = graph
-        sym = graph.edge_sym
-        sx = (sym & 1).astype(np.float64)
-        sz = (sym >> 1).astype(np.float64)
+        self.cn_pad = graph.cn_sym == 0
+        self.vn_pad = graph.vn_sym == 0
+        self.cn_groups = _degree_groups(graph.cn_degrees)
+        self.vn_groups = _degree_groups(graph.vn_degrees)
         # anticommutation masks of candidate errors X, Z, Y vs edge symbols
-        self.anti = {1: sz, 2: sx, 3: np.abs(sx - sz)}
-        vo = graph.vn_order
-        self.anti_v = {e: self.anti[e][vo] for e in (1, 2, 3)}
-        self.sym_v = sym[vo]
-        self.vn_of_edge_v = graph.edge_vn[vo]
-        self.cn_ix = graph.cn_ptr[:-1]
-        self.vn_ix = graph.vn_ptr[:-1]
-        self.edge_index = np.arange(graph.edge_count, dtype=np.int64)
+        self.anti = {
+            e: trace_inner(e, graph.vn_sym).astype(np.float64) for e in (1, 2, 3)
+        }
 
-    def hard_decisions(self, cmsg: np.ndarray, l0: float) -> np.ndarray:
+    def decide(self, cv: np.ndarray, l0: float) -> np.ndarray:
         """(B, n) Pauli codes minimizing the per-qubit decision metric."""
-        cv = cmsg[:, self.g.vn_order]
-        metrics = np.empty((cv.shape[0], 4, self.g.n), dtype=np.float64)
-        metrics[:, 0, :] = 0.0
+        metrics = np.zeros((cv.shape[0], 4, self.g.n), dtype=np.float64)
         for e in (1, 2, 3):
-            metrics[:, e, :] = l0 + np.add.reduceat(
-                cv * self.anti_v[e], self.vn_ix, axis=1
-            )
+            total = _segment_sum(cv * self.anti[e], self.vn_groups)
+            metrics[:, e, :] = l0 + total[..., 0]
         return np.argmin(metrics, axis=1).astype(np.uint8)
 
-    def syndromes_of(self, e_hat: np.ndarray) -> np.ndarray:
-        """(B, m) syndrome bits of per-frame error patterns."""
-        codes = e_hat[:, self.g.edge_vn]
-        sym = self.g.edge_sym
-        t = ((codes & 1) & (sym >> 1)) ^ ((codes >> 1) & (sym & 1))
-        parity = np.add.reduceat(t.astype(np.int64), self.cn_ix, axis=1) & 1
-        return parity.astype(np.uint8)
+    def to_qubits(self, cmsg: np.ndarray) -> np.ndarray:
+        """Check-major (B, m, d_c) messages gathered qubit-major (B, n, d_v)."""
+        flat = cmsg.reshape(len(cmsg), self.g.cn_sym.size)
+        cv = np.take(flat, self.g.vn_gather, axis=1)
+        cv[:, self.vn_pad] = 0.0
+        return cv
 
-    def cn_step(self, vmsg, syn_sign, cfg, gains):
+    def cn_step(self, vmsg, syn, cfg, gains):
         """Check-node update; ``gains`` is (B, m) for sagms, ignored otherwise."""
-        g = self.g
         sgn = np.where(vmsg < 0.0, -1.0, 1.0)
-        sign_prod = np.multiply.reduceat(sgn, self.cn_ix, axis=1)
-        ext_sign = (syn_sign * sign_prod)[:, g.edge_cn] * sgn
+        syn_sign = 1.0 - 2.0 * syn.astype(np.float64)
+        ext_sign = (syn_sign * sgn.prod(axis=-1))[..., None] * sgn
         mags = np.abs(vmsg)
         if cfg.variant == "bp4":
             ph = phi_llr(np.maximum(mags, PHI_ARG_FLOOR))
-            total = np.add.reduceat(ph, self.cn_ix, axis=1)
-            ext = total[:, g.edge_cn] - ph
+            ext = _segment_sum(ph, self.cn_groups) - ph
             np.clip(ext, PHI_SUM_MIN, PHI_SUM_MAX, out=ext)
             mag = phi_llr(ext)
         else:
-            min1 = np.minimum.reduceat(mags, self.cn_ix, axis=1)
-            min1_e = min1[:, g.edge_cn]
-            cand = np.where(mags == min1_e, self.edge_index, g.edge_count)
-            first = np.minimum.reduceat(cand, self.cn_ix, axis=1)
-            is_first = self.edge_index == first[:, g.edge_cn]
-            min2 = np.minimum.reduceat(
-                np.where(is_first, np.inf, mags), self.cn_ix, axis=1
-            )
-            mag = np.where(is_first, min2[:, g.edge_cn], min1_e)
+            # the first minimum sends the second minimum, the others the first
+            first = mags.argmin(axis=-1)[..., None]
+            is_first = np.arange(mags.shape[-1]) == first
+            min1 = np.take_along_axis(mags, first, axis=-1)
+            min2 = np.where(is_first, np.inf, mags).min(axis=-1, keepdims=True)
+            mag = np.where(is_first, min2, min1)
             if cfg.variant == "sms":
                 mag = cfg.alpha * mag
             elif cfg.variant == "sagms":
-                mag = gains[:, g.edge_cn] * mag
+                mag = gains[..., None] * mag
         return np.clip(ext_sign * mag, -LLR_CLIP, LLR_CLIP)
 
-    def vn_step(self, cmsg, l0, cfg):
-        """Qubit-node update; returns messages in canonical edge order."""
-        g = self.g
-        cv = cmsg[:, g.vn_order]
+    def vn_step(self, cv, l0, cfg):
+        """Qubit-node update from qubit-major messages; returns check-major."""
         if cfg.vn_mode == "additive":
-            tot = np.add.reduceat(cv, self.vn_ix, axis=1)
-            out = l0 + (tot[:, self.vn_of_edge_v] - cv)
+            out = l0 + (_segment_sum(cv, self.vn_groups) - cv)
         else:
             b = {}
             for e in (1, 2, 3):
-                tot = np.add.reduceat(cv * self.anti_v[e], self.vn_ix, axis=1)
-                b[e] = l0 + (tot[:, self.vn_of_edge_v] - self.anti_v[e] * cv)
-            m_x = self.sym_v == 1
-            m_y = self.sym_v == 3
+                x = cv * self.anti[e]
+                b[e] = l0 + (_segment_sum(x, self.vn_groups) - x)
+            m_x = self.g.vn_sym == 1
+            m_y = self.g.vn_sym == 3
             b_self = np.where(m_x, b[1], np.where(m_y, b[3], b[2]))
             b_a1 = np.where(m_x, b[2], b[1])
             b_a2 = np.where(m_y, b[2], b[3])
             out = np.logaddexp(0.0, -b_self) - np.logaddexp(-b_a1, -b_a2)
         np.clip(out, -LLR_CLIP, LLR_CLIP, out=out)
-        return out[:, g.vn_inverse]
-
-
-_KERNEL_CACHE: dict[int, _Kernel] = {}
-
-
-def _kernel_for(graph: TannerGraph) -> _Kernel:
-    k = _KERNEL_CACHE.get(id(graph))
-    if k is None or k.g is not graph:
-        k = _Kernel(graph)
-        _KERNEL_CACHE.clear()
-        _KERNEL_CACHE[id(graph)] = k
-    return k
+        flat = out.reshape(len(out), self.g.vn_sym.size)
+        vmsg = np.take(flat, self.g.cn_gather, axis=1)
+        vmsg[:, self.cn_pad] = np.inf
+        return vmsg
 
 
 def decode_batch(
@@ -392,10 +283,12 @@ def decode_batch(
     snapshots, including the otherwise-skipped final update; it is limited
     to single-frame batches.
     """
-    ker = _kernel_for(graph)
-    syndromes = np.asarray(syndromes, dtype=np.uint8)
+    ker = _Kernel(graph)
+    syndromes = np.asarray(syndromes)
     if syndromes.ndim != 2 or syndromes.shape[1] != graph.m:
         raise ValueError(f"syndromes must have shape (B, {graph.m})")
+    if not ((syndromes == 0) | (syndromes == 1)).all():
+        raise ValueError("syndrome bits must be 0 or 1")
     b_total = syndromes.shape[0]
     if capture_messages and b_total != 1:
         # compaction would silently remap row 0 to a different frame
@@ -404,15 +297,14 @@ def decode_batch(
 
     v0 = _marginal_init(l0) if cfg.vn_mode == "marginal" else l0
     v0 = float(np.clip(v0, -LLR_CLIP, LLR_CLIP))
-    vmsg = np.full((b_total, graph.edge_count), v0, dtype=np.float64)
-    cmsg = np.zeros((b_total, graph.edge_count), dtype=np.float64)
-    syn = syndromes.copy()
-    syn_sign = 1.0 - 2.0 * syn.astype(np.float64)
+    vmsg = np.full((b_total, *graph.cn_sym.shape), v0, dtype=np.float64)
+    vmsg[:, ker.cn_pad] = np.inf
+    cv = np.zeros((b_total, *graph.vn_sym.shape), dtype=np.float64)
+    syn = syndromes.astype(np.uint8)
 
     success = np.zeros(b_total, dtype=bool)
     iterations = np.full(b_total, cfg.l_max, dtype=np.int64)
     e_hat_out = np.zeros((b_total, graph.n), dtype=np.uint8)
-    recorded = np.zeros(b_total, dtype=bool)
     gamma_traces: list[list[float]] | None = (
         [[] for _ in range(b_total)] if collect_gamma else None
     )
@@ -420,8 +312,8 @@ def decode_batch(
 
     active = np.arange(b_total)
     for ell in range(1, cfg.l_max + 1):
-        e_hat = ker.hard_decisions(cmsg, l0)
-        residual = syn ^ ker.syndromes_of(e_hat)
+        e_hat = ker.decide(cv, l0)
+        residual = syn ^ graph.syndromes(e_hat)
         unsat = residual.sum(axis=1)
         gamma = unsat / graph.m
 
@@ -430,13 +322,12 @@ def decode_batch(
                 gamma_traces[idx].append(float(gamma[row]))
 
         zero = unsat == 0
-        newly = zero & ~recorded[active]
+        newly = zero & ~success[active]
         if newly.any():
             idx = active[newly]
             success[idx] = True
             iterations[idx] = ell
             e_hat_out[idx] = e_hat[newly]
-            recorded[idx] = True
 
         if early_stop and zero.any():
             keep = ~zero
@@ -444,16 +335,15 @@ def decode_batch(
             if active.size == 0:
                 break
             vmsg = vmsg[keep]
-            cmsg = cmsg[keep]
+            cv = cv[keep]
             syn = syn[keep]
-            syn_sign = syn_sign[keep]
             e_hat = e_hat[keep]
             residual = residual[keep]
             gamma = gamma[keep]
 
         if ell == cfg.l_max:
             # failure estimate is the hard decision of the final iteration
-            pending = ~recorded[active]
+            pending = ~success[active]
             if pending.any():
                 e_hat_out[active[pending]] = e_hat[pending]
             if not capture_messages:
@@ -461,18 +351,16 @@ def decode_batch(
 
         if cfg.variant == "sagms":
             p = cfg.gain
-            base = p.alpha_max - (p.alpha_max - p.alpha_min) * gamma
+            base = linear_gain_fit(p.alpha_max, p.alpha_min, gamma)
             gains = base[:, None] * np.where(residual == 1, p.eta_unsat, 1.0)
         else:
             gains = None
-        cmsg = ker.cn_step(vmsg, syn_sign, cfg, gains)
-        vmsg = ker.vn_step(cmsg, l0, cfg)
+        cv = ker.to_qubits(ker.cn_step(vmsg, syn, cfg, gains))
+        vmsg = ker.vn_step(cv, l0, cfg)
         if trace is not None:
-            trace.append(
-                EdgeMessageState(
-                    vn_to_cn=vmsg[0].copy(), cn_to_vn=cmsg[0].copy(), iteration=ell
-                )
-            )
+            edges = ~ker.cn_pad
+            cn_to_vn = np.take(cv[0], graph.cn_gather[edges])
+            trace.append(EdgeMessageState(vmsg[0][edges], cn_to_vn, ell))
 
     return BatchDecodeResult(
         success=success,
@@ -504,7 +392,7 @@ def decode(
     number, the syndrome ratio, an effective-gain summary and a coarse
     message-magnitude histogram; suitable for line-delimited serialization.
     """
-    s = np.asarray(s, dtype=np.uint8)
+    s = np.asarray(s)
     if s.shape != (graph.m,):
         raise ValueError(f"syndrome must have length m={graph.m}")
     want_trace = capture_messages or trace_sink is not None
@@ -532,16 +420,13 @@ def decode(
     if trace_sink is not None and batch.message_trace:
         for state in batch.message_trace:
             ell = state.iteration
-            gamma = float(gamma_trace[ell - 1]) if ell - 1 < len(gamma_trace) else 0.0
+            gamma = float(gamma_trace[ell - 1])
+            lo = hi = cfg.alpha if cfg.variant == "sms" else 1.0
             if cfg.variant == "sagms":
-                gain_summary = {
-                    "min": effective_gain(gamma, 0, cfg.gain),
-                    "max": effective_gain(gamma, 1, cfg.gain),
-                }
-            elif cfg.variant == "sms":
-                gain_summary = {"min": cfg.alpha, "max": cfg.alpha}
-            else:
-                gain_summary = {"min": 1.0, "max": 1.0}
+                p = cfg.gain
+                lo = linear_gain_fit(p.alpha_max, p.alpha_min, gamma)
+                hi = lo * p.eta_unsat
+            gain_summary = {"min": lo, "max": hi}
             counts, edges = np.histogram(
                 np.abs(state.vn_to_cn), bins=16, range=(0.0, LLR_CLIP)
             )

@@ -23,10 +23,10 @@ import hashlib
 import json
 import logging
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from statistics import NormalDist
 
 import numpy as np
 
@@ -99,10 +99,8 @@ class FerPoint:
 WILSON_Z_95 = 1.959964
 
 
-def wilson_interval(
-    failures: int, frames: int, confidence: float = 0.95
-) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(failures: int, frames: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion.
 
     The interval always contains failures/frames; endpoints are clamped to
     [0, 1].
@@ -111,10 +109,7 @@ def wilson_interval(
         raise ValueError("frames must be at least 1")
     if not 0 <= failures <= frames:
         raise ValueError("failures must lie in [0, frames]")
-    if confidence == 0.95:
-        z = WILSON_Z_95
-    else:
-        z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    z = WILSON_Z_95
     n = float(frames)
     p = failures / n
     denom = 1.0 + z * z / n
@@ -175,9 +170,7 @@ def _decode_frames(graph: TannerGraph, decoder_cfg, epsilon, epsilon0, seed, sta
     errors = np.empty((count, graph.n), dtype=np.uint8)
     for row, frame in enumerate(range(start, start + count)):
         errors[row] = sample_error(ch, graph.n, stream_id=frame)
-    from .decoder import _kernel_for
-
-    syndromes = _kernel_for(graph).syndromes_of(errors)
+    syndromes = graph.syndromes(errors)
     res = decode_batch(graph, syndromes, prior_llr(epsilon0), decoder_cfg)
     return ~res.success, res.iterations
 
@@ -187,62 +180,43 @@ def _worker_task(args):
     fails, iters = _decode_frames(
         _WORKER["graph"], _WORKER["decoder"], epsilon, epsilon0, seed, start, count
     )
-    return start, np.asarray(fails), np.asarray(iters)
+    return start, fails, iters
 
 
-class _BatchStream:
+def _batches(H, graph, cfg: SweepConfig, epsilon, epsilon0):
     """Yield (start, fails, iters) in frame order from 1..N workers."""
-
-    def __init__(self, H, graph, cfg: SweepConfig, epsilon, epsilon0):
-        self.cfg = cfg
-        self.epsilon = epsilon
-        self.epsilon0 = epsilon0
-        self.graph = graph
-        self.H = H
-
-    def __iter__(self):
-        cfg = self.cfg
-        starts = range(0, cfg.max_frames, BATCH_FRAMES)
-        sizes = {s: min(BATCH_FRAMES, cfg.max_frames - s) for s in starts}
-        if cfg.workers == 1:
-            for s in starts:
-                fails, iters = _decode_frames(
-                    self.graph, cfg.decoder, self.epsilon, self.epsilon0,
-                    cfg.seed, s, sizes[s],
-                )
-                yield s, fails, iters
-            return
-        with ProcessPoolExecutor(
-            max_workers=cfg.workers,
-            initializer=_init_worker,
-            initargs=(self.H, cfg.decoder),
-        ) as pool:
-            pending = {}
-            it = iter(starts)
-            submitted = 0
-            # keep a small window of speculative batches in flight
-            window = cfg.workers + 2
-            done_upto = 0
-            try:
-                while True:
-                    while submitted - done_upto < window:
-                        s = next(it, None)
-                        if s is None:
-                            break
-                        pending[s] = pool.submit(
-                            _worker_task,
-                            (self.epsilon, self.epsilon0, cfg.seed, s, sizes[s]),
-                        )
-                        submitted += 1
-                    if not pending:
-                        return
-                    next_start = min(pending)
-                    start, fails, iters = pending.pop(next_start).result()
-                    done_upto += 1
-                    yield start, fails, iters
-            finally:
-                for fut in pending.values():
-                    fut.cancel()
+    starts = range(0, cfg.max_frames, BATCH_FRAMES)
+    sizes = {s: min(BATCH_FRAMES, cfg.max_frames - s) for s in starts}
+    if cfg.workers == 1:
+        for s in starts:
+            fails, iters = _decode_frames(
+                graph, cfg.decoder, epsilon, epsilon0, cfg.seed, s, sizes[s]
+            )
+            yield s, fails, iters
+        return
+    with ProcessPoolExecutor(
+        max_workers=cfg.workers,
+        initializer=_init_worker,
+        initargs=(H, cfg.decoder),
+    ) as pool:
+        pending = {}
+        it = iter(starts)
+        try:
+            while True:
+                # keep a small window of speculative batches in flight
+                while len(pending) < cfg.workers + 2:
+                    s = next(it, None)
+                    if s is None:
+                        break
+                    pending[s] = pool.submit(
+                        _worker_task, (epsilon, epsilon0, cfg.seed, s, sizes[s])
+                    )
+                if not pending:
+                    return
+                yield pending.pop(min(pending)).result()
+        finally:
+            for fut in pending.values():
+                fut.cancel()
 
 
 def run_point(
@@ -259,7 +233,7 @@ def run_point(
     frames = 0
     failures = 0
     iter_sum = 0
-    for start, fails, iters in _BatchStream(H, graph, cfg, epsilon, epsilon0):
+    for start, fails, iters in _batches(H, graph, cfg, epsilon, epsilon0):
         cum = np.cumsum(fails)
         hit = np.nonzero(failures + cum >= cfg.target_failures)[0]
         if hit.size:
@@ -357,7 +331,11 @@ def run_sweep(
 
 
 def _write_text(path: Path, text: str) -> None:
+    """Replace ``path`` atomically, so a killed run never leaves it truncated."""
+    tmp = path.with_name(f".{path.name}.tmp")
     try:
-        path.write_text(text, encoding="utf-8", newline="\n")
+        tmp.write_text(text, encoding="utf-8", newline="\n")
+        os.replace(tmp, path)
     except OSError as exc:
+        tmp.unlink(missing_ok=True)
         raise OSError(f"cannot write {path}: {exc}") from exc

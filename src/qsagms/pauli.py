@@ -89,6 +89,33 @@ def pauli_vector(symbols, n=None) -> np.ndarray:
     return arr
 
 
+def dense_checks(H: "SparseCheckMatrix") -> tuple[np.ndarray, np.ndarray]:
+    """Check rows of ``H`` as dense (m, d_c) qubit-index and symbol arrays.
+
+    Row i lists check i's qubits and symbols in column order; rows shorter
+    than the maximum degree are padded with qubit 0 and symbol 0 (identity).
+    """
+    d_c = max((len(row) for row in H.rows), default=0)
+    cn_vn = np.zeros((H.m, d_c), dtype=np.int64)
+    cn_sym = np.zeros((H.m, d_c), dtype=np.uint8)
+    for i, row in enumerate(H.rows):
+        if row:
+            cn_vn[i, : len(row)], cn_sym[i, : len(row)] = zip(*row)
+    return cn_vn, cn_sym
+
+
+def check_syndromes(cn_vn: np.ndarray, cn_sym: np.ndarray, e) -> np.ndarray:
+    """Syndrome bits of error patterns ``e`` (qubits on the last axis).
+
+    Bit i is the parity of the trace inner products between check i's
+    symbols ``cn_sym[i]`` and the errors on its qubits ``cn_vn[i]``, i.e. 1
+    iff stabilizer i anticommutes with the error; symbol-0 padding slots
+    contribute 0.
+    """
+    t = trace_inner(cn_sym, np.take(e, cn_vn, axis=-1))
+    return np.bitwise_xor.reduce(t, axis=-1)
+
+
 def syndrome(H: "SparseCheckMatrix", e) -> np.ndarray:
     """Syndrome bits of error pattern ``e`` under check matrix ``H``.
 
@@ -96,14 +123,7 @@ def syndrome(H: "SparseCheckMatrix", e) -> np.ndarray:
     inner product between the row symbol and the error symbol, i.e. 1 iff
     stabilizer i anticommutes with ``e``.
     """
-    e = pauli_vector(e, n=H.n)
-    s = np.zeros(H.m, dtype=np.uint8)
-    for i, row in enumerate(H.rows):
-        acc = 0
-        for j, sym in row:
-            acc ^= trace_inner(sym, int(e[j]))
-        s[i] = acc
-    return s
+    return check_syndromes(*dense_checks(H), pauli_vector(e, n=H.n))
 
 
 def residual_syndrome(s, H: "SparseCheckMatrix", e_hat) -> np.ndarray:

@@ -45,6 +45,17 @@ def gb126_graph(gb126_code):
     return tanner_graph(gb126_code)
 
 
+@pytest.fixture(scope="session")
+def tree_code():
+    """Cycle-free n=9 matrix; check degrees 2-3, qubit degrees 1-3."""
+    return make_tree_code(np.random.default_rng(0), n_target=9)
+
+
+@pytest.fixture(scope="session")
+def tree_graph(tree_code):
+    return tanner_graph(tree_code)
+
+
 def make_tree_code(rng: np.random.Generator, n_target: int) -> SparseCheckMatrix:
     """Random cycle-free check matrix with every check degree >= 2.
 

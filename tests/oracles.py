@@ -5,8 +5,7 @@ brute-force enumeration, sharing no machinery with the package internals:
 dense GF(2) bit-plane syndrome/orthogonality/rank, polynomial-gcd dimension
 counting for generalized bicycle codes, exhaustive 4^n posterior
 enumeration for small codes, and a scalar reference decoder composed from
-the package's per-node update functions (to cross-check the vectorized
-kernel's composition).
+the per-node update rules below (to cross-check the vectorized kernel).
 """
 
 from __future__ import annotations
@@ -15,14 +14,17 @@ import itertools
 
 import numpy as np
 
+from qsagms.analysis import phi_llr
 from qsagms.channel import ChannelPrior
 from qsagms.decoder import (
+    LLR_CLIP,
+    PHI_ARG_FLOOR,
+    PHI_SUM_MAX,
+    PHI_SUM_MIN,
+    VARIANTS,
+    VN_MODES,
     DecoderConfig,
-    cn_update,
-    effective_gain,
-    hard_decision,
-    syndrome_ratio,
-    vn_update,
+    GainParams,
     _marginal_init,
 )
 from qsagms.pauli import trace_inner
@@ -173,6 +175,110 @@ def brute_vn_message(H, s, eps0: float, check: int, qubit: int) -> float:
     return float(np.log(num) - np.log(den))
 
 
+# -- scalar node update rules ---------------------------------------------------
+
+
+def edges_of(H) -> list[tuple[int, int, int]]:
+    """(check, qubit, symbol) of every edge in canonical row-major order."""
+    return [(i, j, sym) for i, row in enumerate(H.rows) for j, sym in row]
+
+
+def syndrome_ratio(residual) -> float:
+    """Fraction of unsatisfied checks in a residual syndrome."""
+    residual = np.asarray(residual)
+    if residual.size < 1:
+        raise ValueError("residual syndrome must have at least one bit")
+    return float(np.count_nonzero(residual)) / residual.size
+
+
+def effective_gain(gamma: float, s_tilde_bit: int, p: GainParams) -> float:
+    """Per-check adaptive gain: linear ramp in gamma plus unsatisfied boost."""
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+    base = p.alpha_max - (p.alpha_max - p.alpha_min) * gamma
+    return base * p.eta_unsat if s_tilde_bit else base
+
+
+def cn_update(variant: str, incoming, s_bit: int, gain: float = 1.0) -> float:
+    """One check-node output from the extrinsic incoming messages.
+
+    ``incoming`` excludes the target edge.  ``gain`` is the fixed alpha for
+    sms or the effective alpha for sagms; bp4 and ms ignore it.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    incoming = np.asarray(incoming, dtype=np.float64)
+    if incoming.size == 0:
+        raise ValueError("check-node update needs at least one incoming message")
+    sign = -1.0 if s_bit else 1.0
+    sign *= float(np.prod(np.where(incoming < 0.0, -1.0, 1.0)))
+    mags = np.abs(incoming)
+    if variant == "bp4":
+        total = float(np.sum(phi_llr(np.maximum(mags, PHI_ARG_FLOOR))))
+        total = min(max(total, PHI_SUM_MIN), PHI_SUM_MAX)
+        mag = float(phi_llr(total))
+    else:
+        mag = float(np.min(mags))
+        if variant in ("sms", "sagms"):
+            mag *= gain
+    return float(np.clip(sign * mag, -LLR_CLIP, LLR_CLIP))
+
+
+def _beliefs(prior_llr_value, incoming, incoming_symbols) -> list[float]:
+    """Per-Pauli log-beliefs b(e) = [e != I]*L0 + sum of anticommuting
+    incoming messages, for e in (I, X, Z, Y)."""
+    b = [0.0, prior_llr_value, prior_llr_value, prior_llr_value]
+    for msg, sym in zip(incoming, incoming_symbols):
+        for e in (1, 2, 3):
+            if trace_inner(e, int(sym)):
+                b[e] += float(msg)
+    return b
+
+
+def _marginal_message(prior_llr_value, incoming, incoming_symbols, out_symbol):
+    """Commute/anticommute LLR of one qubit relative to ``out_symbol``:
+    ln( sum_{e commutes} exp(-b(e)) / sum_{e anticommutes} exp(-b(e)) )."""
+    b = _beliefs(prior_llr_value, incoming, incoming_symbols)
+    commute = [0, int(out_symbol)]
+    anti = [e for e in (1, 2, 3) if e not in commute]
+    num = np.logaddexp(-b[commute[0]], -b[commute[1]])
+    den = np.logaddexp(-b[anti[0]], -b[anti[1]])
+    return float(num - den)
+
+
+def vn_update(
+    mode: str,
+    prior: ChannelPrior,
+    incoming,
+    incoming_symbols=None,
+    out_symbol: int | None = None,
+) -> float:
+    """One qubit-node output toward an edge, from the extrinsic incoming set.
+
+    ``additive`` sums scalar messages onto the prior.  ``marginal`` needs the
+    symbols of the incoming edges and of the outgoing edge.
+    """
+    if mode not in VN_MODES:
+        raise ValueError(f"unknown vn mode {mode!r}")
+    incoming = np.asarray(incoming, dtype=np.float64)
+    if mode == "additive":
+        out = prior.llr + float(np.sum(incoming))
+    else:
+        if incoming_symbols is None or out_symbol is None:
+            raise ValueError("marginal mode needs incoming and outgoing symbols")
+        out = _marginal_message(prior.llr, incoming, incoming_symbols, out_symbol)
+    return float(np.clip(out, -LLR_CLIP, LLR_CLIP))
+
+
+def hard_decision(prior: ChannelPrior, incoming, incoming_symbols) -> int:
+    """Most plausible Pauli at one qubit from all its incoming messages.
+
+    Minimizes m(e) = [e != I]*L0 + sum of anticommuting messages over
+    e in {I, X, Z, Y}; ties break toward the smaller code (I < X < Z < Y).
+    """
+    return int(np.argmin(_beliefs(prior.llr, incoming, incoming_symbols)))
+
+
 # -- scalar reference decoder --------------------------------------------------
 
 
@@ -183,7 +289,7 @@ def reference_decode(H, s, prior: ChannelPrior, cfg: DecoderConfig, record=None)
     list, (vn_to_cn, cn_to_vn) message dictionaries keyed by (check, qubit)
     are appended after each iteration's updates.
     """
-    edges = [(i, j, sym) for i, row in enumerate(H.rows) for j, sym in row]
+    edges = edges_of(H)
     cn_members = {i: [] for i in range(H.m)}
     vn_members = {j: [] for j in range(H.n)}
     for idx, (i, j, _) in enumerate(edges):
@@ -201,11 +307,11 @@ def reference_decode(H, s, prior: ChannelPrior, cfg: DecoderConfig, record=None)
     gamma_trace = []
     e_hat = np.zeros(H.n, dtype=np.uint8)
     for ell in range(1, cfg.l_max + 1):
-        e_hat = np.zeros(H.n, dtype=np.uint8)
-        for j in range(H.n):
-            incoming = [cmsg[k] for k in vn_members[j]]
-            syms = [edges[k][2] for k in vn_members[j]]
-            e_hat[j] = hard_decision(prior, incoming, syms)
+        e_hat = np.array([
+            hard_decision(prior, [cmsg[k] for k in vn_members[j]],
+                          [edges[k][2] for k in vn_members[j]])
+            for j in range(H.n)
+        ], dtype=np.uint8)
         residual = s ^ syndrome_dense(H, e_hat)
         gamma = syndrome_ratio(residual)
         gamma_trace.append(gamma)

@@ -23,18 +23,17 @@ from qsagms.analysis import (
 )
 from qsagms.channel import DepolarizingChannel, prior_llr, sample_error
 from qsagms.code import SparseCheckMatrix, GbSpec, build_gb, tanner_graph
-from qsagms.decoder import (
-    DecoderConfig,
-    GainParams,
-    decode,
-    decode_batch,
-    _kernel_for,
-)
+from qsagms.decoder import DecoderConfig, GainParams, _Kernel, decode, decode_batch
 from qsagms.harness import SweepConfig, run_sweep, wilson_interval
 from qsagms.pauli import syndrome
 
 from .conftest import make_tree_code
-from .oracles import brute_vn_message, map_decisions, syndrome_dense
+from .oracles import (
+    brute_vn_message,
+    edges_of,
+    map_decisions,
+    syndrome_dense,
+)
 
 LN27 = math.log(27.0)
 GAIN = GainParams(0.30, 0.50, 1.10)
@@ -50,7 +49,6 @@ def _fer(graph, variant, eps, n_frames, seed=20260810, l_max=8, **kw):
     cfg = DecoderConfig(variant, l_max=l_max, **kw)
     prior = prior_llr(eps)
     ch = DepolarizingChannel(eps, seed)
-    ker = _kernel_for(graph)
     batch = 4096
     failures = 0
     for start in range(0, n_frames, batch):
@@ -58,7 +56,7 @@ def _fer(graph, variant, eps, n_frames, seed=20260810, l_max=8, **kw):
         errors = np.empty((count, graph.n), dtype=np.uint8)
         for row, frame in enumerate(range(start, start + count)):
             errors[row] = sample_error(ch, graph.n, stream_id=frame)
-        syndromes = ker.syndromes_of(errors)
+        syndromes = graph.syndromes(errors)
         res = decode_batch(graph, syndromes, prior, cfg)
         failures += int((~res.success).sum())
     lo, hi = wilson_interval(failures, n_frames)
@@ -105,7 +103,7 @@ def _equivalence_frames(H, graph, cfg_a, cfg_b, n_frames, eps, seed, n_traj):
     errors = np.empty((n_frames, H.n), dtype=np.uint8)
     for f in range(n_frames):
         errors[f] = sample_error(ch, H.n, stream_id=f)
-    syndromes = _kernel_for(graph).syndromes_of(errors)
+    syndromes = graph.syndromes(errors)
     ra = decode_batch(graph, syndromes, prior, cfg_a)
     rb = decode_batch(graph, syndromes, prior, cfg_b)
     results_equal = (
@@ -170,10 +168,13 @@ def test_criterion_5_cycle_free_enumeration_oracle():
         result = decode(H, graph, s, prior, cfg, capture_messages=True,
                         early_stop=False)
         final = result.message_trace[-1]
-        for idx, (i, j, _) in enumerate(graph.edges):
+        for idx, (i, j, _) in enumerate(edges_of(H)):
             expected = brute_vn_message(H, s, eps0, check=i, qubit=j)
             worst = max(worst, abs(float(final.vn_to_cn[idx]) - expected))
-        hd = _kernel_for(graph).hard_decisions(final.cn_to_vn[None, :], prior.llr)[0]
+        cmsg = np.zeros(graph.cn_sym.shape)
+        cmsg[graph.cn_sym != 0] = final.cn_to_vn
+        ker = _Kernel(graph)
+        hd = ker.decide(ker.to_qubits(cmsg[None]), prior.llr)[0]
         decisions_ok &= bool(np.array_equal(hd, map_decisions(H, s, eps0)))
     ok = worst <= 1e-9 and decisions_ok
     _report(5, "tree oracle (4^n enumeration)", ok,
@@ -321,7 +322,7 @@ def test_criterion_9_safety_under_fuzzing():
         for t in res.gamma_traces:
             if not (np.isfinite(t).all() and (t >= 0).all() and (t <= 1).all()):
                 gamma_ok = False
-        resid = _kernel_for(graph).syndromes_of(res.e_hat) ^ syndromes
+        resid = graph.syndromes(res.e_hat) ^ syndromes
         if resid[res.success].any():
             success_ok = False
         # message finiteness, spot-checked with a captured single decode

@@ -23,7 +23,9 @@ from qsagms.analysis import (
     transfer,
     write_curve,
 )
-from qsagms.decoder import GainParams, effective_gain
+from qsagms.decoder import GainParams
+
+from .oracles import effective_gain
 
 LN27 = math.log(27.0)
 

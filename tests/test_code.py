@@ -101,9 +101,10 @@ def test_tanner_graph_toy(toy_code, toy_graph):
     assert g.edge_count == 24
     assert (g.cn_degrees == 4).all() and (g.vn_degrees == 4).all()
     # adjacency is consistent: each edge appears once on each side
-    seen_cn = sorted(e for adj in g.cn_adjacency for e in adj)
-    seen_vn = sorted(e for adj in g.vn_adjacency for e in adj)
+    seen_cn = sorted(g.cn_gather.ravel().tolist())
+    seen_vn = sorted(g.vn_gather.ravel().tolist())
     assert seen_cn == list(range(24)) and seen_vn == list(range(24))
+    assert (g.vn_gather.ravel()[g.cn_gather.ravel()] == np.arange(24)).all()
     nonzeros = sum(len(row) for row in toy_code.rows)
     assert g.edge_count == nonzeros
 

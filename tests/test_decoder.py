@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import mpmath
@@ -8,29 +9,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsagms.channel import ChannelPrior, DepolarizingChannel, prior_llr, sample_error
-from qsagms.code import GbSpec, build_gb, tanner_graph
+from qsagms.code import GbSpec, SparseCheckMatrix, build_gb, tanner_graph
+from qsagms.analysis import phi_llr
 from qsagms.decoder import (
+    VN_MODES,
     DecoderConfig,
     GainParams,
-    cn_update,
+    _Kernel,
     decode,
     decode_batch,
-    effective_gain,
-    hard_decision,
-    phi_llr,
-    syndrome_ratio,
-    vn_update,
-    _kernel_for,
 )
 from qsagms.pauli import PAULI_X, PAULI_Y, PAULI_Z, residual_syndrome, syndrome
 
 from .conftest import make_tree_code
 from .oracles import (
     brute_vn_message,
+    cn_update,
+    edges_of,
+    effective_gain,
+    hard_decision,
     map_decisions,
     posterior_marginals,
     reference_decode,
     syndrome_dense,
+    syndrome_ratio,
+    vn_update,
 )
 
 GAIN = GainParams(alpha_min=0.30, alpha_max=0.50, eta_unsat=1.10)
@@ -209,6 +212,19 @@ def test_hard_decision_metric_enumeration():
     assert hard_decision(prior, incoming, syms) == int(np.argmin(metrics))
 
 
+def test_decode_batch_checks_syndromes(small_graph):
+    prior = prior_llr(0.05)
+    cfg = DecoderConfig("ms")
+    good = np.zeros((2, small_graph.m), dtype=np.int64)
+    for bad in (good + 2, good - 1, good[:, 1:]):
+        with pytest.raises(ValueError):
+            decode_batch(small_graph, bad, prior, cfg)
+    # an empty batch is valid and runs every iteration on zero frames
+    res = decode_batch(small_graph, good[:0], prior, cfg)
+    assert res.success.shape == res.iterations.shape == (0,)
+    assert res.e_hat.shape == (0, small_graph.n)
+
+
 # -- decode: trivial and structural cases ----------------------------------------
 
 
@@ -286,8 +302,7 @@ def _frame_outcomes(H, graph, cfg, epsilon, n_frames, seed):
     errors = np.empty((n_frames, H.n), dtype=np.uint8)
     for f in range(n_frames):
         errors[f] = sample_error(ch, H.n, stream_id=f)
-    syndromes = _kernel_for(graph).syndromes_of(errors)
-    return decode_batch(graph, syndromes, prior, cfg)
+    return decode_batch(graph, graph.syndromes(errors), prior, cfg)
 
 
 @pytest.mark.parametrize("vn_mode", ["marginal", "additive"])
@@ -344,19 +359,23 @@ def test_degenerate_equivalence_message_trajectories(small_code, small_graph):
     ("sagms", {"gain": GAIN}),
 ])
 @pytest.mark.parametrize("vn_mode", ["marginal", "additive"])
-def test_engine_matches_reference_decoder(small_code, small_graph, variant, kw, vn_mode):
+def test_engine_matches_reference_decoder(
+    small_code, small_graph, tree_code, tree_graph, variant, kw, vn_mode
+):
+    # the tree's irregular degrees exercise the padded slots of the kernel
     prior = prior_llr(0.12)
     ch = DepolarizingChannel(0.12, 77)
     cfg = DecoderConfig(variant, l_max=6, vn_mode=vn_mode, **kw)
-    for frame in range(25):
-        e = sample_error(ch, small_code.n, stream_id=frame)
-        s = syndrome(small_code, e)
-        got = decode(small_code, small_graph, s, prior, cfg)
-        ok, e_hat, iters, gammas = reference_decode(small_code, s, prior, cfg)
-        assert got.success == ok
-        assert got.iterations_used == iters
-        assert np.array_equal(got.e_hat, e_hat)
-        assert np.allclose(got.gamma_trace, gammas, atol=1e-12)
+    for H, graph in ((small_code, small_graph), (tree_code, tree_graph)):
+        for frame in range(25):
+            e = sample_error(ch, H.n, stream_id=frame)
+            s = syndrome(H, e)
+            got = decode(H, graph, s, prior, cfg)
+            ok, e_hat, iters, gammas = reference_decode(H, s, prior, cfg)
+            assert got.success == ok
+            assert got.iterations_used == iters
+            assert np.array_equal(got.e_hat, e_hat)
+            assert np.allclose(got.gamma_trace, gammas, atol=1e-12)
 
 
 @pytest.mark.slow
@@ -369,7 +388,7 @@ def test_engine_ms_failures_match_reference_decoder(gb126_code, gb126_graph):
     errors = np.stack([
         sample_error(ch, gb126_code.n, stream_id=frame) for frame in range(4096)
     ])
-    syndromes = _kernel_for(gb126_graph).syndromes_of(errors)
+    syndromes = gb126_graph.syndromes(errors)
     got = decode_batch(gb126_graph, syndromes, prior, cfg)
     failed = np.flatnonzero(~got.success)[:16]
     assert len(failed) == 16
@@ -392,11 +411,93 @@ def test_engine_messages_match_reference(small_code, small_graph):
     )
     record = []
     reference_decode(small_code, s, prior, cfg, record=record)
-    edges = small_graph.edges
+    edges = edges_of(small_code)
     for state, (ref_v, ref_c) in zip(got.message_trace, record):
         for idx, (i, j, _) in enumerate(edges):
             assert state.vn_to_cn[idx] == pytest.approx(ref_v[(i, j)], abs=1e-9)
             assert state.cn_to_vn[idx] == pytest.approx(ref_c[(i, j)], abs=1e-9)
+
+
+#: SHA-256 over (success, iterations, e_hat) of frames 0-511 of
+#: DepolarizingChannel(0.05, 20260810) on [[126,28]], l_max 8.
+PINNED_126_HASHES = {
+    "bp4": "f8e9050ece62c018e45ae2fc75742ed99eb18a8f50ff3559d0d86a9b7dbab421",
+    "ms": "603792c9d85e565fa9a889fb30c30f4ed3c4af498fcbbc3d53eb03a9c9701ce1",
+    "sms": "53ce41c9497a7a3a4c8c86a4c6cf5e6207f8f276e46aaf4b5420cf2b846afe98",
+    "sagms": "d7114992f567267f5ea623c8489732a1ca5221371d8062ba97690a6b0ddeb46e",
+    "sagms-additive": "3b1a02cb8c3b377e02b842ac385a9da28393c4a1b380df59c75ae69749d622cc",
+}
+
+
+def test_engine_output_pinned_on_126(gb126_code, gb126_graph):
+    ch = DepolarizingChannel(0.05, 20260810)
+    syndromes = np.stack([
+        syndrome_dense(gb126_code, sample_error(ch, gb126_code.n, stream_id=f))
+        for f in range(512)
+    ])
+    configs = {
+        "bp4": DecoderConfig("bp4"),
+        "ms": DecoderConfig("ms"),
+        "sms": DecoderConfig("sms", alpha=0.5),
+        "sagms": DecoderConfig("sagms", gain=GAIN),
+        "sagms-additive": DecoderConfig("sagms", gain=GAIN, vn_mode="additive"),
+    }
+    got = {
+        name: _outcome_hash(decode_batch(gb126_graph, syndromes, prior_llr(0.05), cfg))
+        for name, cfg in configs.items()
+    }
+    assert got == PINNED_126_HASHES
+
+
+#: As above for frames 0-511 of DepolarizingChannel(0.08, 20260810) on the
+#: irregular matrix below, every variant in both qubit-node modes.
+PINNED_IRREGULAR_HASHES = {
+    "bp4-marginal": "e2a8c6ee7ef0eadc9da345f029c57868bc159dfc56b19372c31471e15f447f51",
+    "ms-marginal": "520ef0ca990ef3f8e84c068f7402cd34dd0dbc011dce538302a11e07bb3f22ea",
+    "sms-marginal": "3a061fe933b2c1f8916652e3e548946dcdd838d8c1ec9107b802835a9982878e",
+    "sagms-marginal": "df6fda54f2cf0625999214942f83104f3cead3f0276905b644f13502f7692e6a",
+    "bp4-additive": "b85a318c6940011ab129c7fde9b1de14465e3701fd2372599e75ba70bee330e5",
+    "ms-additive": "5b171742eeb01a13e78fb764765ad27fb570bc0bcc1a159dd800cb40ce131356",
+    "sms-additive": "c2a4fb4db4e84772d93bc37d58cdba0d4cf16ab89e9afbfa49683a0a392e44a8",
+    "sagms-additive": "861a5dd4f8531008eb8f9e00ec9b9446b34e9d4e09a9f0deb7db7edcee2416fb",
+}
+
+
+def test_engine_output_pinned_on_irregular_graph():
+    # check degrees 2-14: padded rows are 9 or more slots wide, where numpy's
+    # pairwise sums would regroup real terms if padding entered them
+    rng = np.random.default_rng(5)
+    while True:
+        rows = [
+            [(int(j), int(rng.integers(1, 4)))
+             for j in sorted(rng.choice(60, int(rng.integers(2, 15)), replace=False))]
+            for _ in range(40)
+        ]
+        if len({j for row in rows for j, _ in row}) == 60:
+            break
+    H = SparseCheckMatrix(n=60, rows=rows)
+    graph = tanner_graph(H)
+    assert graph.cn_sym.shape[1] >= 10 and graph.cn_degrees.min() < 9
+    ch = DepolarizingChannel(0.08, 20260810)
+    syndromes = np.stack([
+        syndrome_dense(H, sample_error(ch, H.n, stream_id=f)) for f in range(512)
+    ])
+    got = {}
+    for mode in VN_MODES:
+        for variant, kw in (("bp4", {}), ("ms", {}), ("sms", {"alpha": 0.5}),
+                            ("sagms", {"gain": GAIN})):
+            cfg = DecoderConfig(variant, vn_mode=mode, **kw)
+            r = decode_batch(graph, syndromes, prior_llr(0.08), cfg)
+            got[f"{variant}-{mode}"] = _outcome_hash(r)
+    assert got == PINNED_IRREGULAR_HASHES
+
+
+def _outcome_hash(r) -> str:
+    h = hashlib.sha256()
+    h.update(r.success.astype(np.uint8).tobytes())
+    h.update(r.iterations.astype(np.int64).tobytes())
+    h.update(r.e_hat.astype(np.uint8).tobytes())
+    return h.hexdigest()
 
 
 # -- batching and schedule invariances --------------------------------------------
@@ -407,7 +508,7 @@ def test_batch_partition_invariance(small_code, small_graph):
     ch = DepolarizingChannel(0.15, 5)
     cfg = DecoderConfig("sagms", l_max=8, gain=GAIN)
     errors = np.stack([sample_error(ch, small_code.n, f) for f in range(64)])
-    syndromes = _kernel_for(small_graph).syndromes_of(errors)
+    syndromes = small_graph.syndromes(errors)
     whole = decode_batch(small_graph, syndromes, prior, cfg)
     # per-frame decodes must agree bitwise with the batched run
     for f in range(64):
@@ -447,14 +548,16 @@ def test_marginal_bp4_exact_on_trees():
         final = result.message_trace[-1]
 
         # converged qubit-to-check messages equal brute-force subtree LLRs
-        for idx, (i, j, _) in enumerate(graph.edges):
+        for idx, (i, j, _) in enumerate(edges_of(H)):
             expected = brute_vn_message(H, s, eps0, check=i, qubit=j)
             got = float(final.vn_to_cn[idx])
             assert got == pytest.approx(expected, abs=1e-9), (trial, i, j)
 
         # final hard decisions equal per-qubit posterior maximizers
-        ker = _kernel_for(graph)
-        hd = ker.hard_decisions(final.cn_to_vn[None, :], prior.llr)[0]
+        cmsg = np.zeros(graph.cn_sym.shape)
+        cmsg[graph.cn_sym != 0] = final.cn_to_vn
+        ker = _Kernel(graph)
+        hd = ker.decide(ker.to_qubits(cmsg[None]), prior.llr)[0]
         assert np.array_equal(hd, map_decisions(H, s, eps0)), trial
 
 
@@ -473,9 +576,11 @@ def test_marginal_bp4_beliefs_match_posteriors_on_tree():
     marg = posterior_marginals(H, s, eps0)
     from qsagms.pauli import trace_inner
 
+    edges = edges_of(H)
     for j in range(H.n):
-        incoming = [float(final.cn_to_vn[k]) for k in graph.vn_adjacency[j]]
-        syms = [graph.edges[k][2] for k in graph.vn_adjacency[j]]
+        adjacent = [k for k, edge in enumerate(edges) if edge[1] == j]
+        incoming = [float(final.cn_to_vn[k]) for k in adjacent]
+        syms = [edges[k][2] for k in adjacent]
         metrics = []
         for e in range(4):
             m = 0.0 if e == 0 else prior.llr

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qsagms.decoder import DecoderConfig, GainParams
 from qsagms.harness import (
     FerPoint,
     SweepConfig,
+    _write_text,
     canonical_json,
     config_digest,
     run_point,
@@ -219,6 +221,20 @@ def test_run_sweep_reruns_are_byte_identical(tmp_path, small_code, small_graph):
     run_sweep(small_code, small_graph, cfg, out_dir=out2)
     assert (out1 / "results.json").read_bytes() == (out2 / "results.json").read_bytes()
     assert (out1 / "fer.tsv").read_bytes() == (out2 / "fer.tsv").read_bytes()
+
+
+def test_interrupted_write_keeps_previous_file(tmp_path, monkeypatch):
+    target = tmp_path / "point.json"
+    _write_text(target, "old\n")
+
+    def killed(src, dst):
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(os, "replace", killed)
+    with pytest.raises(OSError):
+        _write_text(target, "new\n")
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["point.json"]
 
 
 def test_fer_point_fields_consistent(toy_code, toy_graph):
