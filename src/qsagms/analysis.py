@@ -204,20 +204,17 @@ def expected_min_g(
             raise ValueError(f"unknown sample source {sample_source!r}")
         if sample_source == "point":
             return mu
-        if n_samples < MIN_SAMPLES:
-            raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
-        rng = np.random.default_rng(seed)
-        draws = rng.exponential(scale=mu, size=(n_samples, d_c - 1))
-        return float(draws.min(axis=1).mean())
-    samples = np.abs(np.asarray(sample_source, dtype=np.float64)).ravel()
-    if samples.size < MIN_SAMPLES:
-        raise ValueError(
-            f"need at least {MIN_SAMPLES} empirical samples, got {samples.size}"
-        )
+        draw = lambda rng, size: rng.exponential(scale=mu, size=size)
+    else:
+        samples = np.abs(np.asarray(sample_source, dtype=np.float64)).ravel()
+        if samples.size < MIN_SAMPLES:
+            raise ValueError(
+                f"need at least {MIN_SAMPLES} empirical samples, got {samples.size}"
+            )
+        draw = lambda rng, size: rng.choice(samples, size=size, replace=True)
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(samples, size=(n_samples, d_c - 1), replace=True)
+    draws = draw(np.random.default_rng(seed), (n_samples, d_c - 1))
     return float(draws.min(axis=1).mean())
 
 

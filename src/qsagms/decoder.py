@@ -1,11 +1,11 @@
 """Scalarized GF(4) message-passing decoders: BP4, MS, SMS and SAGMS.
 
 All four variants share one flooding-schedule skeleton; they differ only in
-the check-node magnitude rule:
+the check-node magnitude rule, and the three min-sum forms only in a gain:
 
     bp4    phi^-1( sum of phi(|L|) over the extrinsic set ),
            phi(x) = -ln tanh(x/2)
-    ms     minimum extrinsic magnitude
+    ms     1 * minimum extrinsic magnitude
     sms    alpha * minimum (fixed scaling)
     sagms  alpha_eff * minimum, with alpha_eff recomputed per check and
            iteration from the residual-syndrome ratio
@@ -13,9 +13,10 @@ the check-node magnitude rule:
 One scalar LLR flows per edge.  The sign of every check-node output is
 (-1)^(s_i) times the product of the extrinsic message signs, where s_i is
 the *observed* syndrome bit; the residual bit enters only the sagms gain
-boost.  Each iteration runs: hard decision from the previous check-to-qubit
-messages, residual syndrome, early exit on all-zero, syndrome ratio, gains,
-check-node update, qubit-node update.
+boost.  Each iteration runs: residual syndrome of the hard decision, early
+exit on all-zero, syndrome ratio, gains, check-node update, qubit-node
+update.  The qubit-node update's per-Pauli sums are also the metrics of
+the next hard decision; the first decision is taken from zero sums.
 
 Two qubit-node scalarizations are provided.  ``marginal`` (the default)
 keeps per-Pauli log-beliefs and emits the commute/anticommute LLR relative
@@ -76,9 +77,9 @@ class GainParams:
                 f"need 0 < alpha_min <= alpha_max <= 1, got "
                 f"({self.alpha_min}, {self.alpha_max})"
             )
-        if self.eta_unsat < 1.0:
+        if not self.eta_unsat >= 1.0:
             raise ValueError(f"eta_unsat must be >= 1, got {self.eta_unsat}")
-        if self.alpha_max * self.eta_unsat > 1.0:
+        if not self.alpha_max * self.eta_unsat <= 1.0:
             raise ValueError(
                 f"stability constraint alpha_max*eta_unsat <= 1 violated: "
                 f"{self.alpha_max}*{self.eta_unsat} = "
@@ -174,6 +175,26 @@ def _segment_sum(x, groups):
     return out
 
 
+def _decide(l0: float, sums: np.ndarray) -> np.ndarray:
+    """(B, n) Pauli codes minimizing 0 for I and l0 + sums[:, e - 1] for
+    e = X, Z, Y, where ``sums`` (B, 3, n) adds each qubit's incoming messages
+    that anticommute with e; argmin keeps the first minimum on ties."""
+    metrics = np.zeros((sums.shape[0], 4, sums.shape[2]))
+    metrics[:, 1:] = l0 + sums
+    return np.argmin(metrics, axis=1).astype(np.uint8)
+
+
+def _gain(cfg: DecoderConfig, gamma: np.ndarray, residual: np.ndarray):
+    """Min-sum gain: 1 for ms (bp4 ignores it), alpha for sms; for sagms the
+    ramp at each frame's ratio ``gamma`` (B,), times eta_unsat on the
+    unsatisfied checks of ``residual`` (B, m), shaped (B, m, 1)."""
+    if cfg.variant == "sagms":
+        p = cfg.gain
+        base = linear_gain_fit(p.alpha_max, p.alpha_min, gamma)
+        return (base[:, None] * np.where(residual == 1, p.eta_unsat, 1.0))[..., None]
+    return cfg.alpha if cfg.variant == "sms" else 1.0
+
+
 class _Kernel:
     """Vectorized batch decoder over the dense layouts of one Tanner graph.
 
@@ -201,14 +222,6 @@ class _Kernel:
             e: trace_inner(e, graph.vn_sym).astype(np.float64) for e in (1, 2, 3)
         }
 
-    def decide(self, cv: np.ndarray, l0: float) -> np.ndarray:
-        """(B, n) Pauli codes minimizing the per-qubit decision metric."""
-        metrics = np.zeros((cv.shape[0], 4, self.g.n), dtype=np.float64)
-        for e in (1, 2, 3):
-            total = _segment_sum(cv * self.anti[e], self.vn_groups)
-            metrics[:, e, :] = l0 + total[..., 0]
-        return np.argmin(metrics, axis=1).astype(np.uint8)
-
     def to_qubits(self, cmsg: np.ndarray) -> np.ndarray:
         """Check-major (B, m, d_c) messages gathered qubit-major (B, n, d_v)."""
         flat = cmsg.reshape(len(cmsg), self.g.cn_sym.size)
@@ -216,8 +229,8 @@ class _Kernel:
         cv[:, self.vn_pad] = 0.0
         return cv
 
-    def cn_step(self, vmsg, syn, cfg, gains):
-        """Check-node update; ``gains`` is (B, m) for sagms, ignored otherwise."""
+    def cn_step(self, vmsg, syn, cfg, gain):
+        """Check-node update; min-sum magnitudes are scaled by ``gain``."""
         sgn = np.where(vmsg < 0.0, -1.0, 1.0)
         syn_sign = 1.0 - 2.0 * syn.astype(np.float64)
         ext_sign = (syn_sign * sgn.prod(axis=-1))[..., None] * sgn
@@ -233,22 +246,23 @@ class _Kernel:
             is_first = np.arange(mags.shape[-1]) == first
             min1 = np.take_along_axis(mags, first, axis=-1)
             min2 = np.where(is_first, np.inf, mags).min(axis=-1, keepdims=True)
-            mag = np.where(is_first, min2, min1)
-            if cfg.variant == "sms":
-                mag = cfg.alpha * mag
-            elif cfg.variant == "sagms":
-                mag = gains[..., None] * mag
+            mag = gain * np.where(is_first, min2, min1)
         return np.clip(ext_sign * mag, -LLR_CLIP, LLR_CLIP)
 
     def vn_step(self, cv, l0, cfg):
-        """Qubit-node update from qubit-major messages; returns check-major."""
+        """Qubit-node update from qubit-major messages; returns check-major
+        messages and the next hard decision, from one pass of per-Pauli sums."""
+        sums = np.empty((len(cv), 3, self.g.n))
+        b = {}
+        for e in (1, 2, 3):
+            x = cv * self.anti[e]
+            total = _segment_sum(x, self.vn_groups)
+            sums[:, e - 1] = total[..., 0]
+            if cfg.vn_mode == "marginal":  # in place, to hold one buffer less
+                b[e] = np.add(l0, np.subtract(total, x, out=x), out=x)
         if cfg.vn_mode == "additive":
             out = l0 + (_segment_sum(cv, self.vn_groups) - cv)
         else:
-            b = {}
-            for e in (1, 2, 3):
-                x = cv * self.anti[e]
-                b[e] = l0 + (_segment_sum(x, self.vn_groups) - x)
             m_x = self.g.vn_sym == 1
             m_y = self.g.vn_sym == 3
             b_self = np.where(m_x, b[1], np.where(m_y, b[3], b[2]))
@@ -259,7 +273,7 @@ class _Kernel:
         flat = out.reshape(len(out), self.g.vn_sym.size)
         vmsg = np.take(flat, self.g.cn_gather, axis=1)
         vmsg[:, self.cn_pad] = np.inf
-        return vmsg
+        return vmsg, _decide(l0, sums)
 
 
 def decode_batch(
@@ -299,7 +313,7 @@ def decode_batch(
     v0 = float(np.clip(v0, -LLR_CLIP, LLR_CLIP))
     vmsg = np.full((b_total, *graph.cn_sym.shape), v0, dtype=np.float64)
     vmsg[:, ker.cn_pad] = np.inf
-    cv = np.zeros((b_total, *graph.vn_sym.shape), dtype=np.float64)
+    e_hat = _decide(l0, np.zeros((b_total, 3, graph.n)))
     syn = syndromes.astype(np.uint8)
 
     success = np.zeros(b_total, dtype=bool)
@@ -312,7 +326,6 @@ def decode_batch(
 
     active = np.arange(b_total)
     for ell in range(1, cfg.l_max + 1):
-        e_hat = ker.decide(cv, l0)
         residual = syn ^ graph.syndromes(e_hat)
         unsat = residual.sum(axis=1)
         gamma = unsat / graph.m
@@ -335,7 +348,6 @@ def decode_batch(
             if active.size == 0:
                 break
             vmsg = vmsg[keep]
-            cv = cv[keep]
             syn = syn[keep]
             e_hat = e_hat[keep]
             residual = residual[keep]
@@ -349,14 +361,8 @@ def decode_batch(
             if not capture_messages:
                 break
 
-        if cfg.variant == "sagms":
-            p = cfg.gain
-            base = linear_gain_fit(p.alpha_max, p.alpha_min, gamma)
-            gains = base[:, None] * np.where(residual == 1, p.eta_unsat, 1.0)
-        else:
-            gains = None
-        cv = ker.to_qubits(ker.cn_step(vmsg, syn, cfg, gains))
-        vmsg = ker.vn_step(cv, l0, cfg)
+        cv = ker.to_qubits(ker.cn_step(vmsg, syn, cfg, _gain(cfg, gamma, residual)))
+        vmsg, e_hat = ker.vn_step(cv, l0, cfg)
         if trace is not None:
             edges = ~ker.cn_pad
             cn_to_vn = np.take(cv[0], graph.cn_gather[edges])
@@ -421,12 +427,9 @@ def decode(
         for state in batch.message_trace:
             ell = state.iteration
             gamma = float(gamma_trace[ell - 1])
-            lo = hi = cfg.alpha if cfg.variant == "sms" else 1.0
-            if cfg.variant == "sagms":
-                p = cfg.gain
-                lo = linear_gain_fit(p.alpha_max, p.alpha_min, gamma)
-                hi = lo * p.eta_unsat
-            gain_summary = {"min": lo, "max": hi}
+            # the gains of a satisfied and an unsatisfied check
+            gains = _gain(cfg, np.array([gamma]), np.array([[0, 1]]))
+            gain_summary = {"min": float(np.min(gains)), "max": float(np.max(gains))}
             counts, edges = np.histogram(
                 np.abs(state.vn_to_cn), bins=16, range=(0.0, LLR_CLIP)
             )

@@ -174,7 +174,7 @@ def test_criterion_5_cycle_free_enumeration_oracle():
         cmsg = np.zeros(graph.cn_sym.shape)
         cmsg[graph.cn_sym != 0] = final.cn_to_vn
         ker = _Kernel(graph)
-        hd = ker.decide(ker.to_qubits(cmsg[None]), prior.llr)[0]
+        hd = ker.vn_step(ker.to_qubits(cmsg[None]), prior.llr, cfg)[1][0]
         decisions_ok &= bool(np.array_equal(hd, map_decisions(H, s, eps0)))
     ok = worst <= 1e-9 and decisions_ok
     _report(5, "tree oracle (4^n enumeration)", ok,

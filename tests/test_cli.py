@@ -98,6 +98,19 @@ def test_simulate_rejects_unstable_gain(tmp_path, capsys):
     assert "alpha_max*eta_unsat <= 1" in stderr
 
 
+@pytest.mark.parametrize("eps0", ["1.5", "nan"])
+def test_simulate_rejects_bad_fixed_eps0(tmp_path, capsys, eps0):
+    out = tmp_path / "r"
+    code, _, stderr = run_cli(
+        capsys, "simulate", "--code", str(CODES_DIR / "gb-6-2.qpc"),
+        "--decoder", "ms", "--eps", "0.1", "--eps0", eps0, "--seed", "1",
+        "--out", str(out),
+    )
+    assert code == 2
+    assert "epsilon0 in (0, 1)" in stderr
+    assert not out.exists()
+
+
 def test_simulate_requires_seed(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main([

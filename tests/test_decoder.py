@@ -37,6 +37,13 @@ from .oracles import (
 )
 
 GAIN = GainParams(alpha_min=0.30, alpha_max=0.50, eta_unsat=1.10)
+#: (variant, DecoderConfig keywords) for tests run over all four variants.
+VARIANT_CASES = [
+    ("bp4", {}),
+    ("ms", {}),
+    ("sms", {"alpha": 0.5}),
+    ("sagms", {"gain": GAIN}),
+]
 
 finite_llrs = st.floats(
     min_value=1e-6, max_value=64.0, allow_nan=False, allow_infinity=False
@@ -55,6 +62,8 @@ def test_gain_params_validation():
         GainParams(0.3, 0.5, 0.9)  # boost below 1
     with pytest.raises(ValueError):
         GainParams(0.3, 0.95, 1.10)  # stability: 0.95 * 1.10 > 1
+    with pytest.raises(ValueError):
+        GainParams(0.3, 0.5, float("nan"))  # NaN boost
 
 
 def test_decoder_config_validation():
@@ -228,12 +237,7 @@ def test_decode_batch_checks_syndromes(small_graph):
 # -- decode: trivial and structural cases ----------------------------------------
 
 
-@pytest.mark.parametrize("variant,kw", [
-    ("bp4", {}),
-    ("ms", {}),
-    ("sms", {"alpha": 0.5}),
-    ("sagms", {"gain": GAIN}),
-])
+@pytest.mark.parametrize("variant,kw", VARIANT_CASES)
 def test_decode_zero_syndrome(toy_code, toy_graph, variant, kw):
     prior = prior_llr(0.05)
     cfg = DecoderConfig(variant, l_max=8, **kw)
@@ -352,12 +356,7 @@ def test_degenerate_equivalence_message_trajectories(small_code, small_graph):
 # -- engine vs scalar reference ---------------------------------------------------
 
 
-@pytest.mark.parametrize("variant,kw", [
-    ("bp4", {}),
-    ("ms", {}),
-    ("sms", {"alpha": 0.5}),
-    ("sagms", {"gain": GAIN}),
-])
+@pytest.mark.parametrize("variant,kw", VARIANT_CASES)
 @pytest.mark.parametrize("vn_mode", ["marginal", "additive"])
 def test_engine_matches_reference_decoder(
     small_code, small_graph, tree_code, tree_graph, variant, kw, vn_mode
@@ -503,19 +502,24 @@ def _outcome_hash(r) -> str:
 # -- batching and schedule invariances --------------------------------------------
 
 
-def test_batch_partition_invariance(small_code, small_graph):
+@pytest.mark.parametrize("variant,kw", VARIANT_CASES)
+@pytest.mark.parametrize("vn_mode", ["marginal", "additive"])
+def test_batch_partition_invariance(
+    small_code, small_graph, tree_code, tree_graph, variant, kw, vn_mode
+):
     prior = prior_llr(0.15)
     ch = DepolarizingChannel(0.15, 5)
-    cfg = DecoderConfig("sagms", l_max=8, gain=GAIN)
-    errors = np.stack([sample_error(ch, small_code.n, f) for f in range(64)])
-    syndromes = small_graph.syndromes(errors)
-    whole = decode_batch(small_graph, syndromes, prior, cfg)
-    # per-frame decodes must agree bitwise with the batched run
-    for f in range(64):
-        single = decode_batch(small_graph, syndromes[f : f + 1], prior, cfg)
-        assert single.success[0] == whole.success[f]
-        assert single.iterations[0] == whole.iterations[f]
-        assert np.array_equal(single.e_hat[0], whole.e_hat[f])
+    cfg = DecoderConfig(variant, l_max=8, vn_mode=vn_mode, **kw)
+    for H, graph in ((small_code, small_graph), (tree_code, tree_graph)):
+        errors = np.stack([sample_error(ch, H.n, f) for f in range(64)])
+        syndromes = graph.syndromes(errors)
+        whole = decode_batch(graph, syndromes, prior, cfg)
+        # per-frame decodes must agree bitwise with the batched run
+        for f in range(64):
+            single = decode_batch(graph, syndromes[f : f + 1], prior, cfg)
+            assert single.success[0] == whole.success[f]
+            assert single.iterations[0] == whole.iterations[f]
+            assert np.array_equal(single.e_hat[0], whole.e_hat[f])
 
 
 def test_decode_deterministic_across_runs(small_code, small_graph):
@@ -557,7 +561,7 @@ def test_marginal_bp4_exact_on_trees():
         cmsg = np.zeros(graph.cn_sym.shape)
         cmsg[graph.cn_sym != 0] = final.cn_to_vn
         ker = _Kernel(graph)
-        hd = ker.decide(ker.to_qubits(cmsg[None]), prior.llr)[0]
+        hd = ker.vn_step(ker.to_qubits(cmsg[None]), prior.llr, cfg)[1][0]
         assert np.array_equal(hd, map_decisions(H, s, eps0)), trial
 
 

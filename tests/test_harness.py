@@ -123,6 +123,9 @@ def test_sweep_config_validation():
         _sweep(target_failures=0)
     with pytest.raises(ValueError):
         _sweep(epsilon0_mode="fixed")  # epsilon0 missing
+    for eps0 in (0.0, 1.0, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            _sweep(epsilon0_mode="fixed", epsilon0=eps0)
     with pytest.raises(ValueError):
         _sweep(epsilon0_mode="adaptive")
 
