@@ -8,7 +8,9 @@ the frame cap), and every started frame up to that index is counted exactly
 once.  Workers decode disjoint, contiguous frame batches and the
 coordinator consumes batch results in frame order, discarding speculative
 batches beyond the stopping frame, so the resulting estimate is
-bit-identical for any worker count.
+bit-identical for any worker count.  Each batch is sized from the stop
+rule: it ends where the failure rate seen so far predicts the target, so a
+converging point decodes few frames past its stopping frame.
 
 Failure means the decoder did not reach an all-zero residual syndrome
 within its iteration budget.  Each estimate carries a 95% Wilson score
@@ -37,8 +39,12 @@ from .decoder import DecoderConfig, decode_batch
 
 log = logging.getLogger("qsagms.harness")
 
-#: Frames per worker task; has no effect on results, only on scheduling.
+#: Largest and smallest batch in frames; sizes affect scheduling, never
+#: results.  A point's first batch (MIN_BATCH) probes its failure rate for an
+#: eighth of a full batch; a smaller batch would pay the per-iteration
+#: overhead of tiny active sets.  ``_batch_size`` holds the rule.
 BATCH_FRAMES = 4096
+MIN_BATCH = 512
 
 
 @dataclass(frozen=True)
@@ -183,16 +189,36 @@ def _worker_task(args):
     return start, fails, iters
 
 
+def _batch_size(cfg: SweepConfig, start, frames, failures) -> int:
+    """Frames of the batch at ``start``, given ``failures`` in frames [0, frames).
+
+    The batch runs to the frame where the observed failure rate predicts
+    the target, clamped to [MIN_BATCH, BATCH_FRAMES]; with no observation it
+    is MIN_BATCH, with no failure yet BATCH_FRAMES.
+    """
+    if frames == 0:
+        size = MIN_BATCH
+    elif failures == 0:
+        size = BATCH_FRAMES
+    else:
+        predicted = -(-frames * cfg.target_failures // failures)
+        size = min(max(predicted - start, MIN_BATCH), BATCH_FRAMES)
+    return min(size, cfg.max_frames - start)
+
+
 def _batches(H, graph, cfg: SweepConfig, epsilon, epsilon0):
-    """Yield (start, fails, iters) in frame order from 1..N workers."""
-    starts = range(0, cfg.max_frames, BATCH_FRAMES)
-    sizes = {s: min(BATCH_FRAMES, cfg.max_frames - s) for s in starts}
+    """Yield (start, fails, iters) in frame order from 1..N workers, each
+    batch sized by ``_batch_size`` from the results yielded before it."""
+    frames = failures = 0
     if cfg.workers == 1:
-        for s in starts:
+        while frames < cfg.max_frames:
+            count = _batch_size(cfg, frames, frames, failures)
             fails, iters = _decode_frames(
-                graph, cfg.decoder, epsilon, epsilon0, cfg.seed, s, sizes[s]
+                graph, cfg.decoder, epsilon, epsilon0, cfg.seed, frames, count
             )
-            yield s, fails, iters
+            yield frames, fails, iters
+            frames += count
+            failures += int(fails.sum())
         return
     with ProcessPoolExecutor(
         max_workers=cfg.workers,
@@ -200,20 +226,22 @@ def _batches(H, graph, cfg: SweepConfig, epsilon, epsilon0):
         initargs=(H, cfg.decoder),
     ) as pool:
         pending = {}
-        it = iter(starts)
+        start = 0
         try:
             while True:
                 # keep a small window of speculative batches in flight
-                while len(pending) < cfg.workers + 2:
-                    s = next(it, None)
-                    if s is None:
-                        break
-                    pending[s] = pool.submit(
-                        _worker_task, (epsilon, epsilon0, cfg.seed, s, sizes[s])
+                while len(pending) < cfg.workers + 2 and start < cfg.max_frames:
+                    count = _batch_size(cfg, start, frames, failures)
+                    pending[start] = pool.submit(
+                        _worker_task, (epsilon, epsilon0, cfg.seed, start, count)
                     )
+                    start += count
                 if not pending:
                     return
-                yield pending.pop(min(pending)).result()
+                s, fails, iters = pending.pop(min(pending)).result()
+                yield s, fails, iters
+                frames += len(fails)
+                failures += int(fails.sum())
         finally:
             for fut in pending.values():
                 fut.cancel()

@@ -3,15 +3,20 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsagms.decoder import DecoderConfig, GainParams
+from qsagms import harness
+from qsagms.decoder import DecoderConfig, GainParams, decode_batch
 from qsagms.harness import (
+    BATCH_FRAMES,
+    MIN_BATCH,
     FerPoint,
     SweepConfig,
+    _batch_size,
     _write_text,
     canonical_json,
     config_digest,
@@ -164,12 +169,71 @@ def test_run_point_zero_failures_at_cap(small_code, small_graph):
     assert point.wilson_high > 0.0  # one-sided upper bound stays informative
 
 
-def test_run_point_worker_count_independent(small_code, small_graph):
-    cfg1 = _sweep(variant="sagms", l_max=4, target_failures=40, seed=31, workers=1)
-    cfg2 = _sweep(variant="sagms", l_max=4, target_failures=40, seed=31, workers=2)
-    p1 = run_point(small_code, small_graph, cfg1, epsilon=0.25)
-    p2 = run_point(small_code, small_graph, cfg2, epsilon=0.25)
-    assert p1 == p2  # bit-identical dataclasses
+@pytest.mark.parametrize("workers", [1, 2], ids=["1w", "2w"])
+@pytest.mark.parametrize(
+    "batch_frames, min_batch",
+    [(BATCH_FRAMES, MIN_BATCH), (7, 1), (64, 3)],
+    ids=["default", "batch7-min1", "batch64-min3"],
+)
+def test_run_point_worker_count_independent(
+    small_code, small_graph, monkeypatch, batch_frames, min_batch, workers
+):
+    cfg = _sweep(variant="sagms", l_max=4, target_failures=40, seed=31, workers=1)
+    want = run_point(small_code, small_graph, cfg, epsilon=0.25)
+    monkeypatch.setattr(harness, "BATCH_FRAMES", batch_frames)
+    monkeypatch.setattr(harness, "MIN_BATCH", min_batch)
+    got = run_point(small_code, small_graph, replace(cfg, workers=workers), epsilon=0.25)
+    assert got == want  # bit-identical dataclasses
+
+
+# -- batch sizes ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "max_frames, start, frames, failures, size",
+    [
+        (100_000, 0, 0, 0, MIN_BATCH),  # first batch
+        (100_000, 512, 512, 0, BATCH_FRAMES),  # no failure yet
+        (100_000, 1000, 1000, 30, 667),  # to the predicted stop, ceil(1000 * 50 / 30)
+        (100_000, 512, 512, 49, MIN_BATCH),  # predicted stop 523 is too close
+        (100_000, 2048, 512, 20, MIN_BATCH),  # a batch in flight passed it already
+        (100_000, 512, 512, 1, BATCH_FRAMES),  # predicted stop 25,600 is too far
+        (100, 0, 0, 0, 100),  # the frame cap
+        (1000, 512, 512, 0, 488),
+        (1000, 512, 512, 20, 488),
+    ],
+)
+def test_batch_size_rule(max_frames, start, frames, failures, size):
+    cfg = _sweep(target_failures=50, max_frames=max_frames)
+    assert _batch_size(cfg, start, frames, failures) == size
+
+
+def _decoded_batches(monkeypatch) -> list[int]:
+    """Record the frame count of every batch the harness decodes in-process."""
+    sizes = []
+
+    def counting(graph, syndromes, *args):
+        sizes.append(len(syndromes))
+        return decode_batch(graph, syndromes, *args)
+
+    monkeypatch.setattr(harness, "decode_batch", counting)
+    return sizes
+
+
+def test_converging_point_decodes_one_small_batch(toy_code, toy_graph, monkeypatch):
+    sizes = _decoded_batches(monkeypatch)
+    cfg = _sweep(variant="ms", l_max=1, target_failures=50, seed=2718)
+    point = run_point(toy_code, toy_graph, cfg, epsilon=0.5)
+    assert point.frames == 56  # as in the high-noise regression above
+    assert sizes == [MIN_BATCH]
+
+
+def test_capped_point_decodes_only_its_frames(small_code, small_graph, monkeypatch):
+    sizes = _decoded_batches(monkeypatch)
+    cfg = _sweep(variant="ms", l_max=8, target_failures=500, max_frames=100, seed=5)
+    point = run_point(small_code, small_graph, cfg, epsilon=0.001)
+    assert point.frames == 100
+    assert sizes == [100]
 
 
 def test_run_point_matched_vs_fixed_prior(small_code, small_graph):
