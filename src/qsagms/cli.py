@@ -3,8 +3,8 @@
 Batch-oriented; every simulate run is fully determined by its flags plus
 ``--seed`` and prints the configuration digest it persists with.  Exit
 codes: 0 success, 1 validation failure, 2 usage/parameter error, 3 I/O
-error.  The ``QSAGMS_LOG`` environment variable (error, info, debug,
-trace) controls logging verbosity.
+error.  The ``QSAGMS_LOG`` environment variable (error, info or debug)
+controls logging verbosity.
 """
 
 from __future__ import annotations
@@ -43,14 +43,7 @@ EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-TRACE_LEVEL = 5
-logging.addLevelName(TRACE_LEVEL, "TRACE")
-_LOG_LEVELS = {
-    "error": logging.ERROR,
-    "info": logging.INFO,
-    "debug": logging.DEBUG,
-    "trace": TRACE_LEVEL,
-}
+_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
 log = logging.getLogger("qsagms.cli")
 

@@ -16,7 +16,9 @@ the *observed* syndrome bit; the residual bit enters only the sagms gain
 boost.  Each iteration runs: residual syndrome of the hard decision, early
 exit on all-zero, syndrome ratio, gains, check-node update, qubit-node
 update.  The qubit-node update's per-Pauli sums are also the metrics of
-the next hard decision; the first decision is taken from zero sums.
+the next hard decision; the first decision is taken from zero sums.  An
+optional trace records each iteration's syndrome ratios and messages, and
+is the one inspection path: ``decode`` builds its traces from it.
 
 Two qubit-node scalarizations are provided.  ``marginal`` (the default)
 keeps per-Pauli log-beliefs and emits the commute/anticommute LLR relative
@@ -72,18 +74,15 @@ class GainParams:
     eta_unsat: float
 
     def __post_init__(self):
-        if not 0.0 < self.alpha_min <= self.alpha_max <= 1.0:
-            raise ValueError(
-                f"need 0 < alpha_min <= alpha_max <= 1, got "
-                f"({self.alpha_min}, {self.alpha_max})"
-            )
-        if not self.eta_unsat >= 1.0:
-            raise ValueError(f"eta_unsat must be >= 1, got {self.eta_unsat}")
-        if not self.alpha_max * self.eta_unsat <= 1.0:
+        a_min, a_max, eta = self.alpha_min, self.alpha_max, self.eta_unsat
+        if not 0.0 < a_min <= a_max <= 1.0:
+            raise ValueError(f"need 0 < alpha_min <= alpha_max <= 1: ({a_min}, {a_max})")
+        if not eta >= 1.0:
+            raise ValueError(f"eta_unsat must be >= 1, got {eta}")
+        if not a_max * eta <= 1.0:
             raise ValueError(
                 f"stability constraint alpha_max*eta_unsat <= 1 violated: "
-                f"{self.alpha_max}*{self.eta_unsat} = "
-                f"{self.alpha_max * self.eta_unsat}"
+                f"{a_max}*{eta} = {a_max * eta}"
             )
 
 
@@ -104,11 +103,14 @@ class DecoderConfig:
             raise ValueError(f"vn_mode must be one of {VN_MODES}, got {self.vn_mode!r}")
         if self.l_max < 1:
             raise ValueError("l_max must be at least 1")
+        # a value decoding ignores would still enter the config digest
         if self.variant == "sms":
             if self.alpha is None or not 0.0 < self.alpha <= 1.0:
                 raise ValueError(f"sms requires alpha in (0, 1], got {self.alpha}")
-        if self.variant == "sagms" and self.gain is None:
-            raise ValueError("sagms requires GainParams")
+        elif self.alpha is not None:
+            raise ValueError(f"alpha is used by sms only, not {self.variant}")
+        if (self.gain is not None) != (self.variant == "sagms"):
+            raise ValueError("GainParams are required by sagms and used by it only")
 
 
 @dataclass
@@ -128,7 +130,7 @@ class DecodeResult:
     e_hat: np.ndarray
     iterations_used: int
     gamma_trace: np.ndarray
-    message_trace: list[EdgeMessageState] | None = None
+    message_trace: list[EdgeMessageState]
 
 
 @dataclass
@@ -138,16 +140,25 @@ class BatchDecodeResult:
     success: np.ndarray
     e_hat: np.ndarray
     iterations: np.ndarray
-    gamma_traces: list[np.ndarray] | None = None
-    message_trace: list[EdgeMessageState] | None = None
+
+
+@dataclass
+class IterationRecord:
+    """One executed iteration of ``decode_batch``: the batch ``rows`` decoded
+    in it, their syndrome ratios ``gamma``, and the messages after its update
+    (``vmsg`` check-major, ``cv`` qubit-major) of those rows still active
+    after early exit, None when no row is left."""
+
+    iteration: int
+    rows: np.ndarray
+    gamma: np.ndarray
+    vmsg: np.ndarray | None = None
+    cv: np.ndarray | None = None
 
 
 def _marginal_init(prior_llr_value: float) -> float:
-    """Initial qubit-to-check message in marginal mode.
-
-    Equals the marginal rule applied to an empty incoming set; independent
-    of the edge symbol because the commuting set is always {I, S}.
-    """
+    """Initial qubit-to-check message in marginal mode: the marginal rule on an
+    empty incoming set, whatever the edge symbol (the commuting set is {I, S})."""
     return math.log1p(math.exp(-prior_llr_value)) + prior_llr_value - math.log(2.0)
 
 
@@ -218,9 +229,7 @@ class _Kernel:
         self.cn_groups = _degree_groups(graph.cn_degrees)
         self.vn_groups = _degree_groups(graph.vn_degrees)
         # anticommutation masks of candidate errors X, Z, Y vs edge symbols
-        self.anti = {
-            e: trace_inner(e, graph.vn_sym).astype(np.float64) for e in (1, 2, 3)
-        }
+        self.anti = {e: trace_inner(e, graph.vn_sym).astype(np.float64) for e in (1, 2, 3)}
 
     def to_qubits(self, cmsg: np.ndarray) -> np.ndarray:
         """Check-major (B, m, d_c) messages gathered qubit-major (B, n, d_v)."""
@@ -283,8 +292,7 @@ def decode_batch(
     cfg: DecoderConfig,
     *,
     early_stop: bool = True,
-    collect_gamma: bool = False,
-    capture_messages: bool = False,
+    trace: list[IterationRecord] | None = None,
 ) -> BatchDecodeResult:
     """Decode a batch of syndromes against one shared graph.
 
@@ -293,9 +301,9 @@ def decode_batch(
     keeps iterating converged frames to ``l_max`` (reported success,
     iteration count and estimate still reflect the first all-zero
     residual); it exists for fixed-point inspection and the cycle-free
-    oracle tests.  ``capture_messages`` records per-iteration message
-    snapshots, including the otherwise-skipped final update; it is limited
-    to single-frame batches.
+    oracle tests.  A ``trace`` list receives one ``IterationRecord`` per
+    executed iteration, and makes the otherwise-skipped final update run so
+    that the last record holds the final messages; it never changes a result.
     """
     ker = _Kernel(graph)
     syndromes = np.asarray(syndromes)
@@ -304,9 +312,6 @@ def decode_batch(
     if not ((syndromes == 0) | (syndromes == 1)).all():
         raise ValueError("syndrome bits must be 0 or 1")
     b_total = syndromes.shape[0]
-    if capture_messages and b_total != 1:
-        # compaction would silently remap row 0 to a different frame
-        raise ValueError("capture_messages requires a single-frame batch")
     l0 = prior.llr
 
     v0 = _marginal_init(l0) if cfg.vn_mode == "marginal" else l0
@@ -319,20 +324,14 @@ def decode_batch(
     success = np.zeros(b_total, dtype=bool)
     iterations = np.full(b_total, cfg.l_max, dtype=np.int64)
     e_hat_out = np.zeros((b_total, graph.n), dtype=np.uint8)
-    gamma_traces: list[list[float]] | None = (
-        [[] for _ in range(b_total)] if collect_gamma else None
-    )
-    trace: list[EdgeMessageState] | None = [] if capture_messages else None
 
     active = np.arange(b_total)
     for ell in range(1, cfg.l_max + 1):
         residual = syn ^ graph.syndromes(e_hat)
         unsat = residual.sum(axis=1)
         gamma = unsat / graph.m
-
-        if gamma_traces is not None:
-            for row, idx in enumerate(active):
-                gamma_traces[idx].append(float(gamma[row]))
+        if trace is not None:
+            trace.append(IterationRecord(ell, active, gamma))
 
         zero = unsat == 0
         newly = zero & ~success[active]
@@ -356,27 +355,16 @@ def decode_batch(
         if ell == cfg.l_max:
             # failure estimate is the hard decision of the final iteration
             pending = ~success[active]
-            if pending.any():
-                e_hat_out[active[pending]] = e_hat[pending]
-            if not capture_messages:
+            e_hat_out[active[pending]] = e_hat[pending]
+            if trace is None:
                 break
 
         cv = ker.to_qubits(ker.cn_step(vmsg, syn, cfg, _gain(cfg, gamma, residual)))
         vmsg, e_hat = ker.vn_step(cv, l0, cfg)
         if trace is not None:
-            edges = ~ker.cn_pad
-            cn_to_vn = np.take(cv[0], graph.cn_gather[edges])
-            trace.append(EdgeMessageState(vmsg[0][edges], cn_to_vn, ell))
+            trace[-1].vmsg, trace[-1].cv = vmsg, cv
 
-    return BatchDecodeResult(
-        success=success,
-        e_hat=e_hat_out,
-        iterations=iterations,
-        gamma_traces=(
-            [np.array(t) for t in gamma_traces] if gamma_traces is not None else None
-        ),
-        message_trace=trace,
-    )
+    return BatchDecodeResult(success=success, e_hat=e_hat_out, iterations=iterations)
 
 
 def decode(
@@ -387,61 +375,26 @@ def decode(
     cfg: DecoderConfig,
     *,
     early_stop: bool = True,
-    capture_messages: bool = False,
-    trace_sink=None,
 ) -> DecodeResult:
-    """Run the decoder on one syndrome.
-
-    Successful results are re-verified against ``H`` (a reported success
-    with nonzero residual would be an engine bug).  ``trace_sink``, if
-    given, receives one dict per executed iteration with the iteration
-    number, the syndrome ratio, an effective-gain summary and a coarse
-    message-magnitude histogram; suitable for line-delimited serialization.
-    """
+    """Run the decoder on one syndrome, traced: ``gamma_trace`` holds the
+    syndrome ratio of every executed iteration and ``message_trace`` the
+    messages (canonical edge order) after every executed update, the final
+    one included.  A reported success is re-verified against ``H``."""
     s = np.asarray(s)
     if s.shape != (graph.m,):
         raise ValueError(f"syndrome must have length m={graph.m}")
-    want_trace = capture_messages or trace_sink is not None
-    batch = decode_batch(
-        graph,
-        s[None, :],
-        prior,
-        cfg,
-        early_stop=early_stop,
-        collect_gamma=True,
-        capture_messages=want_trace,
+    trace: list[IterationRecord] = []
+    batch = decode_batch(graph, s[None, :], prior, cfg, early_stop=early_stop, trace=trace)
+    success, e_hat = bool(batch.success[0]), batch.e_hat[0]
+    if success and _residual_syndrome(s, H, e_hat).any():
+        raise RuntimeError("internal inconsistency: reported success with nonzero residual")
+    edges = graph.cn_sym != 0
+    gather = graph.cn_gather[edges]
+    return DecodeResult(
+        success, e_hat, int(batch.iterations[0]),
+        gamma_trace=np.array([r.gamma[0] for r in trace]),
+        message_trace=[
+            EdgeMessageState(r.vmsg[0][edges], r.cv[0].ravel()[gather], r.iteration)
+            for r in trace if r.vmsg is not None
+        ],
     )
-    gamma_trace = batch.gamma_traces[0]
-    result = DecodeResult(
-        success=bool(batch.success[0]),
-        e_hat=batch.e_hat[0],
-        iterations_used=int(batch.iterations[0]),
-        gamma_trace=gamma_trace,
-        message_trace=batch.message_trace if capture_messages else None,
-    )
-    if result.success and _residual_syndrome(s, H, result.e_hat).any():
-        raise RuntimeError(
-            "internal inconsistency: reported success with nonzero residual"
-        )
-    if trace_sink is not None and batch.message_trace:
-        for state in batch.message_trace:
-            ell = state.iteration
-            gamma = float(gamma_trace[ell - 1])
-            # the gains of a satisfied and an unsatisfied check
-            gains = _gain(cfg, np.array([gamma]), np.array([[0, 1]]))
-            gain_summary = {"min": float(np.min(gains)), "max": float(np.max(gains))}
-            counts, edges = np.histogram(
-                np.abs(state.vn_to_cn), bins=16, range=(0.0, LLR_CLIP)
-            )
-            trace_sink(
-                {
-                    "iteration": ell,
-                    "gamma": gamma,
-                    "alpha_eff": gain_summary,
-                    "magnitude_hist": {
-                        "bin_edges": edges.tolist(),
-                        "counts": counts.tolist(),
-                    },
-                }
-            )
-    return result

@@ -72,6 +72,8 @@ class SweepConfig:
             raise ValueError("epsilon0_mode must be 'matched' or 'fixed'")
         if self.epsilon0_mode == "fixed" and not 0.0 < (self.epsilon0 or 0.0) < 1.0:
             raise ValueError(f"fixed mode needs epsilon0 in (0, 1): {self.epsilon0}")
+        if self.epsilon0_mode == "matched" and self.epsilon0 is not None:
+            raise ValueError(f"matched mode takes no epsilon0, got {self.epsilon0}")
         if not self.epsilon_list:
             raise ValueError("epsilon_list is empty")
         if any(not 0.0 < e < 1.0 for e in self.epsilon_list):

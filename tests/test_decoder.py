@@ -79,6 +79,15 @@ def test_decoder_config_validation():
         DecoderConfig("sagms")  # gain missing
     with pytest.raises(ValueError):
         DecoderConfig("bp4", vn_mode="joint")
+    # a value decoding would ignore is rejected, since the digest hashes it
+    for variant in ("bp4", "ms", "sagms"):
+        with pytest.raises(ValueError):
+            DecoderConfig(variant, alpha=0.5, gain=GAIN if variant == "sagms" else None)
+    for variant, kw in (("bp4", {}), ("ms", {}), ("sms", {"alpha": 0.5})):
+        with pytest.raises(ValueError):
+            DecoderConfig(variant, gain=GAIN, **kw)
+    for variant, kw in VARIANT_CASES:
+        DecoderConfig(variant, **kw)
 
 
 # -- syndrome ratio and effective gain ------------------------------------------
@@ -341,12 +350,11 @@ def test_degenerate_equivalence_message_trajectories(small_code, small_graph):
     r1 = decode(
         small_code, small_graph, s, prior,
         DecoderConfig("sagms", l_max=6, gain=GainParams(0.5, 0.5, 1.0)),
-        capture_messages=True, early_stop=False,
+        early_stop=False,
     )
     r2 = decode(
         small_code, small_graph, s, prior,
-        DecoderConfig("sms", l_max=6, alpha=0.5),
-        capture_messages=True, early_stop=False,
+        DecoderConfig("sms", l_max=6, alpha=0.5), early_stop=False,
     )
     for st1, st2 in zip(r1.message_trace, r2.message_trace):
         assert np.array_equal(st1.vn_to_cn, st2.vn_to_cn)
@@ -404,10 +412,7 @@ def test_engine_messages_match_reference(small_code, small_graph):
     e[0] = PAULI_Y
     s = syndrome(small_code, e)
     cfg = DecoderConfig("sagms", l_max=5, gain=GAIN)
-    got = decode(
-        small_code, small_graph, s, prior, cfg,
-        capture_messages=True, early_stop=False,
-    )
+    got = decode(small_code, small_graph, s, prior, cfg, early_stop=False)
     record = []
     reference_decode(small_code, s, prior, cfg, record=record)
     edges = edges_of(small_code)
@@ -522,13 +527,53 @@ def test_batch_partition_invariance(
             assert np.array_equal(single.e_hat[0], whole.e_hat[f])
 
 
+@pytest.mark.parametrize("variant,kw", VARIANT_CASES)
+@pytest.mark.parametrize("vn_mode", VN_MODES)
+def test_trace_never_changes_a_result(tree_graph, variant, kw, vn_mode):
+    # a trace adds the final update of every frame still active at l_max
+    prior = prior_llr(0.2)
+    cfg = DecoderConfig(variant, l_max=3, vn_mode=vn_mode, **kw)
+    syndromes = np.random.default_rng(3).integers(0, 2, size=(64, tree_graph.m))
+    for early_stop in (True, False):
+        plain = decode_batch(tree_graph, syndromes, prior, cfg, early_stop=early_stop)
+        assert plain.success.any() and not plain.success.all()
+        trace = []
+        traced = decode_batch(
+            tree_graph, syndromes, prior, cfg, early_stop=early_stop, trace=trace
+        )
+        assert np.array_equal(traced.success, plain.success)
+        assert np.array_equal(traced.iterations, plain.iterations)
+        assert np.array_equal(traced.e_hat, plain.e_hat)
+        assert [r.iteration for r in trace] == list(range(1, cfg.l_max + 1))
+
+
+def test_trace_gammas_match_single_frame_decodes(small_code, small_graph):
+    prior = prior_llr(0.1)
+    ch = DepolarizingChannel(0.1, 21)
+    cfg = DecoderConfig("sagms", l_max=8, gain=GAIN)
+    errors = np.stack([sample_error(ch, small_code.n, f) for f in range(48)])
+    syndromes = small_graph.syndromes(errors)
+    trace = []
+    res = decode_batch(small_graph, syndromes, prior, cfg, trace=trace)
+    # frames leave the active set at different iterations, and some fail
+    assert len(set(res.iterations[res.success].tolist())) >= 3
+    assert not res.success.all()
+    per_row = [[] for _ in syndromes]
+    for rec in trace:
+        for row, gamma in zip(rec.rows, rec.gamma):
+            per_row[row].append(gamma)
+    for row, s in enumerate(syndromes):
+        single = decode(small_code, small_graph, s, prior, cfg)
+        assert per_row[row] == single.gamma_trace.tolist()
+
+
 def test_decode_deterministic_across_runs(small_code, small_graph):
     prior = prior_llr(0.2)
     e = sample_error(DepolarizingChannel(0.2, 9), small_code.n, 0)
     s = syndrome(small_code, e)
     cfg = DecoderConfig("bp4", l_max=8)
-    r1 = decode(small_code, small_graph, s, prior, cfg, capture_messages=True)
-    r2 = decode(small_code, small_graph, s, prior, cfg, capture_messages=True)
+    r1 = decode(small_code, small_graph, s, prior, cfg)
+    r2 = decode(small_code, small_graph, s, prior, cfg)
     for st1, st2 in zip(r1.message_trace, r2.message_trace):
         assert np.array_equal(st1.vn_to_cn, st2.vn_to_cn)
 
@@ -552,8 +597,7 @@ def test_marginal_bp4_exact_on_trees():
                               for _ in range(H.n)], dtype=np.uint8)
             s = syndrome_dense(H, truth)
             cfg = DecoderConfig("bp4", l_max=2 * H.n, vn_mode="marginal")
-            result = decode(H, graph, s, prior, cfg, capture_messages=True,
-                            early_stop=False)
+            result = decode(H, graph, s, prior, cfg, early_stop=False)
             final = result.message_trace[-1]
 
             # converged qubit-to-check messages equal brute-force subtree LLRs
@@ -582,7 +626,7 @@ def test_marginal_bp4_beliefs_match_posteriors_on_tree():
     truth = np.array([0, 1, 0, 0, 2, 0, 3][: H.n], dtype=np.uint8)
     s = syndrome_dense(H, truth)
     cfg = DecoderConfig("bp4", l_max=2 * H.n, vn_mode="marginal")
-    result = decode(H, graph, s, prior, cfg, capture_messages=True, early_stop=False)
+    result = decode(H, graph, s, prior, cfg, early_stop=False)
     final = result.message_trace[-1]
 
     marg = posterior_marginals(H, s, eps0)
@@ -610,26 +654,3 @@ def test_marginal_bp4_beliefs_match_posteriors_on_tree():
 def test_phi_function_is_self_inverse():
     for x in (0.1, 1.0, 5.0, 20.0):
         assert phi_llr(phi_llr(x)) == pytest.approx(x, abs=1e-10)
-
-
-def test_decode_trace_sink_records(small_code, small_graph):
-    prior = prior_llr(0.1)
-    e = np.zeros(small_code.n, dtype=np.uint8)
-    e[1] = PAULI_X
-    s = syndrome(small_code, e)
-    records = []
-    cfg = DecoderConfig("sagms", l_max=6, gain=GAIN)
-    decode(small_code, small_graph, s, prior, cfg, trace_sink=records.append)
-    assert records, "expected at least one per-iteration record"
-    for rec in records:
-        assert set(rec) == {"iteration", "gamma", "alpha_eff", "magnitude_hist"}
-        assert 0.0 <= rec["gamma"] <= 1.0
-        assert rec["alpha_eff"]["min"] <= rec["alpha_eff"]["max"] <= 1.0
-        hist = rec["magnitude_hist"]
-        assert len(hist["bin_edges"]) == len(hist["counts"]) + 1
-        assert sum(hist["counts"]) == small_graph.edge_count
-    # records are serializable as line-delimited JSON
-    import json as _json
-
-    lines = [_json.dumps(r) for r in records]
-    assert all("\n" not in line for line in lines)

@@ -133,6 +133,10 @@ def test_sweep_config_validation():
             _sweep(epsilon0_mode="fixed", epsilon0=eps0)
     with pytest.raises(ValueError):
         _sweep(epsilon0_mode="adaptive")
+    # matched mode ignores epsilon0, which the digest would still hash
+    for mode in ({}, {"epsilon0_mode": "matched"}):
+        with pytest.raises(ValueError):
+            _sweep(epsilon0=0.1, **mode)
 
 
 # -- run_point ----------------------------------------------------------------------
