@@ -18,7 +18,9 @@ import numpy as np
 
 from .pauli import PAULI_X, PAULI_Y, PAULI_Z
 
-_MASK64 = (1 << 64) - 1
+#: Seeds and stream ids lie in [0, SEED_LIMIT): each is one 64-bit word of
+#: the Philox key, so a value outside would alias one inside.
+SEED_LIMIT = 1 << 64
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,8 @@ class DepolarizingChannel:
     def __post_init__(self):
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
+        if not 0 <= self.rng_seed < SEED_LIMIT:
+            raise ValueError(f"rng_seed must lie in [0, 2**64), got {self.rng_seed}")
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,9 @@ def sample_error(ch: DepolarizingChannel, n: int, stream_id: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    key = np.array([ch.rng_seed & _MASK64, stream_id & _MASK64], dtype=np.uint64)
+    if not 0 <= stream_id < SEED_LIMIT:
+        raise ValueError(f"stream_id must lie in [0, 2**64), got {stream_id}")
+    key = np.array([ch.rng_seed, stream_id], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     u = rng.random(n)
     eps = ch.epsilon

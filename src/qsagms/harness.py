@@ -12,6 +12,15 @@ bit-identical for any worker count.  Each batch is sized from the stop
 rule: it ends where the failure rate seen so far predicts the target, so a
 converging point decodes few frames past its stopping frame.
 
+The decoder is a deterministic function of (syndrome, prior, config), and
+the harness needs only its (fail, iterations) per frame.  So each point
+keeps a memo keyed by packed syndrome: a batch decodes each distinct
+syndrome once, and only if the point has not decoded it before.  A hit
+returns what decoding returns, so the memo never changes an estimate.  It
+lives for one point (in each worker of that point's pool), holds at most
+MEMO_ENTRIES syndromes, and at low noise, where few syndromes are distinct,
+it removes most of the decoding.
+
 Failure means the decoder did not reach an all-zero residual syndrome
 within its iteration budget.  Each estimate carries a 95% Wilson score
 interval and the full configuration digest; per-point JSON artifacts make
@@ -33,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import DepolarizingChannel, prior_llr, sample_error
+from .channel import SEED_LIMIT, DepolarizingChannel, prior_llr, sample_error
 from .code import SparseCheckMatrix, TannerGraph, tanner_graph
 from .decoder import DecoderConfig, decode_batch
 
@@ -45,6 +54,10 @@ log = logging.getLogger("qsagms.harness")
 #: overhead of tiny active sets.  ``_batch_size`` holds the rule.
 BATCH_FRAMES = 4096
 MIN_BATCH = 512
+
+#: Most distinct syndromes one point's memo holds (see ``_decode_frames``).
+#: A full memo stops growing; each batch still decodes a syndrome only once.
+MEMO_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -84,6 +97,8 @@ class SweepConfig:
             raise ValueError("max_frames must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -170,25 +185,47 @@ _WORKER: dict = {}
 def _init_worker(H: SparseCheckMatrix, decoder_cfg: DecoderConfig):
     _WORKER["graph"] = tanner_graph(H)
     _WORKER["decoder"] = decoder_cfg
+    _WORKER["memo"] = {}  # the pool, and so this memo, lives for one point
 
 
-def _decode_frames(graph: TannerGraph, decoder_cfg, epsilon, epsilon0, seed, start, count):
-    """Sample, decode and summarize frames [start, start+count)."""
+def _decode_frames(
+    graph: TannerGraph, decoder_cfg, epsilon, epsilon0, seed, start, count, memo: dict
+):
+    """Sample frames [start, start+count); return (fails, iterations, decoded).
+
+    The decoder is a deterministic function of the syndrome, so each
+    distinct syndrome of the batch reaches ``decode_batch`` once, and only
+    if ``memo`` (packed syndrome -> ``2 * iterations + fail``, one point's,
+    at most MEMO_ENTRIES keys) lacks it.  ``decoded`` counts those rows.
+    """
     ch = DepolarizingChannel(epsilon=epsilon, rng_seed=seed)
     errors = np.empty((count, graph.n), dtype=np.uint8)
     for row, frame in enumerate(range(start, start + count)):
         errors[row] = sample_error(ch, graph.n, stream_id=frame)
     syndromes = graph.syndromes(errors)
-    res = decode_batch(graph, syndromes, prior_llr(epsilon0), decoder_cfg)
-    return ~res.success, res.iterations
+    packed = np.packbits(syndromes, axis=1)
+    rows, first, inverse = np.unique(
+        packed.view(f"V{packed.shape[1]}").ravel(), return_index=True, return_inverse=True
+    )
+    keys = rows.tolist()
+    outcome = np.array([memo.get(key, -1) for key in keys], dtype=np.int64)
+    miss = np.flatnonzero(outcome < 0)
+    if miss.size:
+        res = decode_batch(graph, syndromes[first[miss]], prior_llr(epsilon0), decoder_cfg)
+        outcome[miss] = 2 * res.iterations + ~res.success
+        stored = miss[: MEMO_ENTRIES - len(memo)]
+        memo.update(zip([keys[i] for i in stored], outcome[stored].tolist()))
+    outcome = outcome[inverse]
+    return outcome % 2 == 1, outcome // 2, int(miss.size)
 
 
 def _worker_task(args):
     epsilon, epsilon0, seed, start, count = args
-    fails, iters = _decode_frames(
-        _WORKER["graph"], _WORKER["decoder"], epsilon, epsilon0, seed, start, count
+    fails, iters, decoded = _decode_frames(
+        _WORKER["graph"], _WORKER["decoder"], epsilon, epsilon0, seed, start, count,
+        _WORKER["memo"],
     )
-    return start, fails, iters
+    return start, fails, iters, decoded
 
 
 def _batch_size(cfg: SweepConfig, start, frames, failures) -> int:
@@ -209,16 +246,17 @@ def _batch_size(cfg: SweepConfig, start, frames, failures) -> int:
 
 
 def _batches(H, graph, cfg: SweepConfig, epsilon, epsilon0):
-    """Yield (start, fails, iters) in frame order from 1..N workers, each
-    batch sized by ``_batch_size`` from the results yielded before it."""
+    """Yield (start, fails, iters, decoded) in frame order from 1..N workers,
+    each batch sized by ``_batch_size`` from the results yielded before it."""
     frames = failures = 0
     if cfg.workers == 1:
+        memo: dict = {}
         while frames < cfg.max_frames:
             count = _batch_size(cfg, frames, frames, failures)
-            fails, iters = _decode_frames(
-                graph, cfg.decoder, epsilon, epsilon0, cfg.seed, frames, count
+            fails, iters, decoded = _decode_frames(
+                graph, cfg.decoder, epsilon, epsilon0, cfg.seed, frames, count, memo
             )
-            yield frames, fails, iters
+            yield frames, fails, iters, decoded
             frames += count
             failures += int(fails.sum())
         return
@@ -240,8 +278,8 @@ def _batches(H, graph, cfg: SweepConfig, epsilon, epsilon0):
                     start += count
                 if not pending:
                     return
-                s, fails, iters = pending.pop(min(pending)).result()
-                yield s, fails, iters
+                s, fails, iters, decoded = pending.pop(min(pending)).result()
+                yield s, fails, iters, decoded
                 frames += len(fails)
                 failures += int(fails.sum())
         finally:
@@ -263,7 +301,10 @@ def run_point(
     frames = 0
     failures = 0
     iter_sum = 0
-    for start, fails, iters in _batches(H, graph, cfg, epsilon, epsilon0):
+    sampled = decoded = 0
+    for start, fails, iters, batch_decoded in _batches(H, graph, cfg, epsilon, epsilon0):
+        sampled += len(fails)
+        decoded += batch_decoded
         cum = np.cumsum(fails)
         hit = np.nonzero(failures + cum >= cfg.target_failures)[0]
         if hit.size:
@@ -290,8 +331,8 @@ def run_point(
         seed=cfg.seed,
     )
     log.info(
-        "point eps=%g fer=%g (%d/%d frames) CI=[%g, %g]%s",
-        epsilon, point.fer, failures, frames, low, high,
+        "point eps=%g fer=%g (%d/%d frames) CI=[%g, %g], decoded %d distinct of %d%s",
+        epsilon, point.fer, failures, frames, low, high, decoded, sampled,
         " cap-hit" if point.cap_hit else "",
     )
     return point

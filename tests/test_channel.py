@@ -47,6 +47,18 @@ def test_channel_epsilon_range():
         DepolarizingChannel(-0.1, 1)
 
 
+def test_channel_rejects_aliasing_seeds():
+    # each is one 64-bit Philox key word; outside [0, 2**64) it would alias
+    for seed in (-1, 2**64, 2**64 + 7):
+        with pytest.raises(ValueError, match="rng_seed"):
+            DepolarizingChannel(0.1, seed)
+    ch = DepolarizingChannel(0.1, 2**64 - 1)
+    for stream_id in (-1, 2**64):
+        with pytest.raises(ValueError, match="stream_id"):
+            sample_error(ch, 8, stream_id=stream_id)
+    assert sample_error(ch, 8, stream_id=2**64 - 1).shape == (8,)
+
+
 def test_sample_error_noiseless_limit():
     ch = DepolarizingChannel(0.0, 99)
     assert not sample_error(ch, 1000, stream_id=0).any()

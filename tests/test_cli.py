@@ -111,6 +111,19 @@ def test_simulate_rejects_bad_fixed_eps0(tmp_path, capsys, eps0):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_simulate_rejects_aliasing_seed(tmp_path, capsys, seed):
+    out = tmp_path / "r"
+    code, stdout, stderr = run_cli(
+        capsys, "simulate", "--code", str(CODES_DIR / "gb-6-2.qpc"),
+        "--decoder", "ms", "--eps", "0.1", "--seed", seed, "--out", str(out),
+    )
+    assert code == 2
+    assert "seed must lie in [0, 2**64)" in stderr
+    assert stdout == ""
+    assert not out.exists()
+
+
 def test_simulate_requires_seed(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main([

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
 from dataclasses import replace
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsagms import harness
+from qsagms.channel import DepolarizingChannel, prior_llr, sample_error
 from qsagms.decoder import DecoderConfig, GainParams, decode_batch
 from qsagms.harness import (
     BATCH_FRAMES,
@@ -17,6 +19,7 @@ from qsagms.harness import (
     FerPoint,
     SweepConfig,
     _batch_size,
+    _decode_frames,
     _write_text,
     canonical_json,
     config_digest,
@@ -137,6 +140,13 @@ def test_sweep_config_validation():
     for mode in ({}, {"epsilon0_mode": "matched"}):
         with pytest.raises(ValueError):
             _sweep(epsilon0=0.1, **mode)
+    # the seed is one 64-bit Philox key word: -1 would draw the frames of
+    # 2**64 - 1, and 2**64 + 7 those of 7, under other digests
+    for seed in (-1, 2**64, 2**64 + 7):
+        with pytest.raises(ValueError, match="seed"):
+            _sweep(seed=seed)
+    _sweep(seed=0)
+    _sweep(seed=2**64 - 1)
 
 
 # -- run_point ----------------------------------------------------------------------
@@ -212,32 +222,104 @@ def test_batch_size_rule(max_frames, start, frames, failures, size):
     assert _batch_size(cfg, start, frames, failures) == size
 
 
-def _decoded_batches(monkeypatch) -> list[int]:
-    """Record the frame count of every batch the harness decodes in-process."""
-    sizes = []
+def _batch_rows(monkeypatch) -> tuple[list[int], list[int]]:
+    """Record, for in-process batches, the frames each samples (the ``count``
+    reaching ``_decode_frames``) and the rows each ``decode_batch`` call sees."""
+    sampled, decoded = [], []
 
-    def counting(graph, syndromes, *args):
-        sizes.append(len(syndromes))
+    def sampling(*args):
+        sampled.append(args[6])
+        return _decode_frames(*args)
+
+    def decoding(graph, syndromes, *args):
+        decoded.append(len(syndromes))
         return decode_batch(graph, syndromes, *args)
 
-    monkeypatch.setattr(harness, "decode_batch", counting)
-    return sizes
+    monkeypatch.setattr(harness, "_decode_frames", sampling)
+    monkeypatch.setattr(harness, "decode_batch", decoding)
+    return sampled, decoded
 
 
 def test_converging_point_decodes_one_small_batch(toy_code, toy_graph, monkeypatch):
-    sizes = _decoded_batches(monkeypatch)
+    sampled, decoded = _batch_rows(monkeypatch)
     cfg = _sweep(variant="ms", l_max=1, target_failures=50, seed=2718)
     point = run_point(toy_code, toy_graph, cfg, epsilon=0.5)
     assert point.frames == 56  # as in the high-noise regression above
-    assert sizes == [MIN_BATCH]
+    assert sampled == [MIN_BATCH]
+    assert len(decoded) == 1 and decoded[0] <= MIN_BATCH
 
 
 def test_capped_point_decodes_only_its_frames(small_code, small_graph, monkeypatch):
-    sizes = _decoded_batches(monkeypatch)
+    sampled, decoded = _batch_rows(monkeypatch)
     cfg = _sweep(variant="ms", l_max=8, target_failures=500, max_frames=100, seed=5)
     point = run_point(small_code, small_graph, cfg, epsilon=0.001)
     assert point.frames == 100
-    assert sizes == [100]
+    assert sampled == [100]
+    assert len(decoded) == 1 and decoded[0] <= 100
+
+
+# -- the per-point syndrome memo ---------------------------------------------------------
+
+
+def _memo_sweep(**kw):
+    """sagms at eps 0.1 on the [[10,2]] code, capped at 3000 frames: batches
+    (512 + 2488 at 1 worker) with failures, repeated syndromes and memo hits
+    across the batches."""
+    return _sweep(
+        variant="sagms", l_max=4, eps=(0.1,), seed=31,
+        target_failures=10**6, max_frames=3000, **kw,
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["1w", "2w"])
+def test_memoized_frames_match_plain_decode(small_code, small_graph, workers):
+    cfg = _memo_sweep(workers=workers)
+    batches = list(harness._batches(small_code, small_graph, cfg, 0.1, 0.1))
+    sizes = [len(f) for _, f, _, _ in batches]
+    assert len(sizes) >= 2
+    assert [start for start, *_ in batches] == np.cumsum([0] + sizes[:-1]).tolist()
+    fails = np.concatenate([f for _, f, _, _ in batches])
+    iters = np.concatenate([i for _, _, i, _ in batches])
+    decoded = sum(d for _, _, _, d in batches)
+
+    ch = DepolarizingChannel(epsilon=0.1, rng_seed=cfg.seed)
+    errors = np.stack([sample_error(ch, small_graph.n, stream_id=f) for f in range(3000)])
+    syndromes = small_graph.syndromes(errors)
+    plain = decode_batch(small_graph, syndromes, prior_llr(0.1), cfg.decoder)
+    assert np.array_equal(fails, ~plain.success)
+    assert np.array_equal(iters, plain.iterations)
+    assert fails.dtype == bool and 0 < fails.sum() < len(fails)
+    distinct = len(np.unique(syndromes, axis=0))
+    if workers == 1:
+        assert decoded == distinct  # one memo: each syndrome decoded once
+    assert distinct <= decoded < 3000
+
+
+def test_memo_cap_does_not_change_points(small_code, small_graph, monkeypatch):
+    _, decoded = _batch_rows(monkeypatch)
+    cfg = _memo_sweep()
+    want = run_point(small_code, small_graph, cfg, epsilon=0.1)
+    rows = [sum(decoded)]
+    for entries in (5, 1, 0):
+        monkeypatch.setattr(harness, "MEMO_ENTRIES", entries)
+        decoded.clear()
+        assert run_point(small_code, small_graph, cfg, epsilon=0.1) == want
+        rows.append(sum(decoded))
+    assert rows[0] < rows[-1]  # a smaller memo decodes more rows, to the same point
+
+
+def test_memo_lives_for_one_point(small_code, small_graph, monkeypatch, caplog):
+    _, decoded = _batch_rows(monkeypatch)
+    cfg = _memo_sweep()
+    with caplog.at_level(logging.INFO, logger="qsagms.harness"):
+        first = run_point(small_code, small_graph, cfg, epsilon=0.1)
+        rows = sum(decoded)
+        again = run_point(small_code, small_graph, cfg, epsilon=0.1)
+    assert again == first
+    assert sum(decoded) == 2 * rows  # the second point hit no memo of the first
+    ends = [r.getMessage() for r in caplog.records if r.getMessage().startswith("point ")]
+    assert len(ends) == 2
+    assert all(f"decoded {rows} distinct of 3000" in line for line in ends)
 
 
 def test_run_point_matched_vs_fixed_prior(small_code, small_graph):
