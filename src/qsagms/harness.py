@@ -2,15 +2,17 @@
 
 Frames are numbered 0, 1, 2, ...; frame f draws its error pattern from the
 channel stream keyed by (master seed, f), so the sequence of frames is a
-pure function of the configuration.  A noise point stops at the smallest
-frame index at which the cumulative failure count reaches the target (or at
-the frame cap), and every started frame up to that index is counted exactly
-once.  Workers decode disjoint, contiguous frame batches and the
-coordinator consumes batch results in frame order, discarding speculative
-batches beyond the stopping frame, so the resulting estimate is
-bit-identical for any worker count.  Each batch is sized from the stop
-rule: it ends where the failure rate seen so far predicts the target, so a
-converging point decodes few frames past its stopping frame.
+pure function of the configuration.  A batch of frames is sampled in one
+vectorized Philox call, bit-identical to sampling its frames one by one.
+A noise point stops at the smallest frame index at which the cumulative
+failure count reaches the target (or at the frame cap), and every started
+frame up to that index is counted exactly once.  Workers decode disjoint,
+contiguous frame batches and the coordinator consumes batch results in
+frame order, discarding speculative batches beyond the stopping frame, so
+the resulting estimate is bit-identical for any worker count.  Each batch
+is sized from the stop rule: it ends where the failure rate seen so far
+predicts the target, so a converging point decodes few frames past its
+stopping frame.
 
 The decoder is a deterministic function of (syndrome, prior, config), and
 the harness needs only its (fail, iterations) per frame.  So each point
@@ -193,16 +195,15 @@ def _decode_frames(
 ):
     """Sample frames [start, start+count); return (fails, iterations, decoded).
 
-    The decoder is a deterministic function of the syndrome, so each
-    distinct syndrome of the batch reaches ``decode_batch`` once, and only
-    if ``memo`` (packed syndrome -> ``2 * iterations + fail``, one point's,
-    at most MEMO_ENTRIES keys) lacks it.  ``decoded`` counts those rows.
+    One ``sample_error`` call samples the whole batch, row for row the
+    frames that one-frame calls would give.  The decoder is a deterministic
+    function of the syndrome, so each distinct syndrome of the batch
+    reaches ``decode_batch`` once, and only if ``memo`` (packed syndrome ->
+    ``2 * iterations + fail``, one point's, at most MEMO_ENTRIES keys) lacks
+    it.  ``decoded`` counts those rows.
     """
     ch = DepolarizingChannel(epsilon=epsilon, rng_seed=seed)
-    errors = np.empty((count, graph.n), dtype=np.uint8)
-    for row, frame in enumerate(range(start, start + count)):
-        errors[row] = sample_error(ch, graph.n, stream_id=frame)
-    syndromes = graph.syndromes(errors)
+    syndromes = graph.syndromes(sample_error(ch, graph.n, start, count=count))
     packed = np.packbits(syndromes, axis=1)
     rows, first, inverse = np.unique(
         packed.view(f"V{packed.shape[1]}").ravel(), return_index=True, return_inverse=True

@@ -53,10 +53,7 @@ def _fer(graph, variant, eps, n_frames, seed=20260810, l_max=8, **kw):
     failures = 0
     for start in range(0, n_frames, batch):
         count = min(batch, n_frames - start)
-        errors = np.empty((count, graph.n), dtype=np.uint8)
-        for row, frame in enumerate(range(start, start + count)):
-            errors[row] = sample_error(ch, graph.n, stream_id=frame)
-        syndromes = graph.syndromes(errors)
+        syndromes = graph.syndromes(sample_error(ch, graph.n, start, count=count))
         res = decode_batch(graph, syndromes, prior, cfg)
         failures += int((~res.success).sum())
     lo, hi = wilson_interval(failures, n_frames)
@@ -100,10 +97,7 @@ def test_criterion_3_transfer_never_exceeds_input():
 def _equivalence_frames(H, graph, cfg_a, cfg_b, n_frames, eps, seed, n_traj):
     prior = prior_llr(eps)
     ch = DepolarizingChannel(eps, seed)
-    errors = np.empty((n_frames, H.n), dtype=np.uint8)
-    for f in range(n_frames):
-        errors[f] = sample_error(ch, H.n, stream_id=f)
-    syndromes = graph.syndromes(errors)
+    syndromes = graph.syndromes(sample_error(ch, H.n, 0, count=n_frames))
     ra = decode_batch(graph, syndromes, prior, cfg_a)
     rb = decode_batch(graph, syndromes, prior, cfg_b)
     results_equal = (

@@ -293,8 +293,7 @@ def test_decode_success_implies_zero_residual(small_code, small_graph):
     prior = prior_llr(0.08)
     ch = DepolarizingChannel(0.08, 42)
     cfg = DecoderConfig("sagms", l_max=8, gain=GAIN)
-    for frame in range(200):
-        e = sample_error(ch, small_code.n, stream_id=frame)
+    for e in sample_error(ch, small_code.n, 0, count=200):
         s = syndrome(small_code, e)
         r = decode(small_code, small_graph, s, prior, cfg)
         if r.success:
@@ -312,9 +311,7 @@ def test_decode_success_implies_zero_residual(small_code, small_graph):
 def _frame_outcomes(H, graph, cfg, epsilon, n_frames, seed):
     prior = prior_llr(epsilon)
     ch = DepolarizingChannel(epsilon, seed)
-    errors = np.empty((n_frames, H.n), dtype=np.uint8)
-    for f in range(n_frames):
-        errors[f] = sample_error(ch, H.n, stream_id=f)
+    errors = sample_error(ch, H.n, 0, count=n_frames)
     return decode_batch(graph, graph.syndromes(errors), prior, cfg)
 
 
@@ -374,8 +371,7 @@ def test_engine_matches_reference_decoder(
     ch = DepolarizingChannel(0.12, 77)
     cfg = DecoderConfig(variant, l_max=6, vn_mode=vn_mode, **kw)
     for H, graph in ((small_code, small_graph), (tree_code, tree_graph)):
-        for frame in range(25):
-            e = sample_error(ch, H.n, stream_id=frame)
+        for e in sample_error(ch, H.n, 0, count=25):
             s = syndrome(H, e)
             got = decode(H, graph, s, prior, cfg)
             ok, e_hat, iters, gammas = reference_decode(H, s, prior, cfg)
@@ -392,9 +388,7 @@ def test_engine_ms_failures_match_reference_decoder(gb126_code, gb126_graph):
     prior = prior_llr(0.01)
     ch = DepolarizingChannel(0.01, 20260810)
     cfg = DecoderConfig("ms", l_max=8)
-    errors = np.stack([
-        sample_error(ch, gb126_code.n, stream_id=frame) for frame in range(4096)
-    ])
+    errors = sample_error(ch, gb126_code.n, 0, count=4096)
     syndromes = gb126_graph.syndromes(errors)
     got = decode_batch(gb126_graph, syndromes, prior, cfg)
     failed = np.flatnonzero(~got.success)[:16]
@@ -436,8 +430,7 @@ PINNED_126_HASHES = {
 def test_engine_output_pinned_on_126(gb126_code, gb126_graph):
     ch = DepolarizingChannel(0.05, 20260810)
     syndromes = np.stack([
-        syndrome_dense(gb126_code, sample_error(ch, gb126_code.n, stream_id=f))
-        for f in range(512)
+        syndrome_dense(gb126_code, e) for e in sample_error(ch, gb126_code.n, 0, count=512)
     ])
     configs = {
         "bp4": DecoderConfig("bp4"),
@@ -483,9 +476,7 @@ def test_engine_output_pinned_on_irregular_graph():
     graph = tanner_graph(H)
     assert graph.cn_sym.shape[1] >= 10 and graph.cn_degrees.min() < 9
     ch = DepolarizingChannel(0.08, 20260810)
-    syndromes = np.stack([
-        syndrome_dense(H, sample_error(ch, H.n, stream_id=f)) for f in range(512)
-    ])
+    syndromes = np.stack([syndrome_dense(H, e) for e in sample_error(ch, H.n, 0, count=512)])
     got = {}
     for mode in VN_MODES:
         for variant, kw in (("bp4", {}), ("ms", {}), ("sms", {"alpha": 0.5}),
@@ -516,7 +507,7 @@ def test_batch_partition_invariance(
     ch = DepolarizingChannel(0.15, 5)
     cfg = DecoderConfig(variant, l_max=8, vn_mode=vn_mode, **kw)
     for H, graph in ((small_code, small_graph), (tree_code, tree_graph)):
-        errors = np.stack([sample_error(ch, H.n, f) for f in range(64)])
+        errors = sample_error(ch, H.n, 0, count=64)
         syndromes = graph.syndromes(errors)
         whole = decode_batch(graph, syndromes, prior, cfg)
         # per-frame decodes must agree bitwise with the batched run
@@ -551,7 +542,7 @@ def test_trace_gammas_match_single_frame_decodes(small_code, small_graph):
     prior = prior_llr(0.1)
     ch = DepolarizingChannel(0.1, 21)
     cfg = DecoderConfig("sagms", l_max=8, gain=GAIN)
-    errors = np.stack([sample_error(ch, small_code.n, f) for f in range(48)])
+    errors = sample_error(ch, small_code.n, 0, count=48)
     syndromes = small_graph.syndromes(errors)
     trace = []
     res = decode_batch(small_graph, syndromes, prior, cfg, trace=trace)

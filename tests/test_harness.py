@@ -283,7 +283,7 @@ def test_memoized_frames_match_plain_decode(small_code, small_graph, workers):
     decoded = sum(d for _, _, _, d in batches)
 
     ch = DepolarizingChannel(epsilon=0.1, rng_seed=cfg.seed)
-    errors = np.stack([sample_error(ch, small_graph.n, stream_id=f) for f in range(3000)])
+    errors = sample_error(ch, small_graph.n, 0, count=3000)
     syndromes = small_graph.syndromes(errors)
     plain = decode_batch(small_graph, syndromes, prior_llr(0.1), cfg.decoder)
     assert np.array_equal(fails, ~plain.success)
