@@ -30,6 +30,7 @@ from .code import (
     GbSpec,
     OrthogonalityError,
     build_gb,
+    check_decodable,
     compute_params,
     load_code,
     save_code,
@@ -50,6 +51,10 @@ log = logging.getLogger("qsagms.cli")
 
 class UsageError(ValueError):
     """Bad flag combination or parameter value (exit code 2)."""
+
+
+class CommandError(Exception):
+    """A failed command, raised as (message, exit code); ``main`` prints it."""
 
 
 def _setup_logging() -> None:
@@ -117,19 +122,21 @@ def cmd_build_code(args) -> int:
     return EXIT_OK
 
 
-def cmd_validate(args) -> int:
+def _load_code(path, invalid: str):
+    """The validated code in ``path``; a file that cannot be read, or is
+    invalid (message prefixed by ``invalid``), raises CommandError."""
     try:
-        H = load_code(args.code, validate=True)
+        return load_code(path, validate=True)
     except FileNotFoundError:
-        print(f"error: no such file: {args.code}", file=sys.stderr)
-        return EXIT_IO
+        raise CommandError(f"error: no such file: {path}", EXIT_IO) from None
     except (CodeFormatError, OrthogonalityError) as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise CommandError(f"{invalid}{exc}", EXIT_VALIDATION) from None
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    print(compute_params(H))
+        raise CommandError(f"error: {exc}", EXIT_IO) from None
+
+
+def cmd_validate(args) -> int:
+    print(compute_params(_load_code(args.code, "invalid: ")))
     return EXIT_OK
 
 
@@ -163,17 +170,13 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    invalid = "error: invalid code file: "
+    H = _load_code(args.code, invalid)
+    graph = tanner_graph(H)
     try:
-        H = load_code(args.code, validate=True)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.code}", file=sys.stderr)
-        return EXIT_IO
-    except (CodeFormatError, OrthogonalityError) as exc:
-        print(f"error: invalid code file: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        check_decodable(graph)  # validate accepts such codes; the decoder cannot
+    except ValueError as exc:
+        raise CommandError(f"{invalid}{exc}", EXIT_VALIDATION) from None
 
     code_sha = hashlib.sha256(Path(args.code).read_bytes()).hexdigest()
     try:
@@ -194,7 +197,6 @@ def cmd_simulate(args) -> int:
 
     digest = config_digest(cfg)
     print(f"config digest: {digest}")
-    graph = tanner_graph(H)
     try:
         points = run_sweep(H, graph, cfg, out_dir=args.out)
     except OSError as exc:
@@ -390,6 +392,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except CommandError as exc:
+        message, code = exc.args
+        print(message, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ from .pauli import (
     check_orthogonality,
     check_syndromes,
     dense_checks,
+    symplectic_rows,
 )
 
 
@@ -157,6 +158,15 @@ class TannerGraph:
         return check_syndromes(self.cn_vn, self.cn_sym, e)
 
 
+def check_decodable(graph: TannerGraph) -> None:
+    """Raise ValueError unless every check and every qubit has an edge, as
+    message passing needs; a valid stabilizer matrix may lack one."""
+    for kind, degrees in (("check", graph.cn_degrees), ("qubit", graph.vn_degrees)):
+        if not degrees.all():
+            node = f"{kind} {degrees.argmin()}"
+            raise ValueError(f"graph has isolated checks or qubits ({node})")
+
+
 def tanner_graph(H: SparseCheckMatrix) -> TannerGraph:
     """Build the dense check-major and qubit-major layouts of ``H``."""
     cn_vn, cn_sym = dense_checks(H)
@@ -218,23 +228,6 @@ def build_gb(spec: GbSpec) -> SparseCheckMatrix:
     return H
 
 
-def symplectic_rows(H: SparseCheckMatrix) -> list[int]:
-    """Rows of the GF(2) symplectic expansion packed as 2n-bit integers.
-
-    Bit j is the X component at column j, bit n+j the Z component.
-    """
-    packed = []
-    for row in H.rows:
-        bits = 0
-        for j, sym in row:
-            if sym & 1:
-                bits |= 1 << j
-            if sym >> 1:
-                bits |= 1 << (H.n + j)
-        packed.append(bits)
-    return packed
-
-
 def gf2_rank(packed_rows: list[int]) -> int:
     """Rank over GF(2) of bit-packed rows via exact Gaussian elimination."""
     pivots: dict[int, int] = {}
@@ -278,10 +271,14 @@ def save_code(H: SparseCheckMatrix, path) -> None:
 def load_code(path, validate: bool = True) -> SparseCheckMatrix:
     """Parse a QPC 1 file.
 
-    Raises CodeFormatError (with line number) on malformed content and
-    OrthogonalityError if ``validate`` is set and rows do not commute.
+    Raises CodeFormatError (with line number) on malformed content or
+    non-UTF-8 bytes and OrthogonalityError if ``validate`` is set and rows
+    do not commute.
     """
-    raw = Path(path).read_text(encoding="utf-8")
+    try:
+        raw = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CodeFormatError(f"not UTF-8 text (byte {exc.start}: {exc.reason})") from None
     # keep (line_number, content) for stripped non-empty lines
     lines: list[tuple[int, str]] = []
     for num, line in enumerate(raw.splitlines(), start=1):

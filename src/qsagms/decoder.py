@@ -46,7 +46,7 @@ import numpy as np
 
 from .analysis import linear_gain_fit, phi_llr
 from .channel import ChannelPrior
-from .code import SparseCheckMatrix, TannerGraph
+from .code import SparseCheckMatrix, TannerGraph, check_decodable
 from .pauli import residual_syndrome as _residual_syndrome
 from .pauli import trace_inner
 
@@ -219,10 +219,7 @@ class _Kernel:
     """
 
     def __init__(self, graph: TannerGraph):
-        if graph.edge_count == 0:
-            raise ValueError("graph has no edges")
-        if (graph.cn_degrees == 0).any() or (graph.vn_degrees == 0).any():
-            raise ValueError("graph has isolated checks or qubits")
+        check_decodable(graph)
         self.g = graph
         self.cn_pad = graph.cn_sym == 0
         self.vn_pad = graph.vn_sym == 0

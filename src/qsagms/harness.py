@@ -6,13 +6,14 @@ pure function of the configuration.  A batch of frames is sampled in one
 vectorized Philox call, bit-identical to sampling its frames one by one.
 A noise point stops at the smallest frame index at which the cumulative
 failure count reaches the target (or at the frame cap), and every started
-frame up to that index is counted exactly once.  Workers decode disjoint,
-contiguous frame batches and the coordinator consumes batch results in
-frame order, discarding speculative batches beyond the stopping frame, so
-the resulting estimate is bit-identical for any worker count.  Each batch
-is sized from the stop rule: it ends where the failure rate seen so far
-predicts the target, so a converging point decodes few frames past its
-stopping frame.
+frame up to that index is counted exactly once.  One loop schedules
+disjoint, contiguous frame batches for any worker count (in this process
+at 1, in a pool at N, always on the caller's Tanner graph) and consumes
+their results in frame order, discarding speculative batches beyond the
+stopping frame, so the resulting estimate is bit-identical for any worker
+count.  Each batch is sized from the stop rule: it ends where the failure
+rate seen so far predicts the target, so a converging point decodes few
+frames past its stopping frame.
 
 The decoder is a deterministic function of (syndrome, prior, config), and
 the harness needs only its (fail, iterations) per frame.  So each point
@@ -39,13 +40,14 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .channel import SEED_LIMIT, DepolarizingChannel, prior_llr, sample_error
-from .code import SparseCheckMatrix, TannerGraph, tanner_graph
+from .code import SparseCheckMatrix, TannerGraph
 from .decoder import DecoderConfig, decode_batch
 
 log = logging.getLogger("qsagms.harness")
@@ -184,8 +186,9 @@ def config_digest(cfg: SweepConfig) -> str:
 _WORKER: dict = {}
 
 
-def _init_worker(H: SparseCheckMatrix, decoder_cfg: DecoderConfig):
-    _WORKER["graph"] = tanner_graph(H)
+def _init_worker(graph: TannerGraph, decoder_cfg: DecoderConfig):
+    """Pool initializer: every worker decodes the caller's ``graph``."""
+    _WORKER["graph"] = graph
     _WORKER["decoder"] = decoder_cfg
     _WORKER["memo"] = {}  # the pool, and so this memo, lives for one point
 
@@ -221,12 +224,7 @@ def _decode_frames(
 
 
 def _worker_task(args):
-    epsilon, epsilon0, seed, start, count = args
-    fails, iters, decoded = _decode_frames(
-        _WORKER["graph"], _WORKER["decoder"], epsilon, epsilon0, seed, start, count,
-        _WORKER["memo"],
-    )
-    return start, fails, iters, decoded
+    return _decode_frames(_WORKER["graph"], _WORKER["decoder"], *args, _WORKER["memo"])
 
 
 def _batch_size(cfg: SweepConfig, start, frames, failures) -> int:
@@ -246,46 +244,38 @@ def _batch_size(cfg: SweepConfig, start, frames, failures) -> int:
     return min(size, cfg.max_frames - start)
 
 
-def _batches(H, graph, cfg: SweepConfig, epsilon, epsilon0):
-    """Yield (start, fails, iters, decoded) in frame order from 1..N workers,
-    each batch sized by ``_batch_size`` from the results yielded before it."""
-    frames = failures = 0
-    if cfg.workers == 1:
-        memo: dict = {}
+def _batches(graph: TannerGraph, cfg: SweepConfig, epsilon, epsilon0):
+    """Yield (start, fails, iters, decoded) in frame order, each batch sized
+    by ``_batch_size`` from the results yielded before it.
+
+    ``pending`` maps start frames to calls that return batch results: run
+    here, one at a time, at 1 worker; a window of N + 2 in a pool at N.
+    Closing the generator cancels queued batches and waits for running ones.
+    """
+    pool = None if cfg.workers == 1 else ProcessPoolExecutor(
+        cfg.workers, initializer=_init_worker, initargs=(graph, cfg.decoder)
+    )
+    window = cfg.workers + 2 if pool else 1
+    memo: dict = {}  # one worker's; each pool process holds its own
+    pending = {}
+    start = frames = failures = 0
+    try:
         while frames < cfg.max_frames:
-            count = _batch_size(cfg, frames, frames, failures)
-            fails, iters, decoded = _decode_frames(
-                graph, cfg.decoder, epsilon, epsilon0, cfg.seed, frames, count, memo
-            )
+            while len(pending) < window and start < cfg.max_frames:
+                count = _batch_size(cfg, start, frames, failures)
+                args = (epsilon, epsilon0, cfg.seed, start, count)
+                if pool:
+                    pending[start] = pool.submit(_worker_task, args).result
+                else:
+                    pending[start] = partial(_decode_frames, graph, cfg.decoder, *args, memo)
+                start += count
+            fails, iters, decoded = pending.pop(frames)()
             yield frames, fails, iters, decoded
-            frames += count
+            frames += len(fails)
             failures += int(fails.sum())
-        return
-    with ProcessPoolExecutor(
-        max_workers=cfg.workers,
-        initializer=_init_worker,
-        initargs=(H, cfg.decoder),
-    ) as pool:
-        pending = {}
-        start = 0
-        try:
-            while True:
-                # keep a small window of speculative batches in flight
-                while len(pending) < cfg.workers + 2 and start < cfg.max_frames:
-                    count = _batch_size(cfg, start, frames, failures)
-                    pending[start] = pool.submit(
-                        _worker_task, (epsilon, epsilon0, cfg.seed, start, count)
-                    )
-                    start += count
-                if not pending:
-                    return
-                s, fails, iters, decoded = pending.pop(min(pending)).result()
-                yield s, fails, iters, decoded
-                frames += len(fails)
-                failures += int(fails.sum())
-        finally:
-            for fut in pending.values():
-                fut.cancel()
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
 
 
 def run_point(
@@ -296,6 +286,8 @@ def run_point(
     Stops at the smallest frame index where cumulative failures reach
     ``cfg.target_failures``, else at ``cfg.max_frames`` (recorded as a cap
     hit so partial points are never mistaken for converged estimates).
+    ``H`` is the matrix ``graph`` was built from; the harness no longer
+    reads it.
     """
     epsilon0 = epsilon if cfg.epsilon0_mode == "matched" else float(cfg.epsilon0)
     digest = config_digest(cfg)
@@ -303,7 +295,7 @@ def run_point(
     failures = 0
     iter_sum = 0
     sampled = decoded = 0
-    for start, fails, iters, batch_decoded in _batches(H, graph, cfg, epsilon, epsilon0):
+    for start, fails, iters, batch_decoded in _batches(graph, cfg, epsilon, epsilon0):
         sampled += len(fails)
         decoded += batch_decoded
         cum = np.cumsum(fails)
@@ -315,7 +307,7 @@ def run_point(
             iter_sum += int(iters[:stop].sum())
             break
         frames = start + len(fails)
-        failures += int(cum[-1]) if len(fails) else 0
+        failures += int(cum[-1])
         iter_sum += int(iters.sum())
     low, high = wilson_interval(failures, frames)
     point = FerPoint(
@@ -364,7 +356,8 @@ def run_sweep(
     with a matching digest is loaded instead of recomputed.  The aggregate
     ``results.json`` (all points, config echo, software version) and the
     plot-ready ``fer.tsv`` (epsilon and FER, ascending epsilon) are
-    rewritten at the end.
+    rewritten at the end.  ``H`` is the matrix ``graph`` was built from;
+    the harness no longer reads it.
     """
     digest = config_digest(cfg)
     out_path = Path(out_dir) if out_dir is not None else None

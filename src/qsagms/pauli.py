@@ -137,28 +137,34 @@ def residual_syndrome(s, H: "SparseCheckMatrix", e_hat) -> np.ndarray:
     return s ^ syndrome(H, e_hat)
 
 
+def symplectic_rows(H: "SparseCheckMatrix") -> list[int]:
+    """Rows of the GF(2) symplectic expansion packed as 2n-bit integers.
+
+    Bit j is the X component at column j, bit n+j the Z component.
+    """
+    packed = []
+    for row in H.rows:
+        bits = 0
+        for j, sym in row:
+            if sym & 1:
+                bits |= 1 << j
+            if sym >> 1:
+                bits |= 1 << (H.n + j)
+        packed.append(bits)
+    return packed
+
+
 def check_orthogonality(H: "SparseCheckMatrix") -> bool:
     """True iff every pair of rows of ``H`` commutes.
 
-    Row pairs (i, i') are checked by sparse column intersection; the pair
-    commutes when the XOR over shared columns of the symbol trace inner
-    products is 0.  Exact and exhaustive (including i = i', which is
-    trivially 0); intended to run once per code load.
+    Rows r and r' commute iff their symplectic form, the parity of
+    (x & z') ^ (z & x'), is 0; with the halves of r' swapped, that is the
+    parity of one AND of packed rows.  Exact and exhaustive; intended to
+    run once per code load.
     """
-    maps = [dict(row) for row in H.rows]
-    for i in range(H.m):
-        row_i = maps[i]
-        for i2 in range(i + 1, H.m):
-            row_k = maps[i2]
-            if len(row_k) < len(row_i):
-                small, large = row_k, row_i
-            else:
-                small, large = row_i, row_k
-            acc = 0
-            for j, sym in small.items():
-                other = large.get(j)
-                if other is not None:
-                    acc ^= trace_inner(sym, other)
-            if acc:
-                return False
-    return True
+    rows = symplectic_rows(H)
+    low = (1 << H.n) - 1
+    swapped = [(r >> H.n) | ((r & low) << H.n) for r in rows]
+    return not any(
+        (r & s).bit_count() & 1 for i, r in enumerate(rows) for s in swapped[i + 1 :]
+    )

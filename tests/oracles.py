@@ -2,7 +2,8 @@
 
 Everything here is deliberately written against dense representations and
 brute-force enumeration, sharing no machinery with the package internals:
-dense GF(2) bit-plane syndrome/orthogonality/rank, polynomial-gcd dimension
+dense GF(2) bit-plane syndrome/orthogonality/rank, a pairwise
+row-intersection commutation check, polynomial-gcd dimension
 counting for generalized bicycle codes, exhaustive 4^n posterior
 enumeration for small codes, and a scalar reference decoder composed from
 the per-node update rules below (to cross-check the vectorized kernel).
@@ -57,6 +58,22 @@ def orthogonal_dense(H) -> bool:
     hx, hz = dense_planes(H)
     gram = (hx.astype(np.int64) @ hz.T + hz.astype(np.int64) @ hx.T) % 2
     return not gram.any()
+
+
+def orthogonal_pairs(H) -> bool:
+    """Row commutation by sparse column intersection of every row pair:
+    the XOR over shared columns of the symbol trace inner products."""
+    maps = [dict(row) for row in H.rows]
+    for i, row_i in enumerate(maps):
+        for row_k in maps[i + 1 :]:
+            acc = 0
+            for j, sym in row_i.items():
+                other = row_k.get(j)
+                if other is not None:
+                    acc ^= trace_inner(sym, other)
+            if acc:
+                return False
+    return True
 
 
 def gf2_rank_dense(M: np.ndarray) -> int:

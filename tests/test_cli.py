@@ -85,6 +85,49 @@ def test_validate_missing_file(tmp_path, capsys):
     assert code == 3
 
 
+def _simulate(capsys, tmp_path, code_file):
+    return run_cli(
+        capsys, "simulate", "--code", str(code_file), "--decoder", "ms",
+        "--eps", "0.1", "--seed", "1", "--out", str(tmp_path / "r"),
+    )
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_non_utf8_code_file_is_invalid(tmp_path, capsys, command):
+    bad = tmp_path / "bad.qpc"
+    bad.write_bytes(b"\xff\xfeQPC 1\n")
+    if command == "validate":
+        code, stdout, stderr = run_cli(capsys, "validate", str(bad))
+        assert stderr.startswith("invalid: ")
+    else:
+        code, stdout, stderr = _simulate(capsys, tmp_path, bad)
+        assert stderr.startswith("error: invalid code file: ")
+    assert code == 1
+    assert "not UTF-8" in stderr and "Traceback" not in stderr
+    assert stdout == ""
+
+
+#: Valid stabilizer matrices the decoder cannot run: qubit 2 has no check,
+#: and check 1 has no qubit.
+UNDECODABLE = {
+    "isolated-qubit": "QPC 1\nn=3 m=2\n0: 0:Z 1:Z\n1: 1:Z\n",
+    "empty-check": "QPC 1\nn=2 m=2\n0: 0:Z 1:Z\n1:\n",
+}
+
+
+@pytest.mark.parametrize("text", UNDECODABLE.values(), ids=UNDECODABLE.keys())
+def test_simulate_rejects_undecodable_code(tmp_path, capsys, text):
+    code_file = tmp_path / "code.qpc"
+    code_file.write_text(text)
+    code, stdout, _ = run_cli(capsys, "validate", str(code_file))
+    assert code == 0 and "[[" in stdout  # a valid stabilizer matrix
+    code, stdout, stderr = _simulate(capsys, tmp_path, code_file)
+    assert code == 1
+    assert stderr.startswith("error: invalid code file: graph has isolated")
+    assert "digest" not in stdout
+    assert not (tmp_path / "r").exists()
+
+
 # -- simulate ------------------------------------------------------------------
 
 

@@ -10,14 +10,14 @@ from qsagms.code import (
     OrthogonalityError,
     SparseCheckMatrix,
     build_gb,
+    check_decodable,
     compute_params,
     gf2_rank,
     load_code,
     save_code,
-    symplectic_rows,
     tanner_graph,
 )
-from qsagms.pauli import PAULI_X, PAULI_Z, check_orthogonality
+from qsagms.pauli import PAULI_X, PAULI_Z, check_orthogonality, symplectic_rows
 
 from .conftest import GB_126_28
 from .oracles import code_dimension_dense, gb_dimension_from_gcd
@@ -156,6 +156,25 @@ def test_load_parse_errors_carry_line_numbers(tmp_path, content, line):
     with pytest.raises(CodeFormatError) as err:
         load_code(path)
     assert err.value.line == line
+
+
+def test_load_rejects_non_utf8(tmp_path):
+    path = tmp_path / "utf16.qpc"
+    path.write_bytes(b"\xff\xfeQPC 1\n")
+    with pytest.raises(CodeFormatError, match="not UTF-8 text"):
+        load_code(path)
+
+
+def test_check_decodable_needs_an_edge_at_every_node():
+    check_decodable(tanner_graph(SparseCheckMatrix(n=1, rows=[[(0, PAULI_X)]])))
+    shapes = [
+        (SparseCheckMatrix(n=3, rows=[[(0, PAULI_Z), (1, PAULI_Z)], [(1, PAULI_Z)]]), "qubit 2"),
+        (SparseCheckMatrix(n=2, rows=[[(0, PAULI_Z), (1, PAULI_Z)], []]), "check 1"),
+    ]
+    for H, node in shapes:
+        H.validate()  # valid stabilizer matrices, which only the decoder rejects
+        with pytest.raises(ValueError, match=f"isolated checks or qubits \\({node}\\)"):
+            check_decodable(tanner_graph(H))
 
 
 def test_load_row_count_mismatch(tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import multiprocessing
 import os
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from qsagms import harness
 from qsagms.channel import DepolarizingChannel, prior_llr, sample_error
+from qsagms.code import SparseCheckMatrix, tanner_graph
 from qsagms.decoder import DecoderConfig, GainParams, decode_batch
 from qsagms.harness import (
     BATCH_FRAMES,
@@ -27,6 +29,7 @@ from qsagms.harness import (
     run_sweep,
     wilson_interval,
 )
+from qsagms.pauli import PAULI_Z
 
 
 def _wilson_oracle(failures: int, frames: int, z: float = 1.959964) -> tuple[float, float]:
@@ -258,6 +261,61 @@ def test_capped_point_decodes_only_its_frames(small_code, small_graph, monkeypat
     assert len(decoded) == 1 and decoded[0] <= 100
 
 
+# -- the batch plan and the pool -------------------------------------------------------
+
+
+def _converging_sweep(**kw):
+    """sagms at eps 0.03 on the [[10,2]] code, to 100 failures: it stops at
+    frame 4122, with speculative batches in flight at 2 workers."""
+    return _sweep(
+        variant="sagms", l_max=4, eps=(0.03,), seed=31, target_failures=100, **kw
+    )
+
+
+#: Every (start, size) that ``_batch_size`` returned, in call order, recorded
+#: before the 1-worker and the N-worker paths shared one scheduling loop.
+BATCH_PLANS = {
+    ("memo", 1): [(0, 512), (512, 2488)],
+    ("memo", 2): [(0, 512), (512, 512), (1024, 512), (1536, 512), (2048, 952)],
+    ("converging", 1): [(0, 512), (512, 3146), (3658, 750)],
+    ("converging", 2): [
+        (0, 512), (512, 512), (1024, 512), (1536, 512), (2048, 1610),
+        (3658, 609), (4267, 512), (4779, 512), (5291, 512),
+    ],
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["1w", "2w"])
+@pytest.mark.parametrize("point", ["memo", "converging"])
+def test_batch_plan_pins(small_code, small_graph, monkeypatch, point, workers):
+    plan = []
+
+    def recording(cfg, start, frames, failures):
+        size = _batch_size(cfg, start, frames, failures)
+        plan.append((start, size))
+        return size
+
+    monkeypatch.setattr(harness, "_batch_size", recording)
+    make, eps = {"memo": (_memo_sweep, 0.1), "converging": (_converging_sweep, 0.03)}[point]
+    got = run_point(small_code, small_graph, make(workers=workers), epsilon=eps)
+    assert (got.frames, got.failures) == {"memo": (3000, 621), "converging": (4122, 100)}[point]
+    assert plan == BATCH_PLANS[point, workers]
+
+
+def test_no_worker_outlives_an_early_stop(small_code, small_graph):
+    point = run_point(small_code, small_graph, _converging_sweep(workers=2), epsilon=0.03)
+    assert point.frames < sum(BATCH_PLANS["converging", 2][-1])  # it stopped early
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_error_reaches_caller_and_no_worker_outlives_it():
+    H = SparseCheckMatrix(n=3, rows=[[(0, PAULI_Z), (1, PAULI_Z)], [(1, PAULI_Z)]])
+    cfg = _sweep(variant="ms", l_max=2, eps=(0.1,), workers=2)
+    with pytest.raises(ValueError, match="isolated"):
+        run_point(H, tanner_graph(H), cfg, epsilon=0.1)
+    assert multiprocessing.active_children() == []
+
+
 # -- the per-point syndrome memo ---------------------------------------------------------
 
 
@@ -274,7 +332,7 @@ def _memo_sweep(**kw):
 @pytest.mark.parametrize("workers", [1, 2], ids=["1w", "2w"])
 def test_memoized_frames_match_plain_decode(small_code, small_graph, workers):
     cfg = _memo_sweep(workers=workers)
-    batches = list(harness._batches(small_code, small_graph, cfg, 0.1, 0.1))
+    batches = list(harness._batches(small_graph, cfg, 0.1, 0.1))
     sizes = [len(f) for _, f, _, _ in batches]
     assert len(sizes) >= 2
     assert [start for start, *_ in batches] == np.cumsum([0] + sizes[:-1]).tolist()

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qsagms.code import GbSpec, SparseCheckMatrix, build_gb
 from qsagms.pauli import (
@@ -21,7 +21,7 @@ from qsagms.pauli import (
     z_bit,
 )
 
-from .oracles import orthogonal_dense, syndrome_dense
+from .oracles import orthogonal_dense, orthogonal_pairs, syndrome_dense
 
 paulis = st.integers(min_value=0, max_value=3)
 
@@ -147,6 +147,22 @@ def test_check_orthogonality_anticommuting_rows():
     H = SparseCheckMatrix(n=1, rows=[[(0, PAULI_X)], [(0, PAULI_Z)]])
     assert not check_orthogonality(H)
     assert not orthogonal_dense(H)
+
+
+@st.composite
+def symbol_matrices(draw):
+    """Random small matrices, including empty rows and anticommuting pairs."""
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), max_size=6))
+    return SparseCheckMatrix(
+        n=n, rows=[[(j, s) for j, s in enumerate(row) if s] for row in rows]
+    )
+
+
+@settings(max_examples=300)
+@given(symbol_matrices())
+def test_check_orthogonality_matches_pairwise_oracle(H):
+    assert check_orthogonality(H) == orthogonal_pairs(H) == orthogonal_dense(H)
 
 
 def test_stabilizer_rows_are_invisible(toy_code, small_code):
