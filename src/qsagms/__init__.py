@@ -49,8 +49,6 @@ from .pauli import (
     PAULI_Y,
     PAULI_Z,
     check_orthogonality,
-    residual_syndrome,
-    syndrome,
     trace_inner,
 )
 
@@ -96,7 +94,5 @@ __all__ = [
     "PAULI_Y",
     "PAULI_Z",
     "check_orthogonality",
-    "residual_syndrome",
-    "syndrome",
     "trace_inner",
 ]

@@ -32,7 +32,7 @@ from .code import (
     build_gb,
     check_decodable,
     compute_params,
-    load_code,
+    parse_code,
     save_code,
     tanner_graph,
 )
@@ -123,10 +123,12 @@ def cmd_build_code(args) -> int:
 
 
 def _load_code(path, invalid: str):
-    """The validated code in ``path``; a file that cannot be read, or is
-    invalid (message prefixed by ``invalid``), raises CommandError."""
+    """The validated code in ``path`` and the bytes it was parsed from, read
+    once; a file that cannot be read, or is invalid (message prefixed by
+    ``invalid``), raises CommandError."""
     try:
-        return load_code(path, validate=True)
+        data = Path(path).read_bytes()
+        return parse_code(data, validate=True), data
     except FileNotFoundError:
         raise CommandError(f"error: no such file: {path}", EXIT_IO) from None
     except (CodeFormatError, OrthogonalityError) as exc:
@@ -136,7 +138,7 @@ def _load_code(path, invalid: str):
 
 
 def cmd_validate(args) -> int:
-    print(compute_params(_load_code(args.code, "invalid: ")))
+    print(compute_params(_load_code(args.code, "invalid: ")[0]))
     return EXIT_OK
 
 
@@ -171,14 +173,14 @@ def cmd_simulate(args) -> int:
         return EXIT_USAGE
 
     invalid = "error: invalid code file: "
-    H = _load_code(args.code, invalid)
+    H, data = _load_code(args.code, invalid)
     graph = tanner_graph(H)
     try:
         check_decodable(graph)  # validate accepts such codes; the decoder cannot
     except ValueError as exc:
         raise CommandError(f"{invalid}{exc}", EXIT_VALIDATION) from None
 
-    code_sha = hashlib.sha256(Path(args.code).read_bytes()).hexdigest()
+    code_sha = hashlib.sha256(data).hexdigest()
     try:
         cfg = SweepConfig(
             code_id=f"{Path(args.code).name}:{code_sha[:16]}",

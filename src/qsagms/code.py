@@ -1,4 +1,5 @@
-"""Check matrices over the Pauli alphabet: containers, construction, I/O.
+"""Check matrices over the Pauli alphabet: containers, Tanner graph and
+syndromes, construction, I/O.
 
 Codes are stored sparsely (per-row lists of ``(column, symbol)`` pairs,
 symbols nonzero, columns strictly increasing) since row weights are tiny
@@ -35,9 +36,8 @@ from .pauli import (
     PAULI_X,
     PAULI_Z,
     check_orthogonality,
-    check_syndromes,
-    dense_checks,
     symplectic_rows,
+    trace_inner,
 )
 
 
@@ -93,17 +93,31 @@ class SparseCheckMatrix:
         (e.g. tree-structured test matrices) that are not stabilizer codes.
         """
         for i, row in enumerate(self.rows):
-            prev = -1
-            for j, sym in row:
-                if not 0 <= j < self.n:
-                    raise ValueError(f"row {i}: column {j} outside [0, {self.n})")
-                if j <= prev:
-                    raise ValueError(f"row {i}: columns not strictly increasing at {j}")
-                if sym not in (1, 2, 3):
-                    raise ValueError(f"row {i}: symbol {sym} is not a nonzero Pauli")
-                prev = j
-        if stabilizer and not check_orthogonality(self):
-            raise OrthogonalityError("rows do not commute (H Λ H^T != 0 over GF(2))")
+            try:
+                _check_row(row, self.n)
+            except ValueError as exc:
+                raise ValueError(f"row {i}: {exc}") from None
+        if stabilizer:
+            _check_commuting(self)
+
+
+def _check_row(row, n: int) -> None:
+    """Raise ValueError unless ``row`` is a list of (column, symbol) pairs
+    with symbols nonzero Paulis and columns strictly increasing in [0, n)."""
+    prev = -1
+    for j, sym in row:
+        if sym not in (1, 2, 3):
+            raise ValueError(f"symbol {sym} is not a nonzero Pauli")
+        if not 0 <= j < n:
+            raise ValueError(f"column {j} outside [0, {n})")
+        if j <= prev:
+            raise ValueError(f"columns not strictly increasing at {j}")
+        prev = j
+
+
+def _check_commuting(H: SparseCheckMatrix) -> None:
+    if not check_orthogonality(H):
+        raise OrthogonalityError("rows do not commute (H Λ H^T != 0 over GF(2))")
 
 
 @dataclass(frozen=True)
@@ -153,9 +167,18 @@ class TannerGraph:
     def edge_count(self) -> int:
         return int(self.cn_degrees.sum())
 
-    def syndromes(self, e: np.ndarray) -> np.ndarray:
-        """Syndrome bits of error patterns ``e`` (qubits on the last axis)."""
-        return check_syndromes(self.cn_vn, self.cn_sym, e)
+    def syndromes(self, e) -> np.ndarray:
+        """Syndrome bits of error patterns ``e`` (qubits on the last axis).
+
+        Bit i is the parity of the trace inner products between check i's
+        symbols and the errors on its qubits, i.e. 1 iff stabilizer i
+        anticommutes with the error; symbol-0 padding slots contribute 0.
+        """
+        e = np.asarray(e)
+        if e.shape[-1:] != (self.n,):
+            raise ValueError(f"error patterns of shape {e.shape} need {self.n} qubits")
+        t = trace_inner(self.cn_sym, np.take(e, self.cn_vn, axis=-1))
+        return np.bitwise_xor.reduce(t, axis=-1)
 
 
 def check_decodable(graph: TannerGraph) -> None:
@@ -169,10 +192,11 @@ def check_decodable(graph: TannerGraph) -> None:
 
 def tanner_graph(H: SparseCheckMatrix) -> TannerGraph:
     """Build the dense check-major and qubit-major layouts of ``H``."""
-    cn_vn, cn_sym = dense_checks(H)
-    cn_degrees = np.count_nonzero(cn_sym, axis=1)
-    vn_degrees = np.bincount(cn_vn[cn_sym != 0], minlength=H.n)
-    d_c, d_v = cn_sym.shape[1], int(vn_degrees.max(initial=0))
+    cn_degrees = np.array([len(row) for row in H.rows], dtype=np.int64)
+    vn_degrees = np.bincount([j for row in H.rows for j, _ in row], minlength=H.n)
+    d_c, d_v = int(cn_degrees.max(initial=0)), int(vn_degrees.max(initial=0))
+    cn_vn = np.zeros((H.m, d_c), dtype=np.int64)
+    cn_sym = np.zeros((H.m, d_c), dtype=np.uint8)
     cn_gather = np.zeros((H.m, d_c), dtype=np.int64)
     vn_sym = np.zeros((H.n, d_v), dtype=np.uint8)
     vn_gather = np.zeros((H.n, d_v), dtype=np.int64)
@@ -181,7 +205,7 @@ def tanner_graph(H: SparseCheckMatrix) -> TannerGraph:
         for k, (j, sym) in enumerate(row):
             t = filled[j]
             filled[j] += 1
-            cn_gather[i, k] = j * d_v + t
+            cn_vn[i, k], cn_sym[i, k], cn_gather[i, k] = j, sym, j * d_v + t
             vn_sym[j, t], vn_gather[j, t] = sym, i * d_c + k
     return TannerGraph(
         H.n, H.m, cn_degrees, vn_degrees, cn_vn, cn_sym, cn_gather, vn_sym, vn_gather
@@ -269,14 +293,19 @@ def save_code(H: SparseCheckMatrix, path) -> None:
 
 
 def load_code(path, validate: bool = True) -> SparseCheckMatrix:
-    """Parse a QPC 1 file.
+    """Read and parse a QPC 1 file (see ``parse_code``)."""
+    return parse_code(Path(path).read_bytes(), validate)
+
+
+def parse_code(data: bytes, validate: bool = True) -> SparseCheckMatrix:
+    """Parse the bytes of a QPC 1 file.
 
     Raises CodeFormatError (with line number) on malformed content or
     non-UTF-8 bytes and OrthogonalityError if ``validate`` is set and rows
     do not commute.
     """
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        raw = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CodeFormatError(f"not UTF-8 text (byte {exc.start}: {exc.reason})") from None
     # keep (line_number, content) for stripped non-empty lines
@@ -335,27 +364,19 @@ def load_code(path, validate: bool = True) -> SparseCheckMatrix:
         if i != expect_i:
             raise CodeFormatError(f"row index {i} out of order (expected {expect_i})", num)
         row: list[tuple[int, int]] = []
-        prev = -1
         for token in rest.split():
             col_text, _, sym_text = token.partition(":")
             try:
-                j = int(col_text)
-                sym = PAULI_CODES[sym_text]
+                row.append((int(col_text), PAULI_CODES[sym_text]))
             except (ValueError, KeyError):
                 raise CodeFormatError(f"bad entry {token!r}", num) from None
-            if sym == 0:
-                raise CodeFormatError("identity symbol not allowed in a row", num)
-            if not 0 <= j < n:
-                raise CodeFormatError(f"column {j} outside [0, {n})", num)
-            if j <= prev:
-                raise CodeFormatError(
-                    f"columns must be strictly increasing (column {j})", num
-                )
-            row.append((j, sym))
-            prev = j
+        try:
+            _check_row(row, n)
+        except ValueError as exc:
+            raise CodeFormatError(str(exc), num) from None
         rows.append(row)
 
     H = SparseCheckMatrix(n=n, rows=rows, gb=gb)
     if validate:
-        H.validate(stabilizer=True)
+        _check_commuting(H)
     return H

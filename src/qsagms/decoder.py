@@ -46,8 +46,7 @@ import numpy as np
 
 from .analysis import linear_gain_fit, phi_llr
 from .channel import ChannelPrior
-from .code import SparseCheckMatrix, TannerGraph, check_decodable
-from .pauli import residual_syndrome as _residual_syndrome
+from .code import TannerGraph, check_decodable
 from .pauli import trace_inner
 
 VARIANTS = ("bp4", "ms", "sms", "sagms")
@@ -365,7 +364,6 @@ def decode_batch(
 
 
 def decode(
-    H: SparseCheckMatrix,
     graph: TannerGraph,
     s,
     prior: ChannelPrior,
@@ -376,14 +374,14 @@ def decode(
     """Run the decoder on one syndrome, traced: ``gamma_trace`` holds the
     syndrome ratio of every executed iteration and ``message_trace`` the
     messages (canonical edge order) after every executed update, the final
-    one included.  A reported success is re-verified against ``H``."""
+    one included.  A reported success is re-verified on ``graph``."""
     s = np.asarray(s)
     if s.shape != (graph.m,):
         raise ValueError(f"syndrome must have length m={graph.m}")
     trace: list[IterationRecord] = []
     batch = decode_batch(graph, s[None, :], prior, cfg, early_stop=early_stop, trace=trace)
     success, e_hat = bool(batch.success[0]), batch.e_hat[0]
-    if success and _residual_syndrome(s, H, e_hat).any():
+    if success and (graph.syndromes(e_hat) != s).any():
         raise RuntimeError("internal inconsistency: reported success with nonzero residual")
     edges = graph.cn_sym != 0
     gather = graph.cn_gather[edges]

@@ -25,7 +25,6 @@ from qsagms.channel import DepolarizingChannel, prior_llr, sample_error
 from qsagms.code import SparseCheckMatrix, GbSpec, build_gb, tanner_graph
 from qsagms.decoder import DecoderConfig, GainParams, _Kernel, decode, decode_batch
 from qsagms.harness import SweepConfig, run_sweep, wilson_interval
-from qsagms.pauli import syndrome
 
 from .conftest import make_tree_code
 from .oracles import (
@@ -107,8 +106,8 @@ def _equivalence_frames(H, graph, cfg_a, cfg_b, n_frames, eps, seed, n_traj):
     )
     traj_equal = True
     for f in range(n_traj):
-        ta = decode(H, graph, syndromes[f], prior, cfg_a, early_stop=False)
-        tb = decode(H, graph, syndromes[f], prior, cfg_b, early_stop=False)
+        ta = decode(graph, syndromes[f], prior, cfg_a, early_stop=False)
+        tb = decode(graph, syndromes[f], prior, cfg_b, early_stop=False)
         for sa, sb in zip(ta.message_trace, tb.message_trace):
             traj_equal &= np.array_equal(sa.vn_to_cn, sb.vn_to_cn)
             traj_equal &= np.array_equal(sa.cn_to_vn, sb.cn_to_vn)
@@ -157,7 +156,7 @@ def test_criterion_5_cycle_free_enumeration_oracle():
         )
         s = syndrome_dense(H, truth)
         cfg = DecoderConfig("bp4", l_max=2 * H.n, vn_mode="marginal")
-        result = decode(H, graph, s, prior, cfg, early_stop=False)
+        result = decode(graph, s, prior, cfg, early_stop=False)
         final = result.message_trace[-1]
         for idx, (i, j, _) in enumerate(edges_of(H)):
             expected = brute_vn_message(H, s, eps0, check=i, qubit=j)

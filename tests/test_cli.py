@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -206,6 +208,32 @@ def test_simulate_reruns_byte_identical(tmp_path, capsys):
     capsys.readouterr()
     assert (out1 / "results.json").read_bytes() == (out2 / "results.json").read_bytes()
     assert (out1 / "fer.tsv").read_bytes() == (out2 / "fer.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("piped", [False, True], ids=["file", "pipe"])
+def test_simulate_code_id_hashes_the_parsed_bytes(tmp_path, capsys, piped):
+    # a pipe can be read once, so the digest must come from the parsed bytes
+    data = (CODES_DIR / "gb-6-2.qpc").read_bytes()
+    if piped:
+        read_end, write_end = os.pipe()
+        os.write(write_end, data)
+        os.close(write_end)
+        path, name = f"/dev/fd/{read_end}", str(read_end)
+    else:
+        path, name = str(CODES_DIR / "gb-6-2.qpc"), "gb-6-2.qpc"
+    out = tmp_path / "r"
+    try:
+        code, _, _ = run_cli(
+            capsys, "simulate", "--code", path, "--decoder", "ms", "--eps", "0.4",
+            "--lmax", "1", "--target-failures", "5", "--max-frames", "600",
+            "--seed", "3", "--out", str(out),
+        )
+    finally:
+        if piped:
+            os.close(read_end)
+    assert code == 0
+    code_id = json.loads((out / "results.json").read_text())[0]["config"]["code_id"]
+    assert code_id == f"{name}:{hashlib.sha256(data).hexdigest()[:16]}"
 
 
 def test_simulate_eps_range_parsing(tmp_path, capsys):

@@ -113,6 +113,21 @@ def test_tanner_graph_126_28(gb126_graph):
     assert gb126_graph.edge_count == 1260  # 126 checks of degree 10
 
 
+def test_tanner_graph_check_slots_follow_rows(tree_code, tree_graph):
+    # irregular degrees: short rows are padded with qubit 0 and symbol I
+    g = tree_graph
+    assert (g.cn_vn.dtype, g.cn_sym.dtype, g.vn_sym.dtype) == (np.int64, np.uint8, np.uint8)
+    assert g.cn_gather.dtype == g.vn_gather.dtype == g.cn_degrees.dtype == np.int64
+    d_c = max(len(row) for row in tree_code.rows)
+    assert g.cn_vn.shape == g.cn_sym.shape == (tree_code.m, d_c)
+    for i, row in enumerate(tree_code.rows):
+        pad = [0] * (d_c - len(row))
+        assert g.cn_vn[i].tolist() == [j for j, _ in row] + pad
+        assert g.cn_sym[i].tolist() == [sym for _, sym in row] + pad
+    assert g.cn_degrees.tolist() == [len(row) for row in tree_code.rows]
+    assert g.vn_degrees.tolist() == np.bincount(g.cn_vn[g.cn_sym != 0]).tolist()
+
+
 def test_save_load_round_trip(tmp_path, toy_code, gb126_code):
     for idx, H in enumerate((toy_code, gb126_code)):
         path = tmp_path / f"code{idx}.qpc"
@@ -175,6 +190,26 @@ def test_check_decodable_needs_an_edge_at_every_node():
         H.validate()  # valid stabilizer matrices, which only the decoder rejects
         with pytest.raises(ValueError, match=f"isolated checks or qubits \\({node}\\)"):
             check_decodable(tanner_graph(H))
+
+
+@pytest.mark.parametrize(
+    "row, text, message",
+    [
+        ([(0, 0)], "0:I", "symbol 0 is not a nonzero Pauli"),
+        ([(2, PAULI_X)], "2:X", "column 2 outside [0, 2)"),
+        ([(1, PAULI_X), (1, PAULI_Z)], "1:X 1:Z", "columns not strictly increasing at 1"),
+    ],
+)
+def test_validate_and_load_share_the_row_check(tmp_path, row, text, message):
+    with pytest.raises(ValueError) as err:
+        SparseCheckMatrix(n=2, rows=[row]).validate(stabilizer=False)
+    assert str(err.value) == f"row 0: {message}"
+    path = tmp_path / "bad.qpc"
+    path.write_text(f"QPC 1\nn=2 m=1\n0: {text}\n")
+    for validate in (True, False):
+        with pytest.raises(CodeFormatError) as err:
+            load_code(path, validate=validate)
+        assert str(err.value) == f"line 3: {message}"
 
 
 def test_load_row_count_mismatch(tmp_path):

@@ -19,7 +19,7 @@ from qsagms.decoder import (
     decode,
     decode_batch,
 )
-from qsagms.pauli import PAULI_X, PAULI_Y, PAULI_Z, residual_syndrome, syndrome
+from qsagms.pauli import PAULI_X, PAULI_Y, PAULI_Z
 
 from .conftest import make_tree_code
 from .oracles import (
@@ -247,16 +247,16 @@ def test_decode_batch_checks_syndromes(small_graph):
 
 
 @pytest.mark.parametrize("variant,kw", VARIANT_CASES)
-def test_decode_zero_syndrome(toy_code, toy_graph, variant, kw):
+def test_decode_zero_syndrome(toy_graph, variant, kw):
     prior = prior_llr(0.05)
     cfg = DecoderConfig(variant, l_max=8, **kw)
-    r = decode(toy_code, toy_graph, np.zeros(6, dtype=np.uint8), prior, cfg)
+    r = decode(toy_graph, np.zeros(6, dtype=np.uint8), prior, cfg)
     assert r.success and r.iterations_used == 1
     assert not r.e_hat.any()
     assert r.gamma_trace.tolist() == [0.0]
 
 
-def test_weight1_regression_twinned_toy_code(toy_code, toy_graph):
+def test_weight1_regression_twinned_toy_code(toy_graph):
     """Frozen outcome: the [[6,2]] fixture's twin columns (0/5, 1/3, 2/4)
     make every weight-1 syndrome invariant under a column swap, so no
     symmetric flooding decoder can zero it; all 18 cases fail."""
@@ -268,7 +268,7 @@ def test_weight1_regression_twinned_toy_code(toy_code, toy_graph):
             for p in (1, 2, 3):
                 e = np.zeros(6, dtype=np.uint8)
                 e[j] = p
-                r = decode(toy_code, toy_graph, syndrome(toy_code, e), prior, cfg)
+                r = decode(toy_graph, toy_graph.syndromes(e), prior, cfg)
                 outcomes.append(r.success)
         assert outcomes == [False] * 18
 
@@ -283,10 +283,10 @@ def test_weight1_all_converge_on_twin_free_code(small_code, small_graph):
             for p in (1, 2, 3):
                 e = np.zeros(small_code.n, dtype=np.uint8)
                 e[j] = p
-                s = syndrome(small_code, e)
-                r = decode(small_code, small_graph, s, prior, cfg)
+                s = small_graph.syndromes(e)
+                r = decode(small_graph, s, prior, cfg)
                 assert r.success, (variant, j, p)
-                assert not residual_syndrome(s, small_code, r.e_hat).any()
+                assert np.array_equal(small_graph.syndromes(r.e_hat), s)
 
 
 def test_decode_success_implies_zero_residual(small_code, small_graph):
@@ -294,10 +294,10 @@ def test_decode_success_implies_zero_residual(small_code, small_graph):
     ch = DepolarizingChannel(0.08, 42)
     cfg = DecoderConfig("sagms", l_max=8, gain=GAIN)
     for e in sample_error(ch, small_code.n, 0, count=200):
-        s = syndrome(small_code, e)
-        r = decode(small_code, small_graph, s, prior, cfg)
+        s = small_graph.syndromes(e)
+        r = decode(small_graph, s, prior, cfg)
         if r.success:
-            assert not residual_syndrome(s, small_code, r.e_hat).any()
+            assert np.array_equal(small_graph.syndromes(r.e_hat), s)
         assert np.all((r.gamma_trace >= 0) & (r.gamma_trace <= 1))
         # early termination at the first zero ratio, never later
         zeros = np.nonzero(r.gamma_trace == 0.0)[0]
@@ -343,14 +343,14 @@ def test_degenerate_equivalence_message_trajectories(small_code, small_graph):
     e = np.zeros(small_code.n, dtype=np.uint8)
     e[2] = PAULI_X
     e[7] = PAULI_Z
-    s = syndrome(small_code, e)
+    s = small_graph.syndromes(e)
     r1 = decode(
-        small_code, small_graph, s, prior,
+        small_graph, s, prior,
         DecoderConfig("sagms", l_max=6, gain=GainParams(0.5, 0.5, 1.0)),
         early_stop=False,
     )
     r2 = decode(
-        small_code, small_graph, s, prior,
+        small_graph, s, prior,
         DecoderConfig("sms", l_max=6, alpha=0.5), early_stop=False,
     )
     for st1, st2 in zip(r1.message_trace, r2.message_trace):
@@ -372,8 +372,8 @@ def test_engine_matches_reference_decoder(
     cfg = DecoderConfig(variant, l_max=6, vn_mode=vn_mode, **kw)
     for H, graph in ((small_code, small_graph), (tree_code, tree_graph)):
         for e in sample_error(ch, H.n, 0, count=25):
-            s = syndrome(H, e)
-            got = decode(H, graph, s, prior, cfg)
+            s = graph.syndromes(e)
+            got = decode(graph, s, prior, cfg)
             ok, e_hat, iters, gammas = reference_decode(H, s, prior, cfg)
             assert got.success == ok
             assert got.iterations_used == iters
@@ -404,9 +404,9 @@ def test_engine_messages_match_reference(small_code, small_graph):
     prior = prior_llr(0.1)
     e = np.zeros(small_code.n, dtype=np.uint8)
     e[0] = PAULI_Y
-    s = syndrome(small_code, e)
+    s = small_graph.syndromes(e)
     cfg = DecoderConfig("sagms", l_max=5, gain=GAIN)
-    got = decode(small_code, small_graph, s, prior, cfg, early_stop=False)
+    got = decode(small_graph, s, prior, cfg, early_stop=False)
     record = []
     reference_decode(small_code, s, prior, cfg, record=record)
     edges = edges_of(small_code)
@@ -554,17 +554,17 @@ def test_trace_gammas_match_single_frame_decodes(small_code, small_graph):
         for row, gamma in zip(rec.rows, rec.gamma):
             per_row[row].append(gamma)
     for row, s in enumerate(syndromes):
-        single = decode(small_code, small_graph, s, prior, cfg)
+        single = decode(small_graph, s, prior, cfg)
         assert per_row[row] == single.gamma_trace.tolist()
 
 
 def test_decode_deterministic_across_runs(small_code, small_graph):
     prior = prior_llr(0.2)
     e = sample_error(DepolarizingChannel(0.2, 9), small_code.n, 0)
-    s = syndrome(small_code, e)
+    s = small_graph.syndromes(e)
     cfg = DecoderConfig("bp4", l_max=8)
-    r1 = decode(small_code, small_graph, s, prior, cfg)
-    r2 = decode(small_code, small_graph, s, prior, cfg)
+    r1 = decode(small_graph, s, prior, cfg)
+    r2 = decode(small_graph, s, prior, cfg)
     for st1, st2 in zip(r1.message_trace, r2.message_trace):
         assert np.array_equal(st1.vn_to_cn, st2.vn_to_cn)
 
@@ -588,7 +588,7 @@ def test_marginal_bp4_exact_on_trees():
                               for _ in range(H.n)], dtype=np.uint8)
             s = syndrome_dense(H, truth)
             cfg = DecoderConfig("bp4", l_max=2 * H.n, vn_mode="marginal")
-            result = decode(H, graph, s, prior, cfg, early_stop=False)
+            result = decode(graph, s, prior, cfg, early_stop=False)
             final = result.message_trace[-1]
 
             # converged qubit-to-check messages equal brute-force subtree LLRs
@@ -617,7 +617,7 @@ def test_marginal_bp4_beliefs_match_posteriors_on_tree():
     truth = np.array([0, 1, 0, 0, 2, 0, 3][: H.n], dtype=np.uint8)
     s = syndrome_dense(H, truth)
     cfg = DecoderConfig("bp4", l_max=2 * H.n, vn_mode="marginal")
-    result = decode(H, graph, s, prior, cfg, early_stop=False)
+    result = decode(graph, s, prior, cfg, early_stop=False)
     final = result.message_trace[-1]
 
     marg = posterior_marginals(H, s, eps0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsagms.code import GbSpec, SparseCheckMatrix, build_gb
+from qsagms.code import GbSpec, SparseCheckMatrix, build_gb, tanner_graph
 from qsagms.pauli import (
     PAULI_I,
     PAULI_X,
@@ -13,9 +13,6 @@ from qsagms.pauli import (
     check_orthogonality,
     from_bits,
     pauli_compose,
-    pauli_vector,
-    residual_syndrome,
-    syndrome,
     trace_inner,
     x_bit,
     z_bit,
@@ -66,75 +63,56 @@ def test_pauli_compose_abelian_group(a, b, c):
     assert pauli_compose(a, a) == PAULI_I
 
 
-def test_pauli_vector_parsing():
-    v = pauli_vector("IXZY")
-    assert v.tolist() == [0, 1, 2, 3]
-    with pytest.raises(ValueError):
-        pauli_vector("IXQ")
-    with pytest.raises(ValueError):
-        pauli_vector([0, 4])
-    with pytest.raises(ValueError):
-        pauli_vector("IX", n=3)
-
-
-def test_syndrome_identity_error(toy_code):
-    assert not syndrome(toy_code, np.zeros(6, dtype=np.uint8)).any()
+def test_syndrome_identity_error(toy_graph):
+    assert not toy_graph.syndromes(np.zeros(6, dtype=np.uint8)).any()
 
 
 def test_syndrome_single_anticommuting_entry():
-    H = SparseCheckMatrix(n=1, rows=[[(0, PAULI_X)]])
-    assert syndrome(H, [PAULI_Z]).tolist() == [1]
-    assert syndrome(H, [PAULI_X]).tolist() == [0]
+    g = tanner_graph(SparseCheckMatrix(n=1, rows=[[(0, PAULI_X)]]))
+    assert g.syndromes([PAULI_Z]).tolist() == [1]
+    assert g.syndromes([PAULI_X]).tolist() == [0]
 
 
-def test_syndrome_matches_dense_oracle(toy_code):
+def test_syndrome_matches_dense_oracle(toy_code, toy_graph):
     e = np.zeros(6, dtype=np.uint8)
     e[0] = PAULI_X
-    assert np.array_equal(syndrome(toy_code, e), syndrome_dense(toy_code, e))
+    assert np.array_equal(toy_graph.syndromes(e), syndrome_dense(toy_code, e))
 
 
 @given(st.lists(paulis, min_size=6, max_size=6))
 def test_syndrome_matches_dense_oracle_random(e):
     H = build_gb(GbSpec(3, (0, 1), (0, 2)))
     e = np.array(e, dtype=np.uint8)
-    assert np.array_equal(syndrome(H, e), syndrome_dense(H, e))
+    assert np.array_equal(tanner_graph(H).syndromes(e), syndrome_dense(H, e))
 
 
 @given(st.lists(paulis, min_size=6, max_size=6), st.lists(paulis, min_size=6, max_size=6))
 def test_syndrome_additive_under_composition(e, f):
-    H = build_gb(GbSpec(3, (0, 1), (0, 2)))
+    g = tanner_graph(build_gb(GbSpec(3, (0, 1), (0, 2))))
     e = np.array(e, dtype=np.uint8)
     f = np.array(f, dtype=np.uint8)
-    combined = syndrome(H, pauli_compose(e, f))
-    assert np.array_equal(combined, syndrome(H, e) ^ syndrome(H, f))
+    combined = g.syndromes(pauli_compose(e, f))
+    assert np.array_equal(combined, g.syndromes(e) ^ g.syndromes(f))
 
 
-def test_length_mismatch_errors(toy_code):
-    with pytest.raises(ValueError):
-        syndrome(toy_code, np.zeros(5, dtype=np.uint8))
-    with pytest.raises(ValueError):
-        residual_syndrome(np.zeros(5, dtype=np.uint8), toy_code, np.zeros(6, dtype=np.uint8))
+@given(st.lists(st.lists(paulis, min_size=10, max_size=10), min_size=1, max_size=5))
+def test_syndrome_batch_rows_match_single_rows(batch):
+    H = build_gb(GbSpec(5, (0, 1), (0, 2)))
+    g = tanner_graph(H)
+    errors = np.array(batch, dtype=np.uint8)
+    rows = g.syndromes(errors)
+    assert rows.shape == (len(batch), g.m)
+    for e, s in zip(errors, rows):
+        assert np.array_equal(s, g.syndromes(e))
+        assert np.array_equal(s, syndrome_dense(H, e))
 
 
-def test_residual_syndrome(toy_code):
-    e = pauli_vector("XIZIYI")
-    s = syndrome(toy_code, e)
-    # zero estimate leaves the syndrome unchanged
-    assert np.array_equal(residual_syndrome(s, toy_code, np.zeros(6, dtype=np.uint8)), s)
-    # exact recovery zeroes it
-    assert not residual_syndrome(s, toy_code, e).any()
-
-
-@given(
-    st.lists(paulis, min_size=6, max_size=6),
-    st.lists(st.integers(0, 1), min_size=6, max_size=6),
-)
-def test_residual_matches_dense_oracle(e_hat, s):
-    H = build_gb(GbSpec(3, (0, 1), (0, 2)))
-    e_hat = np.array(e_hat, dtype=np.uint8)
-    s = np.array(s, dtype=np.uint8)
-    expected = s ^ syndrome_dense(H, e_hat)
-    assert np.array_equal(residual_syndrome(s, H, e_hat), expected)
+def test_length_mismatch_errors(toy_graph):
+    # a wrong last axis is rejected, including longer patterns whose first
+    # n entries would otherwise give a syndrome
+    for shape in ((5,), (9,), (2, 5), (2, 9), (6, 2), ()):
+        with pytest.raises(ValueError, match="need 6 qubits"):
+            toy_graph.syndromes(np.zeros(shape, dtype=np.uint8))
 
 
 def test_check_orthogonality_gb_codes(toy_code, small_code, gb126_code):
@@ -165,11 +143,12 @@ def test_check_orthogonality_matches_pairwise_oracle(H):
     assert check_orthogonality(H) == orthogonal_pairs(H) == orthogonal_dense(H)
 
 
-def test_stabilizer_rows_are_invisible(toy_code, small_code):
+def test_stabilizer_rows_are_invisible(toy_code, toy_graph, small_code, small_graph):
     # rows of a valid H, viewed as error patterns, have zero syndrome
-    for H in (toy_code, small_code):
-        for row in H.rows:
-            e = np.zeros(H.n, dtype=np.uint8)
+    for H, g in ((toy_code, toy_graph), (small_code, small_graph)):
+        rows = np.zeros((H.m, H.n), dtype=np.uint8)
+        for i, row in enumerate(H.rows):
             for j, sym in row:
-                e[j] = sym
-            assert not syndrome(H, e).any()
+                rows[i, j] = sym
+        assert not g.syndromes(rows).any()
+        assert not any(syndrome_dense(H, e).any() for e in rows)
