@@ -240,27 +240,7 @@ def linear_gain_fit(alpha_max: float, alpha_min: float, gamma):
     g = np.asarray(gamma)
     if not np.all((g >= 0.0) & (g <= 1.0)):
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    return alpha_max - (alpha_max - alpha_min) * gamma
-
-
-@dataclass
-class TransferCurve:
-    """Sampled transfer function of one variant at one gain/degree."""
-
-    variant: str
-    d_c: int | None
-    gain: float | None
-    samples: list[tuple[float, float]]
-
-
-def sample_transfer_curve(
-    variant: str, kappas, d_c: int | None = None, gain: float | None = None
-) -> TransferCurve:
-    """Evaluate one variant's transfer function on a kappa grid."""
-    kappas = np.asarray(kappas, dtype=np.float64)
-    values = transfer(variant, kappas, d_c=d_c, gain=gain)
-    samples = [(float(k), float(v)) for k, v in zip(kappas, np.atleast_1d(values))]
-    return TransferCurve(variant=variant, d_c=d_c, gain=gain, samples=samples)
+    return alpha_max - (alpha_max - alpha_min) * g
 
 
 def write_curve(samples, stream) -> None:

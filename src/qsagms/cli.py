@@ -3,8 +3,10 @@
 Batch-oriented; every simulate run is fully determined by its flags plus
 ``--seed`` and prints the configuration digest it persists with.  Exit
 codes: 0 success, 1 validation failure, 2 usage/parameter error, 3 I/O
-error.  The ``QSAGMS_LOG`` environment variable (error, info or debug)
-controls logging verbosity.
+error.  A failing command raises ``CommandError(message, exit code)``;
+``main`` alone prints the message to stderr and returns the code.  The
+``QSAGMS_LOG`` environment variable (error, info or debug) controls
+logging verbosity.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import hashlib
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -22,7 +25,7 @@ from .analysis import (
     alpha_star_exact,
     delta_alpha,
     op_count,
-    sample_transfer_curve,
+    transfer,
     write_curve,
 )
 from .code import (
@@ -36,7 +39,7 @@ from .code import (
     save_code,
     tanner_graph,
 )
-from .decoder import DecoderConfig, GainParams
+from .decoder import VARIANTS, VN_MODES, DecoderConfig, GainParams
 from .harness import SweepConfig, config_digest, run_sweep
 
 EXIT_OK = 0
@@ -49,12 +52,17 @@ _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DE
 log = logging.getLogger("qsagms.cli")
 
 
-class UsageError(ValueError):
-    """Bad flag combination or parameter value (exit code 2)."""
-
-
 class CommandError(Exception):
     """A failed command, raised as (message, exit code); ``main`` prints it."""
+
+
+@contextmanager
+def _exits(code: int, *errors, prefix: str = "error: "):
+    """Re-raise ``errors`` from the block as CommandError(prefix + message, code)."""
+    try:
+        yield
+    except errors as exc:
+        raise CommandError(f"{prefix}{exc}", code) from None
 
 
 def _setup_logging() -> None:
@@ -70,7 +78,7 @@ def _parse_exponents(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from None
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _parse_float_list(text: str, log_spaced: bool) -> tuple[float, ...]:
@@ -80,18 +88,18 @@ def _parse_float_list(text: str, log_spaced: bool) -> tuple[float, ...]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise UsageError(f"range must be start:stop:count, got {text!r}")
+            raise ValueError(f"range must be start:stop:count, got {text!r}")
         try:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
-            raise UsageError(f"bad range {text!r}") from None
+            raise ValueError(f"bad range {text!r}") from None
         if count < 1:
-            raise UsageError("range count must be at least 1")
+            raise ValueError("range count must be at least 1")
         if count == 1:
             return (start,)
         if log_spaced:
             if start <= 0 or stop <= 0:
-                raise UsageError("log-spaced range needs positive endpoints")
+                raise ValueError("log-spaced range needs positive endpoints")
             values = np.geomspace(start, stop, count)
         else:
             values = np.linspace(start, stop, count)
@@ -99,25 +107,15 @@ def _parse_float_list(text: str, log_spaced: bool) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in text.split(","))
     except ValueError:
-        raise UsageError(f"expected comma-separated floats, got {text!r}") from None
+        raise ValueError(f"expected comma-separated floats, got {text!r}") from None
 
 
 def cmd_build_code(args) -> int:
-    try:
-        spec = GbSpec(
-            ell=args.ell,
-            a_exponents=_parse_exponents(args.a),
-            b_exponents=_parse_exponents(args.b),
-        )
-        H = build_gb(spec)
-    except (ValueError, OrthogonalityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+    with _exits(EXIT_USAGE, ValueError):
+        a, b = _parse_exponents(args.a), _parse_exponents(args.b)
+        H = build_gb(GbSpec(ell=args.ell, a_exponents=a, b_exponents=b))
+    with _exits(EXIT_IO, OSError):
         save_code(H, args.out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     print(compute_params(H))
     return EXIT_OK
 
@@ -143,12 +141,8 @@ def cmd_validate(args) -> int:
 
 
 def _decoder_config(args) -> DecoderConfig:
-    gain = None
-    if args.decoder == "sagms":
-        try:
-            gain = GainParams(args.alpha_min, args.alpha_max, args.eta)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+    sagms = args.decoder == "sagms"
+    gain = GainParams(args.alpha_min, args.alpha_max, args.eta) if sagms else None
     alpha = args.alpha if args.decoder == "sms" else None
     return DecoderConfig(
         args.decoder, l_max=args.lmax, alpha=alpha, gain=gain, vn_mode=args.vn_mode
@@ -156,7 +150,7 @@ def _decoder_config(args) -> DecoderConfig:
 
 
 def cmd_simulate(args) -> int:
-    try:
+    with _exits(EXIT_USAGE, ValueError):
         epsilons = _parse_float_list(args.eps, log_spaced=True)
         if args.eps0 == "matched":
             mode, eps0 = "matched", None
@@ -164,24 +158,19 @@ def cmd_simulate(args) -> int:
             try:
                 mode, eps0 = "fixed", float(args.eps0)
             except ValueError:
-                raise UsageError(
+                raise ValueError(
                     f"--eps0 must be 'matched' or a float, got {args.eps0!r}"
                 ) from None
         decoder = _decoder_config(args)
-    except (UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
     invalid = "error: invalid code file: "
     H, data = _load_code(args.code, invalid)
     graph = tanner_graph(H)
-    try:
+    with _exits(EXIT_VALIDATION, ValueError, prefix=invalid):
         check_decodable(graph)  # validate accepts such codes; the decoder cannot
-    except ValueError as exc:
-        raise CommandError(f"{invalid}{exc}", EXIT_VALIDATION) from None
 
     code_sha = hashlib.sha256(data).hexdigest()
-    try:
+    with _exits(EXIT_USAGE, ValueError):
         cfg = SweepConfig(
             code_id=f"{Path(args.code).name}:{code_sha[:16]}",
             decoder=decoder,
@@ -193,17 +182,11 @@ def cmd_simulate(args) -> int:
             max_frames=args.max_frames,
             workers=args.threads,
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
     digest = config_digest(cfg)
     print(f"config digest: {digest}")
-    try:
+    with _exits(EXIT_IO, OSError):
         points = run_sweep(H, graph, cfg, out_dir=args.out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     for p in points:
         cap = " CAP-HIT" if p.cap_hit else ""
         print(
@@ -217,61 +200,51 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    try:
+    with _exits(EXIT_USAGE, ValueError):
         if args.mode == "transfer":
-            return _analyze_transfer(args)
-        if args.mode == "alpha-star":
+            _analyze_transfer(args)
+        elif args.mode == "alpha-star":
             for d_c in _parse_exponents(args.dc):
                 if d_c < 2:
-                    raise UsageError("d_c must be at least 2")
+                    raise ValueError("d_c must be at least 2")
                 print(
                     f"dc={d_c} alpha_star_approx={alpha_star_approx(args.L0, d_c):.6g} "
                     f"alpha_star_exact={alpha_star_exact(args.L0, d_c):.6g}"
                 )
-            return EXIT_OK
-        if args.mode == "delta-alpha":
+        elif args.mode == "delta-alpha":
             value = delta_alpha(args.L0, args.dc_ref, args.dc_new)
             print(f"delta_alpha={value:.6g}")
-            return EXIT_OK
-        if args.mode == "opcount":
+        else:  # opcount
             print("variant adds muls cmps trans weighted")
-            for variant in ("bp4", "ms", "sms", "sagms"):
+            for variant in VARIANTS:
                 c = op_count(variant, args.dc)
                 print(
                     f"{variant} {c.adds} {c.muls} {c.cmps} "
                     f"{c.transcendentals} {c.weighted_total}"
                 )
-            return EXIT_OK
-        raise UsageError(f"unknown analyze mode {args.mode!r}")
-    except (UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    return EXIT_OK
 
 
-def _analyze_transfer(args) -> int:
+def _analyze_transfer(args) -> None:
     kappas = _parse_float_list(args.kappa, log_spaced=False)
-    curves = [
-        ("ms", sample_transfer_curve("ms", kappas)),
-        ("sms", sample_transfer_curve("sms", kappas, gain=args.alpha)),
-        ("sagms", sample_transfer_curve("sagms", kappas, gain=args.alpha_eff)),
-        ("bp4", sample_transfer_curve("bp4", kappas, d_c=args.dc)),
-    ]
+    curves = {
+        "ms": transfer("ms", kappas),
+        "sms": transfer("sms", kappas, gain=args.alpha),
+        "sagms": transfer("sagms", kappas, gain=args.alpha_eff),
+        "bp4": transfer("bp4", kappas, d_c=args.dc),
+    }
     if args.out:
         prefix = Path(args.out)
-        try:
+        with _exits(EXIT_IO, OSError):
             prefix.parent.mkdir(parents=True, exist_ok=True)
-            for name, curve in curves:
+            for name, values in curves.items():
                 with open(f"{prefix}_{name}.txt", "w", encoding="utf-8") as fh:
-                    write_curve(curve.samples, fh)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+                    write_curve(zip(kappas, values), fh)
         print(f"wrote {len(curves)} curves to {prefix}_*.txt")
     else:
-        for name, curve in curves:
+        for name, values in curves.items():
             print(f"# variant={name}")
-            write_curve(curve.samples, sys.stdout)
-    return EXIT_OK
+            write_curve(zip(kappas, values), sys.stdout)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,9 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", help="Monte Carlo frame-error-rate sweep", formatter_class=fmt
     )
     p.add_argument("--code", required=True, help="code file")
-    p.add_argument(
-        "--decoder", required=True, choices=("bp4", "ms", "sms", "sagms")
-    )
+    p.add_argument("--decoder", required=True, choices=VARIANTS)
     p.add_argument(
         "--eps", required=True,
         help="noise levels: comma list or log-spaced start:stop:count",
@@ -321,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--eta", type=float, default=1.10, help="sagms unsatisfied-check boost"
     )
     p.add_argument(
-        "--vn-mode", default="marginal", choices=("marginal", "additive"),
+        "--vn-mode", default="marginal", choices=VN_MODES,
         help="qubit-node update rule",
     )
     p.add_argument(
@@ -387,13 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except CommandError as exc:
         message, code = exc.args
         print(message, file=sys.stderr)

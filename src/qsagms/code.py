@@ -224,8 +224,8 @@ def build_gb(spec: GbSpec) -> SparseCheckMatrix:
 
     The first ``ell`` rows carry X symbols on [A | B]; the last ``ell`` rows
     carry Z symbols on [B^T | A^T] (a transposed circulant is the circulant
-    of the negated exponents).  Orthogonality is verified and a failure is
-    a construction bug, not a recoverable condition.
+    of the negated exponents).  ``validate`` checks the rows; since
+    circulants commute, an OrthogonalityError would be a construction bug.
     """
     ell = spec.ell
     a_cols = _circulant_columns(ell, spec.a_exponents)
@@ -244,11 +244,7 @@ def build_gb(spec: GbSpec) -> SparseCheckMatrix:
         rows.append(row)
 
     H = SparseCheckMatrix(n=2 * ell, rows=rows, gb=spec)
-    H.validate(stabilizer=False)
-    if not check_orthogonality(H):
-        raise OrthogonalityError(
-            "generalized bicycle construction produced non-commuting rows"
-        )
+    H.validate()
     return H
 
 
@@ -334,9 +330,9 @@ def parse_code(data: bytes, validate: bool = True) -> SparseCheckMatrix:
         raise CodeFormatError("n and m must be positive", num)
 
     body = lines[2:]
-    gb = None
+    gb = gb_num = None
     if body and body[0][1].startswith("gb "):
-        num, text = body[0]
+        gb_num, text = body[0]
         try:
             fields = dict(part.split("=", 1) for part in text[3:].split())
             gb = GbSpec(
@@ -345,13 +341,13 @@ def parse_code(data: bytes, validate: bool = True) -> SparseCheckMatrix:
                 b_exponents=tuple(int(e) for e in fields["b"].split(",")),
             )
         except (ValueError, KeyError) as exc:
-            raise CodeFormatError(f"bad gb line: {exc}", num) from None
+            raise CodeFormatError(f"bad gb line: {exc}", gb_num) from None
         body = body[1:]
 
     if len(body) != m:
         raise CodeFormatError(
             f"expected {m} row lines, found {len(body)}",
-            body[-1][0] if body else num,
+            body[-1][0] if body else gb_num or num,
         )
 
     rows: list[list[tuple[int, int]]] = []
@@ -376,6 +372,10 @@ def parse_code(data: bytes, validate: bool = True) -> SparseCheckMatrix:
             raise CodeFormatError(str(exc), num) from None
         rows.append(row)
 
+    if gb is not None:
+        built = build_gb(gb)
+        if (built.n, built.rows) != (n, rows):
+            raise CodeFormatError("gb line does not match the rows", gb_num)
     H = SparseCheckMatrix(n=n, rows=rows, gb=gb)
     if validate:
         _check_commuting(H)

@@ -71,7 +71,9 @@ class SweepConfig:
     ``epsilon0_mode`` is "matched" (decoder prior recomputed from each true
     epsilon) or "fixed" (one assumed epsilon0 for the whole sweep).
     ``workers`` is runtime provenance only: it never influences results and
-    is excluded from the configuration digest and persisted artifacts.
+    is excluded from the configuration digest and persisted artifacts.  A
+    point keeps ``workers`` + 2 batches in flight, but starts at most as
+    many processes as this process may use CPUs (``_usable_cpus``).
     """
 
     code_id: str
@@ -244,16 +246,26 @@ def _batch_size(cfg: SweepConfig, start, frames, failures) -> int:
     return min(size, cfg.max_frames - start)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity set, where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _batches(graph: TannerGraph, cfg: SweepConfig, epsilon, epsilon0):
     """Yield (start, fails, iters, decoded) in frame order, each batch sized
     by ``_batch_size`` from the results yielded before it.
 
     ``pending`` maps start frames to calls that return batch results: run
-    here, one at a time, at 1 worker; a window of N + 2 in a pool at N.
+    here, one at a time, at 1 worker; a window of N + 2 in a pool at N, of
+    at most N processes (fewer on a host with fewer usable CPUs).
     Closing the generator cancels queued batches and waits for running ones.
     """
     pool = None if cfg.workers == 1 else ProcessPoolExecutor(
-        cfg.workers, initializer=_init_worker, initargs=(graph, cfg.decoder)
+        min(cfg.workers, _usable_cpus()),
+        initializer=_init_worker,
+        initargs=(graph, cfg.decoder),
     )
     window = cfg.workers + 2 if pool else 1
     memo: dict = {}  # one worker's; each pool process holds its own

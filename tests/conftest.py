@@ -12,6 +12,19 @@ CODES_DIR = Path(__file__).resolve().parent.parent / "codes"
 #: Verified transcription of the [[126,28]] generalized bicycle code.
 GB_126_28 = GbSpec(63, (0, 1, 14, 16, 22), (0, 3, 13, 20, 42))
 
+#: Provenance lines that do not build the rows of gb-6-2.qpc (see ``toy_with_gb_line``).
+GB_LINE_MISMATCH = {
+    "exponent": "gb ell=3 a=0,2 b=0,2",
+    "ell": "gb ell=5 a=0,3 b=1",
+}
+
+
+def toy_with_gb_line(gb_line: str) -> str:
+    """gb-6-2.qpc with its provenance line (line 3) replaced by ``gb_line``."""
+    text = (CODES_DIR / "gb-6-2.qpc").read_text()
+    assert text.splitlines()[2] == "gb ell=3 a=0,1 b=0,2"
+    return text.replace("gb ell=3 a=0,1 b=0,2\n", gb_line + "\n")
+
 
 @pytest.fixture(scope="session")
 def toy_code():

@@ -19,7 +19,6 @@ from qsagms.analysis import (
     linear_gain_fit,
     op_count,
     phi,
-    sample_transfer_curve,
     transfer,
     write_curve,
 )
@@ -242,6 +241,12 @@ def test_linear_gain_fit_examples():
         linear_gain_fit(0.5, 0.3, 1.2)
 
 
+def test_linear_gain_fit_list_matches_array():
+    gammas = [0.0, 0.25, 1.0]
+    expected = linear_gain_fit(0.5, 0.3, np.array(gammas))
+    assert np.array_equal(linear_gain_fit(0.5, 0.3, gammas), expected)
+
+
 @settings(max_examples=100)
 @given(st.floats(min_value=0.0, max_value=1.0))
 def test_linear_gain_fit_bit_identical_to_effective_gain(gamma):
@@ -250,11 +255,12 @@ def test_linear_gain_fit_bit_identical_to_effective_gain(gamma):
 
 
 def test_sample_transfer_curve_and_emission():
-    curve = sample_transfer_curve("bp4", [0.5, 1.0, 2.0], d_c=4)
-    assert curve.variant == "bp4" and len(curve.samples) == 3
+    kappas = [0.5, 1.0, 2.0]
+    values = transfer("bp4", kappas, d_c=4)
+    assert values.shape == (3,)
     buf = io.StringIO()
-    write_curve(curve.samples, buf)
+    write_curve(zip(kappas, values), buf)
     lines = buf.getvalue().strip().split("\n")
     assert len(lines) == 3
     x, y = lines[0].split()
-    assert float(x) == 0.5 and float(y) == pytest.approx(curve.samples[0][1])
+    assert float(x) == 0.5 and float(y) == pytest.approx(values[0])

@@ -9,7 +9,7 @@ import pytest
 from qsagms import __version__
 from qsagms.cli import main
 
-from .conftest import CODES_DIR
+from .conftest import CODES_DIR, GB_LINE_MISMATCH, toy_with_gb_line
 
 
 def run_cli(capsys, *argv):
@@ -48,15 +48,6 @@ def test_build_code_missing_flag_is_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
 
 
-def test_build_code_invalid_exponent(tmp_path, capsys):
-    code, _, stderr = run_cli(
-        capsys, "build-code", "--ell", "3", "--a", "0,7", "--b", "0",
-        "--out", str(tmp_path / "x.qpc"),
-    )
-    assert code == 2
-    assert "exponent" in stderr
-
-
 # -- validate ------------------------------------------------------------------
 
 
@@ -80,11 +71,6 @@ def test_validate_anticommuting_rows(tmp_path, capsys):
     code, _, stderr = run_cli(capsys, "validate", str(bad))
     assert code == 1
     assert "commute" in stderr
-
-
-def test_validate_missing_file(tmp_path, capsys):
-    code, _, stderr = run_cli(capsys, "validate", str(tmp_path / "none.qpc"))
-    assert code == 3
 
 
 def _simulate(capsys, tmp_path, code_file):
@@ -252,15 +238,6 @@ def test_simulate_eps_range_parsing(tmp_path, capsys):
     assert eps[1] == pytest.approx((0.2 * 0.4) ** 0.5)
 
 
-def test_simulate_missing_code_file(tmp_path, capsys):
-    code, _, stderr = run_cli(
-        capsys, "simulate", "--code", str(tmp_path / "none.qpc"),
-        "--decoder", "ms", "--eps", "0.1", "--seed", "1",
-        "--out", str(tmp_path / "r"),
-    )
-    assert code == 3
-
-
 # -- analyze -------------------------------------------------------------------
 
 
@@ -329,9 +306,118 @@ def test_analyze_transfer_files(tmp_path, capsys):
         assert len(text.split("\n")) == 3
 
 
-def test_analyze_bad_degree(capsys):
-    code, _, stderr = run_cli(capsys, "analyze", "opcount", "--dc", "1")
-    assert code == 2
+# -- failure exits ------------------------------------------------------------------
+
+#: simulate on the [[6,2]] code, short enough that a run reaches its output;
+#: a repeated flag overrides the one given here.
+SIMULATE = (
+    "simulate", "--code", "{codes}/gb-6-2.qpc", "--decoder", "ms", "--seed", "1",
+    "--lmax", "1", "--max-frames", "100", "--out", "{tmp}/r",
+)
+
+#: id -> (argv, exit code, stderr prefix); ``{tmp}`` is a scratch directory
+#: holding a regular file ``file`` and ``gb-<id>.qpc`` for each GB_LINE_MISMATCH.
+FAILURES = {
+    "build-code-exponent-list": (
+        ("build-code", "--ell", "3", "--a", "0,x", "--b", "0", "--out", "{tmp}/x.qpc"),
+        2, "error: expected comma-separated integers, got '0,x'",
+    ),
+    "build-code-exponent-range": (
+        ("build-code", "--ell", "3", "--a", "0,7", "--b", "0", "--out", "{tmp}/x.qpc"),
+        2, "error: a exponents must lie in [0, ell)",
+    ),
+    "build-code-out-under-file": (
+        ("build-code", "--ell", "3", "--a", "0,1", "--b", "0,2",
+         "--out", "{tmp}/file/x"),
+        3, "error: [Errno 20] Not a directory",
+    ),
+    "validate-missing": (("validate", "{tmp}/none.qpc"), 3, "error: no such file: "),
+    "validate-directory": (
+        ("validate", "{tmp}"), 3, "error: [Errno 21] Is a directory",
+    ),
+    "validate-gb-exponent": (
+        ("validate", "{tmp}/gb-exponent.qpc"),
+        1, "invalid: line 3: gb line does not match the rows",
+    ),
+    "validate-gb-ell": (
+        ("validate", "{tmp}/gb-ell.qpc"),
+        1, "invalid: line 3: gb line does not match the rows",
+    ),
+    "simulate-eps-list": (
+        (*SIMULATE, "--eps", "0.1,x"), 2, "error: expected comma-separated floats",
+    ),
+    "simulate-eps-range": (
+        (*SIMULATE, "--eps", "0:0.1:3"),
+        2, "error: log-spaced range needs positive endpoints",
+    ),
+    "simulate-eps0": (
+        (*SIMULATE, "--eps", "0.1", "--eps0", "low"),
+        2, "error: --eps0 must be 'matched' or a float, got 'low'",
+    ),
+    "simulate-missing-code": (
+        (*SIMULATE, "--eps", "0.1", "--code", "{tmp}/none.qpc"),
+        3, "error: no such file: ",
+    ),
+    "simulate-invalid-code": (
+        (*SIMULATE, "--eps", "0.1", "--code", "{tmp}/gb-ell.qpc"),
+        1, "error: invalid code file: line 3: gb line does not match the rows",
+    ),
+    "simulate-threads": (
+        (*SIMULATE, "--eps", "0.1", "--threads", "0"),
+        2, "error: workers must be at least 1",
+    ),
+    "simulate-out-under-file": (
+        (*SIMULATE, "--eps", "0.1", "--out", "{tmp}/file/r"),
+        3, "error: [Errno 20] Not a directory",
+    ),
+    "alpha-star-list": (
+        ("analyze", "alpha-star", "--L0", "3", "--dc", "4,x"),
+        2, "error: expected comma-separated integers",
+    ),
+    "alpha-star-degree": (
+        ("analyze", "alpha-star", "--L0", "3", "--dc", "4,1"),
+        2, "error: d_c must be at least 2",
+    ),
+    "alpha-star-prior": (
+        ("analyze", "alpha-star", "--L0", "-1", "--dc", "4"),
+        2, "error: l0 must be positive",
+    ),
+    "delta-alpha-degree": (
+        ("analyze", "delta-alpha", "--L0", "3", "--dc-ref", "10", "--dc-new", "1"),
+        2, "error: check degrees must be at least 2",
+    ),
+    "opcount-degree": (
+        ("analyze", "opcount", "--dc", "1"), 2, "error: d_c must be at least 2",
+    ),
+    "transfer-kappa": (
+        ("analyze", "transfer", "--kappa", "-1"), 2, "error: kappa must be positive",
+    ),
+    "transfer-degree": (
+        ("analyze", "transfer", "--dc", "1"), 2, "error: bp4 transfer needs d_c >= 2",
+    ),
+    "transfer-range": (
+        ("analyze", "transfer", "--kappa", "1:2"),
+        2, "error: range must be start:stop:count, got '1:2'",
+    ),
+    "transfer-out-under-file": (
+        ("analyze", "transfer", "--out", "{tmp}/file/curves"),
+        3, "error: [Errno 17] File exists",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, prefix", FAILURES.values(), ids=FAILURES.keys()
+)
+def test_failure_exits_with_one_stderr_line(tmp_path, capsys, argv, exit_code, prefix):
+    (tmp_path / "file").write_text("")
+    for name, gb_line in GB_LINE_MISMATCH.items():
+        (tmp_path / f"gb-{name}.qpc").write_text(toy_with_gb_line(gb_line))
+    argv = [arg.format(tmp=tmp_path, codes=CODES_DIR) for arg in argv]
+    code, _, stderr = run_cli(capsys, *argv)
+    assert code == exit_code
+    assert stderr.startswith(prefix) and stderr.count("\n") == 1
+    assert "Traceback" not in stderr
 
 
 # -- version and usage ------------------------------------------------------------

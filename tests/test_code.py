@@ -19,7 +19,7 @@ from qsagms.code import (
 )
 from qsagms.pauli import PAULI_X, PAULI_Z, check_orthogonality, symplectic_rows
 
-from .conftest import GB_126_28
+from .conftest import CODES_DIR, GB_126_28, GB_LINE_MISMATCH, toy_with_gb_line
 from .oracles import code_dimension_dense, gb_dimension_from_gcd
 
 
@@ -212,6 +212,18 @@ def test_validate_and_load_share_the_row_check(tmp_path, row, text, message):
         assert str(err.value) == f"line 3: {message}"
 
 
+@pytest.mark.parametrize(
+    "gb_line", GB_LINE_MISMATCH.values(), ids=GB_LINE_MISMATCH.keys()
+)
+def test_load_rejects_gb_line_that_does_not_build_the_rows(tmp_path, gb_line):
+    path = tmp_path / "gb.qpc"
+    path.write_text(toy_with_gb_line(gb_line))
+    for validate in (True, False):
+        with pytest.raises(CodeFormatError) as err:
+            load_code(path, validate=validate)
+        assert str(err.value) == "line 3: gb line does not match the rows"
+
+
 def test_load_row_count_mismatch(tmp_path):
     path = tmp_path / "short.qpc"
     path.write_text("QPC 1\nn=1 m=2\n0: 0:X\n")
@@ -229,8 +241,6 @@ def test_load_handles_comments_and_blanks(tmp_path):
 
 
 def test_shipped_code_files():
-    from .conftest import CODES_DIR
-
     toy = load_code(CODES_DIR / "gb-6-2.qpc")
     assert str(compute_params(toy)).startswith("[[6,2]]")
     big = load_code(CODES_DIR / "gb-126-28.qpc")

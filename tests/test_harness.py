@@ -308,6 +308,25 @@ def test_no_worker_outlives_an_early_stop(small_code, small_graph):
     assert multiprocessing.active_children() == []
 
 
+def test_pool_starts_at_most_one_process_per_usable_cpu(
+    small_code, small_graph, monkeypatch
+):
+    started = []
+
+    class RecordingPool(harness.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kw):
+            started.append(max_workers)
+            super().__init__(max_workers, **kw)
+
+    cfg = _sweep(variant="sagms", l_max=4, target_failures=40, seed=31, workers=1)
+    want = run_point(small_code, small_graph, cfg, epsilon=0.25)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    got = run_point(small_code, small_graph, replace(cfg, workers=3), epsilon=0.25)
+    assert started == [1]
+    assert got == want
+
+
 def test_worker_error_reaches_caller_and_no_worker_outlives_it():
     H = SparseCheckMatrix(n=3, rows=[[(0, PAULI_Z), (1, PAULI_Z)], [(1, PAULI_Z)]])
     cfg = _sweep(variant="ms", l_max=2, eps=(0.1,), workers=2)
