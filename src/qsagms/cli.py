@@ -205,8 +205,6 @@ def cmd_analyze(args) -> int:
             _analyze_transfer(args)
         elif args.mode == "alpha-star":
             for d_c in _parse_exponents(args.dc):
-                if d_c < 2:
-                    raise ValueError("d_c must be at least 2")
                 print(
                     f"dc={d_c} alpha_star_approx={alpha_star_approx(args.L0, d_c):.6g} "
                     f"alpha_star_exact={alpha_star_exact(args.L0, d_c):.6g}"

@@ -298,7 +298,8 @@ def parse_code(data: bytes, validate: bool = True) -> SparseCheckMatrix:
 
     Raises CodeFormatError (with line number) on malformed content or
     non-UTF-8 bytes and OrthogonalityError if ``validate`` is set and rows
-    do not commute.
+    do not commute.  Rows with a ``gb`` line must equal ``build_gb``'s,
+    which it validates, whatever ``validate`` is.
     """
     try:
         raw = data.decode("utf-8")
@@ -372,11 +373,11 @@ def parse_code(data: bytes, validate: bool = True) -> SparseCheckMatrix:
             raise CodeFormatError(str(exc), num) from None
         rows.append(row)
 
+    H = SparseCheckMatrix(n=n, rows=rows, gb=gb)
     if gb is not None:
-        built = build_gb(gb)
+        built = build_gb(gb)  # validated, so rows equal to it commute
         if (built.n, built.rows) != (n, rows):
             raise CodeFormatError("gb line does not match the rows", gb_num)
-    H = SparseCheckMatrix(n=n, rows=rows, gb=gb)
-    if validate:
+    elif validate:
         _check_commuting(H)
     return H

@@ -6,14 +6,15 @@ pure function of the configuration.  A batch of frames is sampled in one
 vectorized Philox call, bit-identical to sampling its frames one by one.
 A noise point stops at the smallest frame index at which the cumulative
 failure count reaches the target (or at the frame cap), and every started
-frame up to that index is counted exactly once.  One loop schedules
+frame up to that index is counted exactly once.  One loop owns that rule:
+it binds the point's decode (channel, prior and memo) once, schedules
 disjoint, contiguous frame batches for any worker count (in this process
-at 1, in a pool at N, always on the caller's Tanner graph) and consumes
-their results in frame order, discarding speculative batches beyond the
-stopping frame, so the resulting estimate is bit-identical for any worker
-count.  Each batch is sized from the stop rule: it ends where the failure
-rate seen so far predicts the target, so a converging point decodes few
-frames past its stopping frame.
+at 1, in a pool at N, always on the caller's Tanner graph), consumes their
+results in frame order, cuts the last batch at the stopping frame and
+discards speculative batches beyond it, so the resulting estimate is
+bit-identical for any worker count.  Each batch is sized from the stop
+rule: it ends where the failure rate seen so far predicts the target, so
+a converging point decodes few frames past its stopping frame.
 
 The decoder is a deterministic function of (syndrome, prior, config), and
 the harness needs only its (fail, iterations) per frame.  So each point
@@ -188,26 +189,22 @@ def config_digest(cfg: SweepConfig) -> str:
 _WORKER: dict = {}
 
 
-def _init_worker(graph: TannerGraph, decoder_cfg: DecoderConfig):
-    """Pool initializer: every worker decodes the caller's ``graph``."""
-    _WORKER["graph"] = graph
-    _WORKER["decoder"] = decoder_cfg
-    _WORKER["memo"] = {}  # the pool, and so this memo, lives for one point
+def _init_worker(decode):
+    """Pool initializer: this worker's own copy of the point's bound decode."""
+    _WORKER["decode"] = decode
 
 
-def _decode_frames(
-    graph: TannerGraph, decoder_cfg, epsilon, epsilon0, seed, start, count, memo: dict
-):
+def _decode_frames(graph: TannerGraph, decoder_cfg, ch, prior, memo: dict, start, count):
     """Sample frames [start, start+count); return (fails, iterations, decoded).
 
-    One ``sample_error`` call samples the whole batch, row for row the
-    frames that one-frame calls would give.  The decoder is a deterministic
+    ``ch`` and ``prior`` are the point's channel and decoder prior.  One
+    ``sample_error`` call samples the whole batch, row for row the frames
+    that one-frame calls would give.  The decoder is a deterministic
     function of the syndrome, so each distinct syndrome of the batch
     reaches ``decode_batch`` once, and only if ``memo`` (packed syndrome ->
     ``2 * iterations + fail``, one point's, at most MEMO_ENTRIES keys) lacks
     it.  ``decoded`` counts those rows.
     """
-    ch = DepolarizingChannel(epsilon=epsilon, rng_seed=seed)
     syndromes = graph.syndromes(sample_error(ch, graph.n, start, count=count))
     packed = np.packbits(syndromes, axis=1)
     rows, first, inverse = np.unique(
@@ -217,7 +214,7 @@ def _decode_frames(
     outcome = np.array([memo.get(key, -1) for key in keys], dtype=np.int64)
     miss = np.flatnonzero(outcome < 0)
     if miss.size:
-        res = decode_batch(graph, syndromes[first[miss]], prior_llr(epsilon0), decoder_cfg)
+        res = decode_batch(graph, syndromes[first[miss]], prior, decoder_cfg)
         outcome[miss] = 2 * res.iterations + ~res.success
         stored = miss[: MEMO_ENTRIES - len(memo)]
         memo.update(zip([keys[i] for i in stored], outcome[stored].tolist()))
@@ -225,8 +222,8 @@ def _decode_frames(
     return outcome % 2 == 1, outcome // 2, int(miss.size)
 
 
-def _worker_task(args):
-    return _decode_frames(_WORKER["graph"], _WORKER["decoder"], *args, _WORKER["memo"])
+def _worker_task(start, count):
+    return _WORKER["decode"](start, count)
 
 
 def _batch_size(cfg: SweepConfig, start, frames, failures) -> int:
@@ -254,35 +251,39 @@ def _usable_cpus() -> int:
 
 
 def _batches(graph: TannerGraph, cfg: SweepConfig, epsilon, epsilon0):
-    """Yield (start, fails, iters, decoded) in frame order, each batch sized
-    by ``_batch_size`` from the results yielded before it.
+    """Yield (sampled, fails, iters, decoded) per batch in frame order, each
+    batch sized by ``_batch_size`` from the batches before it; the batch
+    holding the stopping frame is cut after that frame and yielded last.
 
-    ``pending`` maps start frames to calls that return batch results: run
-    here, one at a time, at 1 worker; a window of N + 2 in a pool at N, of
-    at most N processes (fewer on a host with fewer usable CPUs).
-    Closing the generator cancels queued batches and waits for running ones.
+    ``decode(start, count)`` is ``_decode_frames`` bound once to the point's
+    channel, prior and memo.  ``pending`` maps start frames to calls that
+    return batch results: ``decode`` here, one at a time, at 1 worker; a
+    window of N + 2 in a pool at N, of at most N processes (fewer on a host
+    with fewer usable CPUs), each with its own copy of ``decode``.  Ending
+    or closing the generator cancels queued batches and waits for running
+    ones.
     """
+    ch = DepolarizingChannel(epsilon=epsilon, rng_seed=cfg.seed)
+    decode = partial(_decode_frames, graph, cfg.decoder, ch, prior_llr(epsilon0), {})
     pool = None if cfg.workers == 1 else ProcessPoolExecutor(
-        min(cfg.workers, _usable_cpus()),
-        initializer=_init_worker,
-        initargs=(graph, cfg.decoder),
+        min(cfg.workers, _usable_cpus()), initializer=_init_worker, initargs=(decode,)
     )
     window = cfg.workers + 2 if pool else 1
-    memo: dict = {}  # one worker's; each pool process holds its own
     pending = {}
     start = frames = failures = 0
     try:
-        while frames < cfg.max_frames:
+        while frames < cfg.max_frames and failures < cfg.target_failures:
             while len(pending) < window and start < cfg.max_frames:
                 count = _batch_size(cfg, start, frames, failures)
-                args = (epsilon, epsilon0, cfg.seed, start, count)
                 if pool:
-                    pending[start] = pool.submit(_worker_task, args).result
+                    pending[start] = pool.submit(_worker_task, start, count).result
                 else:
-                    pending[start] = partial(_decode_frames, graph, cfg.decoder, *args, memo)
+                    pending[start] = partial(decode, start, count)
                 start += count
             fails, iters, decoded = pending.pop(frames)()
-            yield frames, fails, iters, decoded
+            # count through the stopping frame, if this batch holds it
+            stop = np.searchsorted(np.cumsum(fails), cfg.target_failures - failures) + 1
+            yield len(fails), fails[:stop], iters[:stop], decoded
             frames += len(fails)
             failures += int(fails.sum())
     finally:
@@ -302,24 +303,12 @@ def run_point(
     reads it.
     """
     epsilon0 = epsilon if cfg.epsilon0_mode == "matched" else float(cfg.epsilon0)
-    digest = config_digest(cfg)
-    frames = 0
-    failures = 0
-    iter_sum = 0
-    sampled = decoded = 0
-    for start, fails, iters, batch_decoded in _batches(graph, cfg, epsilon, epsilon0):
-        sampled += len(fails)
+    frames = failures = iter_sum = sampled = decoded = 0
+    for batch_sampled, fails, iters, batch_decoded in _batches(graph, cfg, epsilon, epsilon0):
+        sampled += batch_sampled
         decoded += batch_decoded
-        cum = np.cumsum(fails)
-        hit = np.nonzero(failures + cum >= cfg.target_failures)[0]
-        if hit.size:
-            stop = int(hit[0]) + 1  # count through the stopping frame
-            frames = start + stop
-            failures += int(cum[stop - 1])
-            iter_sum += int(iters[:stop].sum())
-            break
-        frames = start + len(fails)
-        failures += int(cum[-1])
+        frames += len(fails)
+        failures += int(fails.sum())
         iter_sum += int(iters.sum())
     low, high = wilson_interval(failures, frames)
     point = FerPoint(
@@ -332,7 +321,7 @@ def run_point(
         wilson_high=high,
         mean_iterations=iter_sum / frames,
         cap_hit=failures < cfg.target_failures,
-        config_digest=digest,
+        config_digest=config_digest(cfg),
         seed=cfg.seed,
     )
     log.info(
@@ -375,26 +364,23 @@ def run_sweep(
     out_path = Path(out_dir) if out_dir is not None else None
     points: list[FerPoint] = []
     for k, epsilon in enumerate(cfg.epsilon_list):
-        cached = None
-        if out_path is not None:
-            pfile = _point_path(out_path, digest, k)
-            if pfile.exists():
-                try:
-                    payload = json.loads(pfile.read_text(encoding="utf-8"))
-                    if payload["point"]["config_digest"] == digest:
-                        cached = FerPoint(**payload["point"])
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise OSError(f"unreadable point file {pfile}: {exc}") from exc
-        if cached is not None:
+        pfile = _point_path(out_path, digest, k) if out_path is not None else None
+        point = None
+        if pfile is not None and pfile.exists():
+            try:
+                payload = json.loads(pfile.read_text(encoding="utf-8"))
+                if payload["point"]["config_digest"] == digest:
+                    point = FerPoint(**payload["point"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise OSError(f"unreadable point file {pfile}: {exc}") from exc
+        if point is not None:
             log.info("point eps=%g loaded from %s", epsilon, pfile)
-            points.append(cached)
-            continue
-        point = run_point(H, graph, cfg, epsilon)
+        else:
+            point = run_point(H, graph, cfg, epsilon)
+            if pfile is not None:
+                pfile.parent.mkdir(parents=True, exist_ok=True)
+                _write_text(pfile, canonical_json(_point_payload(point, cfg)) + "\n")
         points.append(point)
-        if out_path is not None:
-            pfile = _point_path(out_path, digest, k)
-            pfile.parent.mkdir(parents=True, exist_ok=True)
-            _write_text(pfile, canonical_json(_point_payload(point, cfg)) + "\n")
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
         results = [_point_payload(p, cfg) for p in points]

@@ -420,6 +420,17 @@ def test_failure_exits_with_one_stderr_line(tmp_path, capsys, argv, exit_code, p
     assert "Traceback" not in stderr
 
 
+def test_corrupted_point_file_exits_with_one_stderr_line(tmp_path, capsys):
+    argv = [arg.format(tmp=tmp_path, codes=CODES_DIR) for arg in SIMULATE]
+    assert run_cli(capsys, *argv, "--eps", "0.1")[0] == 0
+    (pfile,) = (tmp_path / "r" / "points").glob("*.json")
+    pfile.write_bytes(pfile.read_bytes()[:40])
+    code, _, stderr = run_cli(capsys, *argv, "--eps", "0.1")
+    assert code == 3
+    assert stderr.startswith(f"error: unreadable point file {pfile}: ")
+    assert stderr.count("\n") == 1 and "Traceback" not in stderr
+
+
 # -- version and usage ------------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qsagms import code as code_module
 from qsagms.code import (
     CodeFormatError,
     GbSpec,
@@ -222,6 +223,33 @@ def test_load_rejects_gb_line_that_does_not_build_the_rows(tmp_path, gb_line):
         with pytest.raises(CodeFormatError) as err:
             load_code(path, validate=validate)
         assert str(err.value) == "line 3: gb line does not match the rows"
+
+
+@pytest.mark.parametrize(
+    "name, validate, calls",
+    [
+        ("gb-126-28.qpc", True, 1),  # build_gb's check only
+        ("gb-126-28.qpc", False, 1),
+        ("plain", True, 1),
+        ("plain", False, 0),
+    ],
+)
+def test_load_checks_orthogonality_once(tmp_path, monkeypatch, name, validate, calls):
+    path = CODES_DIR / name
+    if name == "plain":  # gb-6-2.qpc without its gb line
+        path = tmp_path / "plain.qpc"
+        text = (CODES_DIR / "gb-6-2.qpc").read_text()
+        path.write_text(text.replace("gb ell=3 a=0,1 b=0,2\n", ""))
+    seen = []
+
+    def counting(H):
+        seen.append(H.n)
+        return check_orthogonality(H)
+
+    monkeypatch.setattr(code_module, "check_orthogonality", counting)
+    H = load_code(path, validate=validate)
+    assert (H.gb is None) == (name == "plain")
+    assert len(seen) == calls
 
 
 def test_load_row_count_mismatch(tmp_path):

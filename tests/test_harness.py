@@ -308,6 +308,20 @@ def test_no_worker_outlives_an_early_stop(small_code, small_graph):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("workers", [1, 2], ids=["1w", "2w"])
+def test_batches_end_at_the_stopping_frame(small_graph, workers):
+    cfg = _converging_sweep(workers=workers)
+    batches = list(harness._batches(small_graph, cfg, 0.03, 0.03))
+    fails = np.concatenate([f for _, f, _, _ in batches])
+    iters = np.concatenate([i for _, _, i, _ in batches])
+    assert (len(fails), int(fails.sum())) == (4122, 100)
+    assert fails[-1]  # the 100th failure is the last frame yielded
+    assert len(iters) == len(fails)
+    # every consumed batch is sampled whole: the last runs past frame 4122
+    assert sum(sampled for sampled, *_ in batches) == {1: 4408, 2: 4267}[workers]
+    assert multiprocessing.active_children() == []
+
+
 def test_pool_starts_at_most_one_process_per_usable_cpu(
     small_code, small_graph, monkeypatch
 ):
@@ -354,7 +368,7 @@ def test_memoized_frames_match_plain_decode(small_code, small_graph, workers):
     batches = list(harness._batches(small_graph, cfg, 0.1, 0.1))
     sizes = [len(f) for _, f, _, _ in batches]
     assert len(sizes) >= 2
-    assert [start for start, *_ in batches] == np.cumsum([0] + sizes[:-1]).tolist()
+    assert [sampled for sampled, *_ in batches] == sizes  # a capped point cuts no batch
     fails = np.concatenate([f for _, f, _, _ in batches])
     iters = np.concatenate([i for _, _, i, _ in batches])
     decoded = sum(d for _, _, _, d in batches)
@@ -451,6 +465,32 @@ def test_run_sweep_reruns_are_byte_identical(tmp_path, small_code, small_graph):
     run_sweep(small_code, small_graph, cfg, out_dir=out2)
     assert (out1 / "results.json").read_bytes() == (out2 / "results.json").read_bytes()
     assert (out1 / "fer.tsv").read_bytes() == (out2 / "fer.tsv").read_bytes()
+
+
+def test_run_sweep_refuses_a_corrupted_point_file(tmp_path, small_code, small_graph):
+    cfg = _sweep(variant="ms", l_max=4, eps=(0.3,), target_failures=25, seed=77)
+    out = tmp_path / "sweep"
+    run_sweep(small_code, small_graph, cfg, out_dir=out)
+    (pfile,) = (out / "points").glob("*.json")
+    truncated = pfile.read_bytes()[:40]
+    pfile.write_bytes(truncated)
+    with pytest.raises(OSError) as err:
+        run_sweep(small_code, small_graph, cfg, out_dir=out)
+    assert str(err.value).startswith(f"unreadable point file {pfile}: ")
+    assert pfile.read_bytes() == truncated
+
+
+def test_run_sweep_recomputes_a_point_of_another_digest(tmp_path, small_code, small_graph):
+    cfg = _sweep(variant="ms", l_max=4, eps=(0.3,), target_failures=25, seed=77)
+    out = tmp_path / "sweep"
+    first = run_sweep(small_code, small_graph, cfg, out_dir=out)
+    (pfile,) = (out / "points").glob("*.json")
+    good = pfile.read_bytes()
+    payload = json.loads(good)
+    payload["point"]["config_digest"] = "0" * 64
+    pfile.write_text(canonical_json(payload) + "\n")
+    assert run_sweep(small_code, small_graph, cfg, out_dir=out) == first  # not loaded
+    assert pfile.read_bytes() == good  # rewritten
 
 
 def test_interrupted_write_keeps_previous_file(tmp_path, monkeypatch):
