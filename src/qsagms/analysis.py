@@ -39,7 +39,7 @@ def phi_llr(x):
 def phi(x):
     """Gallager phi: -ln tanh(x/2) for x > 0; self-inverse and decreasing."""
     arr = np.asarray(x, dtype=np.float64)
-    if np.any(arr <= 0.0):
+    if not np.all(arr > 0.0):  # NaN fails too
         raise ValueError("phi requires strictly positive arguments")
     out = phi_llr(arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
@@ -57,7 +57,7 @@ def transfer(variant: str, kappa, d_c: int | None = None, gain: float | None = N
         sagms  gain * kappa   (gain = effective alpha)
     """
     kappa_arr = np.asarray(kappa, dtype=np.float64)
-    if np.any(kappa_arr <= 0.0):
+    if not np.all(kappa_arr > 0.0):
         raise ValueError("kappa must be positive")
     if variant == "ms":
         out = kappa_arr.copy()
@@ -75,16 +75,23 @@ def transfer(variant: str, kappa, d_c: int | None = None, gain: float | None = N
     return float(out) if np.isscalar(kappa) else out
 
 
+def _check_prior_degrees(l0: float, *degrees: int) -> None:
+    """Reject a prior LLR that is not positive and finite (NaN included) and
+    any check degree below 2."""
+    if not 0.0 < l0 < math.inf:
+        raise ValueError(f"l0 must be positive and finite, got {l0}")
+    if min(degrees) < 2:
+        what = "d_c" if len(degrees) == 1 else "check degrees"
+        raise ValueError(f"{what} must be at least 2")
+
+
 def _log_alpha_star_exact(l0: float, d_c: int) -> float:
-    """ln of the exact matching ratio, stable for any positive l0.
+    """ln of the exact matching ratio, stable for any positive finite l0.
 
     Works from w = (d_c - 1) * ln tanh(l0/2), so extreme degrees and priors
     never underflow before the logarithm is formed.
     """
-    if l0 <= 0.0:
-        raise ValueError("l0 must be positive")
-    if d_c < 2:
-        raise ValueError("d_c must be at least 2")
+    _check_prior_degrees(l0, d_c)
     delta = 2.0 * math.exp(-l0) / (1.0 + math.exp(-l0))  # 1 - tanh(l0/2)
     w = (d_c - 1) * math.log1p(-delta)
     if w < -700.0:
@@ -106,20 +113,14 @@ def alpha_star_exact(l0: float, d_c: int) -> float:
 
 def alpha_star_approx(l0: float, d_c: int) -> float:
     """First-order form 1 - ln(d_c - 1)/l0 (from phi(x) ~ 2e^-x for large x)."""
-    if l0 <= 0.0:
-        raise ValueError("l0 must be positive")
-    if d_c < 2:
-        raise ValueError("d_c must be at least 2")
+    _check_prior_degrees(l0, d_c)
     return 1.0 - math.log(d_c - 1) / l0
 
 
 def delta_alpha(l0: float, d_c_ref: int, d_c_new: int) -> float:
     """Matching-ratio penalty when a scaling tuned for ``d_c_ref`` is used
     at ``d_c_new``: ln((d_c_new - 1)/(d_c_ref - 1)) / l0."""
-    if l0 <= 0.0:
-        raise ValueError("l0 must be positive")
-    if d_c_ref < 2 or d_c_new < 2:
-        raise ValueError("check degrees must be at least 2")
+    _check_prior_degrees(l0, d_c_ref, d_c_new)
     return math.log((d_c_new - 1) / (d_c_ref - 1)) / l0
 
 
@@ -195,7 +196,7 @@ def expected_min_g(
     "exponential" (mean mu), or an array of empirical magnitudes captured
     from a decoder trace, which is resampled with replacement.
     """
-    if mu <= 0.0:
+    if not mu > 0.0:
         raise ValueError("mu must be positive")
     if d_c < 2:
         raise ValueError("d_c must be at least 2")

@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, required=True,
         help="master seed (required; all randomness derives from it)",
     )
-    p.add_argument("--threads", type=int, default=1, help="worker processes")
+    p.add_argument("--threads", type=int, default=1, help="worker threads")
     p.add_argument("--out", default="results", help="output directory")
     p.set_defaults(func=cmd_simulate)
 

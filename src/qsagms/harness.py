@@ -8,22 +8,23 @@ A noise point stops at the smallest frame index at which the cumulative
 failure count reaches the target (or at the frame cap), and every started
 frame up to that index is counted exactly once.  One loop owns that rule:
 it binds the point's decode (channel, prior and memo) once, schedules
-disjoint, contiguous frame batches for any worker count (in this process
-at 1, in a pool at N, always on the caller's Tanner graph), consumes their
-results in frame order, cuts the last batch at the stopping frame and
-discards speculative batches beyond it, so the resulting estimate is
-bit-identical for any worker count.  Each batch is sized from the stop
-rule: it ends where the failure rate seen so far predicts the target, so
-a converging point decodes few frames past its stopping frame.
+disjoint, contiguous frame batches for any worker count (in the calling
+thread at 1, on a pool of threads at N, always on the caller's Tanner
+graph), consumes their results in frame order, cuts the last batch at the
+stopping frame and discards speculative batches beyond it, so the
+resulting estimate is bit-identical for any worker count.  Each batch is
+sized from the stop rule: it ends where the failure rate seen so far
+predicts the target, so a converging point decodes few frames past its
+stopping frame.
 
 The decoder is a deterministic function of (syndrome, prior, config), and
 the harness needs only its (fail, iterations) per frame.  So each point
-keeps a memo keyed by packed syndrome: a batch decodes each distinct
-syndrome once, and only if the point has not decoded it before.  A hit
-returns what decoding returns, so the memo never changes an estimate.  It
-lives for one point (in each worker of that point's pool), holds at most
-MEMO_ENTRIES syndromes, and at low noise, where few syndromes are distinct,
-it removes most of the decoding.
+keeps one memo keyed by packed syndrome, shared by its threads: a batch
+decodes each distinct syndrome the point has not decoded before, once, in
+slabs of at most SLAB_ROWS rows.  A hit returns what decoding returns and
+frames decode independently, so neither the memo nor the slabs change an
+estimate.  At low noise, where few syndromes are distinct, the memo
+removes most of the decoding.
 
 Failure means the decoder did not reach an all-zero residual syndrome
 within its iteration budget.  Each estimate carries a 95% Wilson score
@@ -39,7 +40,7 @@ import json
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -60,8 +61,11 @@ log = logging.getLogger("qsagms.harness")
 BATCH_FRAMES = 4096
 MIN_BATCH = 512
 
-#: Most distinct syndromes one point's memo holds (see ``_decode_frames``).
-#: A full memo stops growing; each batch still decodes a syndrome only once.
+#: Most rows one ``decode_batch`` call decodes.  Slabs bound each thread's
+#: kernel temporaries, and so peak memory; they never change a result.
+SLAB_ROWS = 1024
+
+#: Memo size at which a point stops storing syndromes (see ``_decode_frames``).
 MEMO_ENTRIES = 1 << 17
 
 
@@ -74,7 +78,7 @@ class SweepConfig:
     ``workers`` is runtime provenance only: it never influences results and
     is excluded from the configuration digest and persisted artifacts.  A
     point keeps ``workers`` + 2 batches in flight, but starts at most as
-    many processes as this process may use CPUs (``_usable_cpus``).
+    many threads as this process may use CPUs (``_usable_cpus``).
     """
 
     code_id: str
@@ -183,17 +187,6 @@ def config_digest(cfg: SweepConfig) -> str:
     return hashlib.sha256(canonical_json(_config_dict(cfg)).encode()).hexdigest()
 
 
-# ---------------------------------------------------------------------------
-# Worker side: one process decodes contiguous frame ranges.
-
-_WORKER: dict = {}
-
-
-def _init_worker(decode):
-    """Pool initializer: this worker's own copy of the point's bound decode."""
-    _WORKER["decode"] = decode
-
-
 def _decode_frames(graph: TannerGraph, decoder_cfg, ch, prior, memo: dict, start, count):
     """Sample frames [start, start+count); return (fails, iterations, decoded).
 
@@ -201,9 +194,13 @@ def _decode_frames(graph: TannerGraph, decoder_cfg, ch, prior, memo: dict, start
     ``sample_error`` call samples the whole batch, row for row the frames
     that one-frame calls would give.  The decoder is a deterministic
     function of the syndrome, so each distinct syndrome of the batch
-    reaches ``decode_batch`` once, and only if ``memo`` (packed syndrome ->
-    ``2 * iterations + fail``, one point's, at most MEMO_ENTRIES keys) lacks
+    reaches ``decode_batch`` once, in slabs of at most SLAB_ROWS rows, and
+    only if ``memo`` (packed syndrome -> ``2 * iterations + fail``) lacks
     it.  ``decoded`` counts those rows.
+
+    The point's threads share ``memo``.  Each call stores at most the room
+    it sees below MEMO_ENTRIES, but threads may see the same room, so the
+    memo holds at most MEMO_ENTRIES + (threads - 1) * BATCH_FRAMES keys.
     """
     syndromes = graph.syndromes(sample_error(ch, graph.n, start, count=count))
     packed = np.packbits(syndromes, axis=1)
@@ -213,17 +210,14 @@ def _decode_frames(graph: TannerGraph, decoder_cfg, ch, prior, memo: dict, start
     keys = rows.tolist()
     outcome = np.array([memo.get(key, -1) for key in keys], dtype=np.int64)
     miss = np.flatnonzero(outcome < 0)
-    if miss.size:
-        res = decode_batch(graph, syndromes[first[miss]], prior, decoder_cfg)
-        outcome[miss] = 2 * res.iterations + ~res.success
-        stored = miss[: MEMO_ENTRIES - len(memo)]
-        memo.update(zip([keys[i] for i in stored], outcome[stored].tolist()))
+    for at in range(0, miss.size, SLAB_ROWS):
+        slab = miss[at : at + SLAB_ROWS]
+        res = decode_batch(graph, syndromes[first[slab]], prior, decoder_cfg)
+        outcome[slab] = 2 * res.iterations + ~res.success
+    stored = miss[: max(MEMO_ENTRIES - len(memo), 0)]
+    memo.update(zip([keys[i] for i in stored], outcome[stored].tolist()))
     outcome = outcome[inverse]
     return outcome % 2 == 1, outcome // 2, int(miss.size)
-
-
-def _worker_task(start, count):
-    return _WORKER["decode"](start, count)
 
 
 def _batch_size(cfg: SweepConfig, start, frames, failures) -> int:
@@ -258,16 +252,15 @@ def _batches(graph: TannerGraph, cfg: SweepConfig, epsilon, epsilon0):
     ``decode(start, count)`` is ``_decode_frames`` bound once to the point's
     channel, prior and memo.  ``pending`` maps start frames to calls that
     return batch results: ``decode`` here, one at a time, at 1 worker; a
-    window of N + 2 in a pool at N, of at most N processes (fewer on a host
-    with fewer usable CPUs), each with its own copy of ``decode``.  Ending
-    or closing the generator cancels queued batches and waits for running
-    ones.
+    window of N + 2 on a pool of at most N threads at N (fewer on a host
+    with fewer usable CPUs), all calling the same ``decode`` and so sharing
+    one memo.  numpy releases the GIL inside the decoder's array work.
+    Ending or closing the generator cancels queued batches and waits for
+    running ones.
     """
     ch = DepolarizingChannel(epsilon=epsilon, rng_seed=cfg.seed)
     decode = partial(_decode_frames, graph, cfg.decoder, ch, prior_llr(epsilon0), {})
-    pool = None if cfg.workers == 1 else ProcessPoolExecutor(
-        min(cfg.workers, _usable_cpus()), initializer=_init_worker, initargs=(decode,)
-    )
+    pool = None if cfg.workers == 1 else ThreadPoolExecutor(min(cfg.workers, _usable_cpus()))
     window = cfg.workers + 2 if pool else 1
     pending = {}
     start = frames = failures = 0
@@ -276,7 +269,7 @@ def _batches(graph: TannerGraph, cfg: SweepConfig, epsilon, epsilon0):
             while len(pending) < window and start < cfg.max_frames:
                 count = _batch_size(cfg, start, frames, failures)
                 if pool:
-                    pending[start] = pool.submit(_worker_task, start, count).result
+                    pending[start] = pool.submit(decode, start, count).result
                 else:
                     pending[start] = partial(decode, start, count)
                 start += count

@@ -149,6 +149,29 @@ def test_check_monotonicity_examples():
         check_monotonicity(1.0, (2, 20_000))
 
 
+#: Calls whose positivity check must also reject NaN, and whose prior LLR
+#: must be finite, with the prefix of the error each raises.
+NON_FINITE = {
+    "alpha-star-exact-nan": (lambda: alpha_star_exact(math.nan, 10), "l0 must be positive"),
+    "alpha-star-exact-inf": (lambda: alpha_star_exact(math.inf, 10), "l0 must be positive"),
+    "alpha-star-approx-nan": (lambda: alpha_star_approx(math.nan, 10), "l0 must be positive"),
+    "alpha-star-approx-inf": (lambda: alpha_star_approx(math.inf, 10), "l0 must be positive"),
+    "delta-alpha-nan": (lambda: delta_alpha(math.nan, 10, 16), "l0 must be positive"),
+    "delta-alpha-inf": (lambda: delta_alpha(math.inf, 10, 16), "l0 must be positive"),
+    "monotonicity-nan": (lambda: check_monotonicity(math.nan, (2, 10)), "l0 must be positive"),
+    "monotonicity-inf": (lambda: check_monotonicity(math.inf, (2, 10)), "l0 must be positive"),
+    "transfer-nan": (lambda: transfer("ms", [math.nan, 1.0]), "kappa must be positive"),
+    "phi-nan": (lambda: phi(math.nan), "phi requires strictly positive"),
+    "expected-min-nan": (lambda: expected_min_g(math.nan, 4), "mu must be positive"),
+}
+
+
+@pytest.mark.parametrize("call, prefix", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_nan_and_infinite_inputs_are_rejected(call, prefix):
+    with pytest.raises(ValueError, match=f"^{prefix}"):
+        call()
+
+
 def test_check_monotonicity_spot_values_against_oracle():
     # the sweep's claim matches direct high-precision evaluation
     for d in (2, 3, 17, 63):

@@ -382,6 +382,18 @@ FAILURES = {
         ("analyze", "alpha-star", "--L0", "-1", "--dc", "4"),
         2, "error: l0 must be positive",
     ),
+    "alpha-star-prior-nan": (
+        ("analyze", "alpha-star", "--L0", "nan", "--dc", "10"),
+        2, "error: l0 must be positive",
+    ),
+    "alpha-star-prior-inf": (
+        ("analyze", "alpha-star", "--L0", "inf", "--dc", "10"),
+        2, "error: l0 must be positive",
+    ),
+    "delta-alpha-prior-nan": (
+        ("analyze", "delta-alpha", "--L0", "nan", "--dc-ref", "10", "--dc-new", "16"),
+        2, "error: l0 must be positive",
+    ),
     "delta-alpha-degree": (
         ("analyze", "delta-alpha", "--L0", "3", "--dc-ref", "10", "--dc-new", "1"),
         2, "error: check degrees must be at least 2",
@@ -391,6 +403,9 @@ FAILURES = {
     ),
     "transfer-kappa": (
         ("analyze", "transfer", "--kappa", "-1"), 2, "error: kappa must be positive",
+    ),
+    "transfer-kappa-nan": (
+        ("analyze", "transfer", "--kappa", "nan,1"), 2, "error: kappa must be positive",
     ),
     "transfer-degree": (
         ("analyze", "transfer", "--dc", "1"), 2, "error: bp4 transfer needs d_c >= 2",

@@ -16,6 +16,7 @@ from qsagms.decoder import (
     DecoderConfig,
     GainParams,
     _Kernel,
+    _marginal_init,
     decode,
     decode_batch,
 )
@@ -191,6 +192,15 @@ def test_vn_update_marginal_empty_set_matches_prior_marginal():
     # commuting mass (1 - eps) + eps/3, anticommuting 2 eps/3
     expected = math.log((0.9 + 0.1 / 3) / (2 * 0.1 / 3))
     assert out == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("epsilon0", [0.1, 0.75, 0.9], ids=["L0>0", "L0=0", "L0<0"])
+@pytest.mark.parametrize("symbol", [PAULI_X, PAULI_Z, PAULI_Y], ids=["X", "Z", "Y"])
+def test_marginal_init_is_the_marginal_rule_on_no_messages(epsilon0, symbol):
+    prior = prior_llr(epsilon0)
+    assert (prior.llr > 0, prior.llr == 0) == (epsilon0 < 0.75, epsilon0 == 0.75)
+    want = vn_update("marginal", prior, [], [], symbol)
+    assert _marginal_init(prior.llr) == pytest.approx(want, abs=1e-12)
 
 
 def test_vn_update_marginal_needs_symbols():

@@ -3,8 +3,9 @@ from __future__ import annotations
 import json
 import logging
 import math
-import multiprocessing
 import os
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from qsagms.decoder import DecoderConfig, GainParams, decode_batch
 from qsagms.harness import (
     BATCH_FRAMES,
     MIN_BATCH,
+    SLAB_ROWS,
     FerPoint,
     SweepConfig,
     _batch_size,
@@ -30,6 +32,20 @@ from qsagms.harness import (
     wilson_interval,
 )
 from qsagms.pauli import PAULI_Z
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_behind():
+    """Fail a test that leaves a thread running it did not start with."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    assert left == [], f"threads left running: {left}"
+
+
+def _pool_threads() -> list[str]:
+    """Names of the live threads of any ``ThreadPoolExecutor``."""
+    return [t.name for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
 
 
 def _wilson_oracle(failures: int, frames: int, z: float = 1.959964) -> tuple[float, float]:
@@ -226,8 +242,8 @@ def test_batch_size_rule(max_frames, start, frames, failures, size):
 
 
 def _batch_rows(monkeypatch) -> tuple[list[int], list[int]]:
-    """Record, for in-process batches, the frames each samples (the ``count``
-    reaching ``_decode_frames``) and the rows each ``decode_batch`` call sees."""
+    """Record, for every batch, the frames it samples (the ``count`` reaching
+    ``_decode_frames``), and the rows each ``decode_batch`` call sees."""
     sampled, decoded = [], []
 
     def sampling(*args):
@@ -305,7 +321,7 @@ def test_batch_plan_pins(small_code, small_graph, monkeypatch, point, workers):
 def test_no_worker_outlives_an_early_stop(small_code, small_graph):
     point = run_point(small_code, small_graph, _converging_sweep(workers=2), epsilon=0.03)
     assert point.frames < sum(BATCH_PLANS["converging", 2][-1])  # it stopped early
-    assert multiprocessing.active_children() == []
+    assert _pool_threads() == []
 
 
 @pytest.mark.parametrize("workers", [1, 2], ids=["1w", "2w"])
@@ -319,15 +335,15 @@ def test_batches_end_at_the_stopping_frame(small_graph, workers):
     assert len(iters) == len(fails)
     # every consumed batch is sampled whole: the last runs past frame 4122
     assert sum(sampled for sampled, *_ in batches) == {1: 4408, 2: 4267}[workers]
-    assert multiprocessing.active_children() == []
+    assert _pool_threads() == []
 
 
-def test_pool_starts_at_most_one_process_per_usable_cpu(
+def test_pool_starts_at_most_one_thread_per_usable_cpu(
     small_code, small_graph, monkeypatch
 ):
     started = []
 
-    class RecordingPool(harness.ProcessPoolExecutor):
+    class RecordingPool(harness.ThreadPoolExecutor):
         def __init__(self, max_workers=None, **kw):
             started.append(max_workers)
             super().__init__(max_workers, **kw)
@@ -335,7 +351,7 @@ def test_pool_starts_at_most_one_process_per_usable_cpu(
     cfg = _sweep(variant="sagms", l_max=4, target_failures=40, seed=31, workers=1)
     want = run_point(small_code, small_graph, cfg, epsilon=0.25)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
     got = run_point(small_code, small_graph, replace(cfg, workers=3), epsilon=0.25)
     assert started == [1]
     assert got == want
@@ -346,7 +362,7 @@ def test_worker_error_reaches_caller_and_no_worker_outlives_it():
     cfg = _sweep(variant="ms", l_max=2, eps=(0.1,), workers=2)
     with pytest.raises(ValueError, match="isolated"):
         run_point(H, tanner_graph(H), cfg, epsilon=0.1)
-    assert multiprocessing.active_children() == []
+    assert _pool_threads() == []
 
 
 # -- the per-point syndrome memo ---------------------------------------------------------
@@ -399,6 +415,45 @@ def test_memo_cap_does_not_change_points(small_code, small_graph, monkeypatch):
     assert rows[0] < rows[-1]  # a smaller memo decodes more rows, to the same point
 
 
+@pytest.mark.parametrize("workers", [2, 4], ids=["2w", "4w"])
+def test_shared_memo_stays_within_its_bound(small_code, small_graph, monkeypatch, workers):
+    # small batches, more threads than this host may have cores and a short
+    # switch interval give the threads many chances to store at once
+    want = run_point(small_code, small_graph, _memo_sweep(), epsilon=0.1)
+    sizes = []
+
+    def recording(*args):
+        result = _decode_frames(*args)
+        sizes.append(len(args[4]))  # the point's memo, after this batch
+        return result
+
+    for name, value in [("MEMO_ENTRIES", 5), ("BATCH_FRAMES", 64), ("MIN_BATCH", 8)]:
+        monkeypatch.setattr(harness, name, value)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(harness, "_decode_frames", recording)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = run_point(small_code, small_graph, _memo_sweep(workers=workers), epsilon=0.1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    assert len(sizes) >= 3000 // 64
+    assert max(sizes) <= 5 + (workers - 1) * 64
+
+
+def test_memo_past_its_cap_stops_growing(small_graph, monkeypatch):
+    # concurrent threads can leave the memo above MEMO_ENTRIES; later
+    # batches must then store nothing rather than wrap the room negative
+    monkeypatch.setattr(harness, "MEMO_ENTRIES", 5)
+    cfg = _memo_sweep()
+    memo = {f"filler {i}": 0 for i in range(7)}
+    ch = DepolarizingChannel(epsilon=0.1, rng_seed=cfg.seed)
+    fails, _, decoded = _decode_frames(small_graph, cfg.decoder, ch, prior_llr(0.1), memo, 0, 512)
+    assert decoded > 2 and fails.any()
+    assert list(memo) == [f"filler {i}" for i in range(7)]
+
+
 def test_memo_lives_for_one_point(small_code, small_graph, monkeypatch, caplog):
     _, decoded = _batch_rows(monkeypatch)
     cfg = _memo_sweep()
@@ -411,6 +466,25 @@ def test_memo_lives_for_one_point(small_code, small_graph, monkeypatch, caplog):
     ends = [r.getMessage() for r in caplog.records if r.getMessage().startswith("point ")]
     assert len(ends) == 2
     assert all(f"decoded {rows} distinct of 3000" in line for line in ends)
+
+
+# -- decode slabs -------------------------------------------------------------------
+
+
+def test_slab_rows_covers_the_first_batch():
+    assert SLAB_ROWS >= MIN_BATCH  # a first batch reaches the decoder in one call
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["1w", "2w"])
+@pytest.mark.parametrize("point", ["memo", "converging"])
+def test_slabs_do_not_change_points(small_code, small_graph, monkeypatch, point, workers):
+    make, eps = {"memo": (_memo_sweep, 0.1), "converging": (_converging_sweep, 0.03)}[point]
+    cfg = make(workers=workers)
+    want = run_point(small_code, small_graph, cfg, epsilon=eps)
+    _, decoded = _batch_rows(monkeypatch)
+    monkeypatch.setattr(harness, "SLAB_ROWS", 7)
+    assert run_point(small_code, small_graph, cfg, epsilon=eps) == want
+    assert max(decoded) == 7  # batches reached the decoder in full slabs and no more
 
 
 def test_run_point_matched_vs_fixed_prior(small_code, small_graph):
