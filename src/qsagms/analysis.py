@@ -27,13 +27,14 @@ SAMPLE_SOURCES = ("point", "exponential")
 MIN_SAMPLES = 10_000
 
 
-def phi_llr(x):
+def phi_llr(x, out=None):
     """Unchecked Gallager phi, -ln tanh(x/2), for the decoder's clamped arrays.
 
     log1p(2/expm1(x)) stays accurate for small x (where the naive form loses
-    digits) and large x (where tanh rounds to 1); phi(inf) = 0.
+    digits) and large x (where tanh rounds to 1); phi(inf) = 0.  ``out``,
+    which may be ``x`` itself, receives the result.
     """
-    return np.log1p(2.0 / np.expm1(x))
+    return np.log1p(np.divide(2.0, np.expm1(x, out=out), out=out), out=out)
 
 
 def phi(x):
@@ -55,6 +56,8 @@ def transfer(variant: str, kappa, d_c: int | None = None, gain: float | None = N
         ms     kappa
         sms    gain * kappa
         sagms  gain * kappa   (gain = effective alpha)
+
+    A gain outside (0, 1], as the decoders accept it, is rejected.
     """
     kappa_arr = np.asarray(kappa, dtype=np.float64)
     if not np.all(kappa_arr > 0.0):
@@ -64,6 +67,8 @@ def transfer(variant: str, kappa, d_c: int | None = None, gain: float | None = N
     elif variant in ("sms", "sagms"):
         if gain is None:
             raise ValueError(f"{variant} transfer needs a gain value")
+        if not 0.0 < gain <= 1.0:  # NaN fails too
+            raise ValueError(f"{variant} transfer needs a gain in (0, 1], got {gain}")
         out = gain * kappa_arr
     elif variant == "bp4":
         if d_c is None or d_c < 2:

@@ -20,6 +20,11 @@ the next hard decision; the first decision is taken from zero sums.  An
 optional trace records each iteration's syndrome ratios and messages, and
 is the one inspection path: ``decode`` builds its traces from it.
 
+A batch is decoded in slabs of at most SLAB_ROWS rows through one
+workspace that ``decode_batch`` allocates once: every step writes into it
+in place, so the iteration loop allocates no message-sized array, and
+peak memory does not grow with the batch.
+
 Two qubit-node scalarizations are provided.  ``marginal`` (the default)
 keeps per-Pauli log-beliefs and emits the commute/anticommute LLR relative
 to each edge's own symbol; it is exact on cycle-free graphs, propagates
@@ -58,6 +63,13 @@ LLR_CLIP = 64.0
 PHI_ARG_FLOOR = 1e-12
 PHI_SUM_MIN = 1e-12
 PHI_SUM_MAX = 50.0
+
+#: Most rows one pass of the kernel decodes: ``decode_batch`` runs a batch in
+#: slabs of this many rows through one workspace.  At 128 rows a message
+#: array of the [[126,28]] code (1.3 MB) fits a 2 MB per-core L2 cache.
+#: Slabs never change a result.
+SLAB_ROWS = 128
+
 
 @dataclass(frozen=True)
 class GainParams:
@@ -143,10 +155,10 @@ class BatchDecodeResult:
 
 @dataclass
 class IterationRecord:
-    """One executed iteration of ``decode_batch``: the batch ``rows`` decoded
-    in it, their syndrome ratios ``gamma``, and the messages after its update
-    (``vmsg`` check-major, ``cv`` qubit-major) of those rows still active
-    after early exit, None when no row is left."""
+    """One executed iteration of one slab of ``decode_batch``: the batch
+    ``rows`` decoded in it, their syndrome ratios ``gamma``, and copies of
+    the messages after its update (``vmsg`` check-major, ``cv`` qubit-major)
+    of those rows still active after early exit, None when no row is left."""
 
     iteration: int
     rows: np.ndarray
@@ -162,36 +174,36 @@ def _marginal_init(prior_llr_value: float) -> float:
 
 
 def _degree_groups(degrees: np.ndarray):
-    """(degree, rows) pairs of a padded layout; None when no row is padded."""
+    """(degree, rows mask) pairs of a padded layout, each mask shaped (k, 1)
+    to select rows of a (..., k, 1) array; None when no row is padded."""
     if (degrees == degrees.max()).all():
         return None
-    return [(int(d), np.flatnonzero(degrees == d)) for d in np.unique(degrees)]
+    return [(int(d), (degrees == d)[:, None]) for d in np.unique(degrees)]
 
 
-def _segment_sum(x, groups):
-    """Sum of each row's own slots (last axis), kept as a length-1 axis.
+def _pad_mask(sym: np.ndarray):
+    """Padding slots of a dense layout; None when it has none."""
+    pad = sym == 0
+    return pad if pad.any() else None
+
+
+def _segment_sum(x, groups, out, scratch):
+    """Sum of each row's own slots (last axis) into ``out``, shaped (..., 1).
 
     head + rest reproduces the summation order of the pinned results;
     sum() alone pairs differently.  Rows of a padded layout are summed per
     degree over their own slots only: numpy's pairwise sum groups terms
-    differently once padding makes a row 9 or more slots wide.
+    differently once padding makes a row 9 or more slots wide.  Each degree
+    sums every row into ``scratch`` and keeps the rows of that degree.
     """
     if groups is None:
-        return x[..., :1] + x[..., 1:].sum(axis=-1, keepdims=True)
-    out = np.empty((*x.shape[:-1], 1))
+        np.sum(x[..., 1:], axis=-1, keepdims=True, out=out)
+        return np.add(x[..., :1], out, out=out)
     for d, rows in groups:
-        xs = np.take(x, rows, axis=-2)[..., :d]
-        out[..., rows, :] = xs[..., :1] + xs[..., 1:].sum(axis=-1, keepdims=True)
+        np.sum(x[..., 1:d], axis=-1, keepdims=True, out=scratch)
+        np.add(x[..., :1], scratch, out=scratch)
+        np.copyto(out, scratch, where=rows)
     return out
-
-
-def _decide(l0: float, sums: np.ndarray) -> np.ndarray:
-    """(B, n) Pauli codes minimizing 0 for I and l0 + sums[:, e - 1] for
-    e = X, Z, Y, where ``sums`` (B, 3, n) adds each qubit's incoming messages
-    that anticommute with e; argmin keeps the first minimum on ties."""
-    metrics = np.zeros((sums.shape[0], 4, sums.shape[2]))
-    metrics[:, 1:] = l0 + sums
-    return np.argmin(metrics, axis=1).astype(np.uint8)
 
 
 def _gain(cfg: DecoderConfig, gamma: np.ndarray, residual: np.ndarray):
@@ -206,7 +218,8 @@ def _gain(cfg: DecoderConfig, gamma: np.ndarray, residual: np.ndarray):
 
 
 class _Kernel:
-    """Vectorized batch decoder over the dense layouts of one Tanner graph.
+    """Vectorized batch decoder over the dense layouts of one Tanner graph,
+    with a workspace for up to ``rows`` frames.
 
     Qubit-to-check messages are held check-major as (frames, m, d_c) and
     check-to-qubit messages qubit-major as (frames, n, d_v).  Padding slots
@@ -215,70 +228,153 @@ class _Kernel:
     qubit view.  Every reduction runs along the last axis within one frame,
     so each frame's arithmetic is independent of the batch composition and
     of any worker partitioning.
+
+    Every step writes into the workspace, allocated here once, and returns
+    views of its leading rows: a step's result stays valid until the same
+    step runs again.  So one kernel serves one thread.
     """
 
-    def __init__(self, graph: TannerGraph):
+    def __init__(self, graph: TannerGraph, rows: int):
         check_decodable(graph)
         self.g = graph
-        self.cn_pad = graph.cn_sym == 0
-        self.vn_pad = graph.vn_sym == 0
+        n, m = graph.n, graph.m
+        self.cn_pad = _pad_mask(graph.cn_sym)
+        self.vn_pad = _pad_mask(graph.vn_sym)
         self.cn_groups = _degree_groups(graph.cn_degrees)
         self.vn_groups = _degree_groups(graph.vn_degrees)
+        self.slots = np.arange(graph.cn_sym.shape[1])
         # anticommutation masks of candidate errors X, Z, Y vs edge symbols
-        self.anti = {e: trace_inner(e, graph.vn_sym).astype(np.float64) for e in (1, 2, 3)}
+        self.anti = [trace_inner(e, graph.vn_sym).astype(np.float64) for e in (1, 2, 3)]
+        # per edge of symbol s, the flat (Pauli, qubit) position of s in the
+        # (rows, 4, n) metrics and of the two Paulis anticommuting with s in
+        # the (rows, 3, n) sums; padding slots read entries never used
+        sym = graph.vn_sym.astype(np.intp)
+        qubit = np.arange(n)[:, None]
+        self.own_at = sym * n + qubit
+        self.other_at = (
+            np.where(sym == 1, 1, 0) * n + qubit,
+            np.where(sym == 3, 1, 2) * n + qubit,
+        )
+        # the workspace: message-shaped buffers in each view, then per-row
+        # scratch ((rows, m, 1) and (rows, n, 1)), sums and metrics
+        check, qubit_view = (rows, *graph.cn_sym.shape), (rows, *graph.vn_sym.shape)
+        self.vmsg, self.spare, self.cmsg = (np.empty(check) for _ in range(3))
+        self.neg, self.is_first = (np.empty(check, dtype=bool) for _ in range(2))
+        self.cv, self.qmsg, self.b1, self.b2 = (np.empty(qubit_view) for _ in range(4))
+        self.c1, self.c2 = np.empty((rows, m, 1)), np.empty((rows, m, 1))
+        self.first = np.empty((rows, m, 1), dtype=np.intp)
+        self.parity = np.empty((rows, m), dtype=bool)
+        self.v1, self.v2 = np.empty((rows, n, 1)), np.empty((rows, n, 1))
+        self.sums = np.empty((rows, 3, n))
+        self.metrics = np.zeros((rows, 4, n))  # column 0, for I, stays 0
+        self.choice = np.empty((rows, n), dtype=np.intp)
+        self.e_hat = np.empty((rows, n), dtype=np.uint8)
+
+    def start(self, rows: int, v0: float, l0: float):
+        """Initial messages ``v0`` and the hard decision of zero sums."""
+        vmsg = self.vmsg[:rows]
+        vmsg.fill(v0)
+        if self.cn_pad is not None:
+            np.copyto(vmsg, np.inf, where=self.cn_pad)
+        sums = self.sums[:rows]
+        sums.fill(0.0)
+        return vmsg, self.decide(sums, l0)
+
+    def decide(self, sums: np.ndarray, l0: float) -> np.ndarray:
+        """(r, n) Pauli codes minimizing 0 for I and l0 + sums[:, e - 1] for
+        e = X, Z, Y, where ``sums`` (r, 3, n) adds each qubit's incoming
+        messages that anticommute with e; argmin keeps the first minimum on
+        ties.  The metrics stay in ``self.metrics``."""
+        r = len(sums)
+        metrics, choice, e_hat = self.metrics[:r], self.choice[:r], self.e_hat[:r]
+        np.add(l0, sums, out=metrics[:, 1:])
+        np.argmin(metrics, axis=1, out=choice)
+        np.copyto(e_hat, choice, casting="unsafe")
+        return e_hat
+
+    def compact(self, vmsg: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        """The ``keep`` rows of ``vmsg``, moved into the spare buffer, which
+        then becomes the message buffer."""
+        out = self.spare[: np.count_nonzero(keep)]
+        np.take(vmsg, np.flatnonzero(keep), axis=0, out=out, mode="clip")
+        self.vmsg, self.spare = self.spare, self.vmsg
+        return out
 
     def to_qubits(self, cmsg: np.ndarray) -> np.ndarray:
-        """Check-major (B, m, d_c) messages gathered qubit-major (B, n, d_v)."""
-        flat = cmsg.reshape(len(cmsg), self.g.cn_sym.size)
-        cv = np.take(flat, self.g.vn_gather, axis=1)
-        cv[:, self.vn_pad] = 0.0
+        """Check-major (r, m, d_c) messages gathered qubit-major (r, n, d_v)."""
+        r = len(cmsg)
+        cv = self.cv[:r]
+        np.take(cmsg.reshape(r, -1), self.g.vn_gather, axis=1, out=cv, mode="clip")
+        if self.vn_pad is not None:
+            np.copyto(cv, 0.0, where=self.vn_pad)
         return cv
 
     def cn_step(self, vmsg, syn, cfg, gain):
-        """Check-node update; min-sum magnitudes are scaled by ``gain``."""
-        sgn = np.where(vmsg < 0.0, -1.0, 1.0)
-        syn_sign = 1.0 - 2.0 * syn.astype(np.float64)
-        ext_sign = (syn_sign * sgn.prod(axis=-1))[..., None] * sgn
-        mags = np.abs(vmsg)
+        """Check-node update; min-sum magnitudes are scaled by ``gain``.
+
+        The output is negative where the observed syndrome bit and the signs
+        of the other messages of the check hold an odd number of minuses."""
+        r = len(vmsg)
+        mag, neg, parity = self.cmsg[:r], self.neg[:r], self.parity[:r]
+        np.less(vmsg, 0.0, out=neg)
+        np.logical_xor.reduce(neg, axis=-1, out=parity)
+        np.logical_xor(parity, syn, out=parity)
+        np.not_equal(neg, parity[..., None], out=neg)
+        np.abs(vmsg, out=mag)
         if cfg.variant == "bp4":
-            ph = phi_llr(np.maximum(mags, PHI_ARG_FLOOR))
-            ext = _segment_sum(ph, self.cn_groups) - ph
-            np.clip(ext, PHI_SUM_MIN, PHI_SUM_MAX, out=ext)
-            mag = phi_llr(ext)
+            total = self.c1[:r]
+            phi_llr(np.maximum(mag, PHI_ARG_FLOOR, out=mag), out=mag)
+            _segment_sum(mag, self.cn_groups, total, self.c2[:r])
+            np.subtract(total, mag, out=mag)
+            np.clip(mag, PHI_SUM_MIN, PHI_SUM_MAX, out=mag)
+            phi_llr(mag, out=mag)
         else:
             # the first minimum sends the second minimum, the others the first
-            first = mags.argmin(axis=-1)[..., None]
-            is_first = np.arange(mags.shape[-1]) == first
-            min1 = np.take_along_axis(mags, first, axis=-1)
-            min2 = np.where(is_first, np.inf, mags).min(axis=-1, keepdims=True)
-            mag = gain * np.where(is_first, min2, min1)
-        return np.clip(ext_sign * mag, -LLR_CLIP, LLR_CLIP)
+            first, is_first = self.first[:r], self.is_first[:r]
+            min1, min2 = self.c1[:r], self.c2[:r]
+            np.argmin(mag, axis=-1, out=first, keepdims=True)
+            np.min(mag, axis=-1, out=min1, keepdims=True)
+            np.equal(self.slots, first, out=is_first)
+            np.copyto(mag, np.inf, where=is_first)
+            np.min(mag, axis=-1, out=min2, keepdims=True)
+            np.copyto(mag, np.multiply(gain, min1, out=min1))
+            np.copyto(mag, np.multiply(gain, min2, out=min2), where=is_first)
+        np.negative(mag, out=mag, where=neg)
+        return np.clip(mag, -LLR_CLIP, LLR_CLIP, out=mag)
 
     def vn_step(self, cv, l0, cfg):
         """Qubit-node update from qubit-major messages; returns check-major
-        messages and the next hard decision, from one pass of per-Pauli sums."""
-        sums = np.empty((len(cv), 3, self.g.n))
-        b = {}
-        for e in (1, 2, 3):
-            x = cv * self.anti[e]
-            total = _segment_sum(x, self.vn_groups)
-            sums[:, e - 1] = total[..., 0]
-            if cfg.vn_mode == "marginal":  # in place, to hold one buffer less
-                b[e] = np.add(l0, np.subtract(total, x, out=x), out=x)
+        messages and the next hard decision, from one pass of per-Pauli sums.
+
+        In marginal mode the belief in an edge's own symbol s leaves out no
+        message (the edge's own commutes with s), so it is its qubit's
+        decision metric for s, and its log-add-exp is taken once per qubit."""
+        r = len(cv)
+        sums, out, v1 = self.sums[:r], self.qmsg[:r], self.v1[:r]
+        for e in range(3):
+            np.multiply(cv, self.anti[e], out=out)
+            _segment_sum(out, self.vn_groups, sums[:, e, :, None], v1)
+        e_hat = self.decide(sums, l0)
         if cfg.vn_mode == "additive":
-            out = l0 + (_segment_sum(cv, self.vn_groups) - cv)
+            total = _segment_sum(cv, self.vn_groups, self.v2[:r], v1)
+            np.add(l0, np.subtract(total, cv, out=out), out=out)
         else:
-            m_x = self.g.vn_sym == 1
-            m_y = self.g.vn_sym == 3
-            b_self = np.where(m_x, b[1], np.where(m_y, b[3], b[2]))
-            b_a1 = np.where(m_x, b[2], b[1])
-            b_a2 = np.where(m_y, b[2], b[3])
-            out = np.logaddexp(0.0, -b_self) - np.logaddexp(-b_a1, -b_a2)
+            metrics = self.metrics[:r, 1:]
+            np.logaddexp(0.0, np.negative(metrics, out=metrics), out=metrics)
+            np.take(self.metrics[:r].reshape(r, -1), self.own_at, axis=1, out=out, mode="clip")
+            # -(l0 + (sum - cv)) of the other two Paulis, as (cv - sum) - l0
+            flat = sums.reshape(r, -1)
+            b1, b2 = self.b1[:r], self.b2[:r]
+            for b, at in zip((b1, b2), self.other_at):
+                np.take(flat, at, axis=1, out=b, mode="clip")
+                np.subtract(np.subtract(cv, b, out=b), l0, out=b)
+            np.subtract(out, np.logaddexp(b1, b2, out=b1), out=out)
         np.clip(out, -LLR_CLIP, LLR_CLIP, out=out)
-        flat = out.reshape(len(out), self.g.vn_sym.size)
-        vmsg = np.take(flat, self.g.cn_gather, axis=1)
-        vmsg[:, self.cn_pad] = np.inf
-        return vmsg, _decide(l0, sums)
+        vmsg = self.vmsg[:r]
+        np.take(out.reshape(r, -1), self.g.cn_gather, axis=1, out=vmsg, mode="clip")
+        if self.cn_pad is not None:
+            np.copyto(vmsg, np.inf, where=self.cn_pad)
+        return vmsg, e_hat
 
 
 def decode_batch(
@@ -293,72 +389,72 @@ def decode_batch(
     """Decode a batch of syndromes against one shared graph.
 
     Frames are mutually independent: results are bit-identical for any
-    partitioning of the same frames into batches.  ``early_stop=False``
-    keeps iterating converged frames to ``l_max`` (reported success,
-    iteration count and estimate still reflect the first all-zero
-    residual); it exists for fixed-point inspection and the cycle-free
-    oracle tests.  A ``trace`` list receives one ``IterationRecord`` per
-    executed iteration, and makes the otherwise-skipped final update run so
-    that the last record holds the final messages; it never changes a result.
+    partitioning of the same frames into batches.  The batch runs in slabs
+    of at most SLAB_ROWS rows through one workspace, allocated once per
+    call.  ``early_stop=False`` keeps iterating converged frames to
+    ``l_max`` (reported success, iteration count and estimate still reflect
+    the first all-zero residual); it exists for fixed-point inspection and
+    the cycle-free oracle tests.  A ``trace`` list receives one
+    ``IterationRecord`` per executed iteration of each slab, slab after
+    slab, and makes the otherwise-skipped final update run so that the last
+    record of a slab holds its final messages; it never changes a result.
     """
-    ker = _Kernel(graph)
     syndromes = np.asarray(syndromes)
     if syndromes.ndim != 2 or syndromes.shape[1] != graph.m:
         raise ValueError(f"syndromes must have shape (B, {graph.m})")
+    b_total = syndromes.shape[0]
+    ker = _Kernel(graph, min(b_total, SLAB_ROWS))
     if not ((syndromes == 0) | (syndromes == 1)).all():
         raise ValueError("syndrome bits must be 0 or 1")
-    b_total = syndromes.shape[0]
     l0 = prior.llr
-
     v0 = _marginal_init(l0) if cfg.vn_mode == "marginal" else l0
     v0 = float(np.clip(v0, -LLR_CLIP, LLR_CLIP))
-    vmsg = np.full((b_total, *graph.cn_sym.shape), v0, dtype=np.float64)
-    vmsg[:, ker.cn_pad] = np.inf
-    e_hat = _decide(l0, np.zeros((b_total, 3, graph.n)))
-    syn = syndromes.astype(np.uint8)
 
     success = np.zeros(b_total, dtype=bool)
     iterations = np.full(b_total, cfg.l_max, dtype=np.int64)
     e_hat_out = np.zeros((b_total, graph.n), dtype=np.uint8)
 
-    active = np.arange(b_total)
-    for ell in range(1, cfg.l_max + 1):
-        residual = syn ^ graph.syndromes(e_hat)
-        unsat = residual.sum(axis=1)
-        gamma = unsat / graph.m
-        if trace is not None:
-            trace.append(IterationRecord(ell, active, gamma))
+    for at in range(0, b_total, SLAB_ROWS):
+        syn = syndromes[at : at + SLAB_ROWS].astype(np.uint8)
+        active = np.arange(at, at + len(syn))
+        vmsg, e_hat = ker.start(len(syn), v0, l0)
+        for ell in range(1, cfg.l_max + 1):
+            residual = syn ^ graph.syndromes(e_hat)
+            unsat = residual.sum(axis=1)
+            gamma = unsat / graph.m
+            if trace is not None:
+                trace.append(IterationRecord(ell, active, gamma))
 
-        zero = unsat == 0
-        newly = zero & ~success[active]
-        if newly.any():
-            idx = active[newly]
-            success[idx] = True
-            iterations[idx] = ell
-            e_hat_out[idx] = e_hat[newly]
+            zero = unsat == 0
+            newly = zero & ~success[active]
+            if newly.any():
+                idx = active[newly]
+                success[idx] = True
+                iterations[idx] = ell
+                e_hat_out[idx] = e_hat[newly]
 
-        if early_stop and zero.any():
-            keep = ~zero
-            active = active[keep]
-            if active.size == 0:
-                break
-            vmsg = vmsg[keep]
-            syn = syn[keep]
-            e_hat = e_hat[keep]
-            residual = residual[keep]
-            gamma = gamma[keep]
+            if early_stop and zero.any():
+                keep = ~zero
+                active = active[keep]
+                if active.size == 0:
+                    break
+                vmsg = ker.compact(vmsg, keep)
+                syn = syn[keep]
+                e_hat = e_hat[keep]
+                residual = residual[keep]
+                gamma = gamma[keep]
 
-        if ell == cfg.l_max:
-            # failure estimate is the hard decision of the final iteration
-            pending = ~success[active]
-            e_hat_out[active[pending]] = e_hat[pending]
-            if trace is None:
-                break
+            if ell == cfg.l_max:
+                # failure estimate is the hard decision of the final iteration
+                pending = ~success[active]
+                e_hat_out[active[pending]] = e_hat[pending]
+                if trace is None:
+                    break
 
-        cv = ker.to_qubits(ker.cn_step(vmsg, syn, cfg, _gain(cfg, gamma, residual)))
-        vmsg, e_hat = ker.vn_step(cv, l0, cfg)
-        if trace is not None:
-            trace[-1].vmsg, trace[-1].cv = vmsg, cv
+            cv = ker.to_qubits(ker.cn_step(vmsg, syn, cfg, _gain(cfg, gamma, residual)))
+            vmsg, e_hat = ker.vn_step(cv, l0, cfg)
+            if trace is not None:  # copies: the workspace is rewritten
+                trace[-1].vmsg, trace[-1].cv = vmsg.copy(), cv.copy()
 
     return BatchDecodeResult(success=success, e_hat=e_hat_out, iterations=iterations)
 

@@ -21,10 +21,10 @@ The decoder is a deterministic function of (syndrome, prior, config), and
 the harness needs only its (fail, iterations) per frame.  So each point
 keeps one memo keyed by packed syndrome, shared by its threads: a batch
 decodes each distinct syndrome the point has not decoded before, once, in
-slabs of at most SLAB_ROWS rows.  A hit returns what decoding returns and
-frames decode independently, so neither the memo nor the slabs change an
-estimate.  At low noise, where few syndromes are distinct, the memo
-removes most of the decoding.
+one ``decode_batch`` call, which owns its workspace, so each thread
+decodes in its own.  A hit returns what decoding returns, so the memo
+never changes an estimate.  At low noise, where few syndromes are
+distinct, the memo removes most of the decoding.
 
 Failure means the decoder did not reach an all-zero residual syndrome
 within its iteration budget.  Each estimate carries a 95% Wilson score
@@ -60,10 +60,6 @@ log = logging.getLogger("qsagms.harness")
 #: overhead of tiny active sets.  ``_batch_size`` holds the rule.
 BATCH_FRAMES = 4096
 MIN_BATCH = 512
-
-#: Most rows one ``decode_batch`` call decodes.  Slabs bound each thread's
-#: kernel temporaries, and so peak memory; they never change a result.
-SLAB_ROWS = 1024
 
 #: Memo size at which a point stops storing syndromes (see ``_decode_frames``).
 MEMO_ENTRIES = 1 << 17
@@ -194,9 +190,9 @@ def _decode_frames(graph: TannerGraph, decoder_cfg, ch, prior, memo: dict, start
     ``sample_error`` call samples the whole batch, row for row the frames
     that one-frame calls would give.  The decoder is a deterministic
     function of the syndrome, so each distinct syndrome of the batch
-    reaches ``decode_batch`` once, in slabs of at most SLAB_ROWS rows, and
-    only if ``memo`` (packed syndrome -> ``2 * iterations + fail``) lacks
-    it.  ``decoded`` counts those rows.
+    reaches the batch's one ``decode_batch`` call, and only if ``memo``
+    (packed syndrome -> ``2 * iterations + fail``) lacks it.  ``decoded``
+    counts those rows.
 
     The point's threads share ``memo``.  Each call stores at most the room
     it sees below MEMO_ENTRIES, but threads may see the same room, so the
@@ -210,10 +206,8 @@ def _decode_frames(graph: TannerGraph, decoder_cfg, ch, prior, memo: dict, start
     keys = rows.tolist()
     outcome = np.array([memo.get(key, -1) for key in keys], dtype=np.int64)
     miss = np.flatnonzero(outcome < 0)
-    for at in range(0, miss.size, SLAB_ROWS):
-        slab = miss[at : at + SLAB_ROWS]
-        res = decode_batch(graph, syndromes[first[slab]], prior, decoder_cfg)
-        outcome[slab] = 2 * res.iterations + ~res.success
+    res = decode_batch(graph, syndromes[first[miss]], prior, decoder_cfg)
+    outcome[miss] = 2 * res.iterations + ~res.success
     stored = miss[: max(MEMO_ENTRIES - len(memo), 0)]
     memo.update(zip([keys[i] for i in stored], outcome[stored].tolist()))
     outcome = outcome[inverse]

@@ -67,8 +67,13 @@ def test_transfer_examples():
         assert transfer("bp4", kappa, d_c=2) == pytest.approx(kappa, abs=1e-12)
     assert transfer("sagms", 2.0, gain=0.65) == pytest.approx(1.30)
     assert transfer("sms", 2.0, gain=0.85) == pytest.approx(1.70)
+    assert transfer("sms", 2.0, gain=1.0) == 2.0
     with pytest.raises(ValueError):
         transfer("sms", 1.0)  # gain missing
+    for variant in ("sms", "sagms"):
+        for gain in (math.nan, -1.0, 0.0, 1.5, math.inf):
+            with pytest.raises(ValueError, match=rf"^{variant} transfer needs a gain in \(0, 1\]"):
+                transfer(variant, 1.0, gain=gain)
     with pytest.raises(ValueError):
         transfer("bp4", 1.0)  # degree missing
     with pytest.raises(ValueError):
@@ -161,6 +166,9 @@ NON_FINITE = {
     "monotonicity-nan": (lambda: check_monotonicity(math.nan, (2, 10)), "l0 must be positive"),
     "monotonicity-inf": (lambda: check_monotonicity(math.inf, (2, 10)), "l0 must be positive"),
     "transfer-nan": (lambda: transfer("ms", [math.nan, 1.0]), "kappa must be positive"),
+    "transfer-gain-nan": (
+        lambda: transfer("sagms", 1.0, gain=math.nan), "sagms transfer needs a gain in"
+    ),
     "phi-nan": (lambda: phi(math.nan), "phi requires strictly positive"),
     "expected-min-nan": (lambda: expected_min_g(math.nan, 4), "mu must be positive"),
 }

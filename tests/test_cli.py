@@ -407,6 +407,18 @@ FAILURES = {
     "transfer-kappa-nan": (
         ("analyze", "transfer", "--kappa", "nan,1"), 2, "error: kappa must be positive",
     ),
+    "transfer-alpha-nan": (
+        ("analyze", "transfer", "--alpha", "nan"),
+        2, "error: sms transfer needs a gain in (0, 1], got nan",
+    ),
+    "transfer-alpha-negative": (
+        ("analyze", "transfer", "--alpha", "-1"),
+        2, "error: sms transfer needs a gain in (0, 1], got -1",
+    ),
+    "transfer-alpha-eff-nan": (
+        ("analyze", "transfer", "--alpha-eff", "nan"),
+        2, "error: sagms transfer needs a gain in (0, 1], got nan",
+    ),
     "transfer-degree": (
         ("analyze", "transfer", "--dc", "1"), 2, "error: bp4 transfer needs d_c >= 2",
     ),

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -10,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from qsagms.channel import ChannelPrior, DepolarizingChannel, prior_llr, sample_error
 from qsagms.code import GbSpec, SparseCheckMatrix, build_gb, tanner_graph
+from qsagms import decoder
 from qsagms.analysis import phi_llr
 from qsagms.decoder import (
+    SLAB_ROWS,
     VN_MODES,
     DecoderConfig,
     GainParams,
@@ -511,7 +514,7 @@ def _outcome_hash(r) -> str:
 @pytest.mark.parametrize("variant,kw", VARIANT_CASES)
 @pytest.mark.parametrize("vn_mode", ["marginal", "additive"])
 def test_batch_partition_invariance(
-    small_code, small_graph, tree_code, tree_graph, variant, kw, vn_mode
+    small_code, small_graph, tree_code, tree_graph, variant, kw, vn_mode, monkeypatch
 ):
     prior = prior_llr(0.15)
     ch = DepolarizingChannel(0.15, 5)
@@ -520,6 +523,11 @@ def test_batch_partition_invariance(
         errors = sample_error(ch, H.n, 0, count=64)
         syndromes = graph.syndromes(errors)
         whole = decode_batch(graph, syndromes, prior, cfg)
+        # 7-row slabs, the last one short, must agree bitwise with one slab
+        with monkeypatch.context() as patch:
+            patch.setattr(decoder, "SLAB_ROWS", 7)
+            slabs = decode_batch(graph, syndromes, prior, cfg)
+        assert _outcome_hash(slabs) == _outcome_hash(whole)
         # per-frame decodes must agree bitwise with the batched run
         for f in range(64):
             single = decode_batch(graph, syndromes[f : f + 1], prior, cfg)
@@ -548,17 +556,21 @@ def test_trace_never_changes_a_result(tree_graph, variant, kw, vn_mode):
         assert [r.iteration for r in trace] == list(range(1, cfg.l_max + 1))
 
 
-def test_trace_gammas_match_single_frame_decodes(small_code, small_graph):
+def test_trace_gammas_match_single_frame_decodes(small_code, small_graph, monkeypatch):
     prior = prior_llr(0.1)
     ch = DepolarizingChannel(0.1, 21)
     cfg = DecoderConfig("sagms", l_max=8, gain=GAIN)
     errors = sample_error(ch, small_code.n, 0, count=48)
     syndromes = small_graph.syndromes(errors)
     trace = []
+    monkeypatch.setattr(decoder, "SLAB_ROWS", 7)
     res = decode_batch(small_graph, syndromes, prior, cfg, trace=trace)
     # frames leave the active set at different iterations, and some fail
     assert len(set(res.iterations[res.success].tolist())) >= 3
     assert not res.success.all()
+    # each slab appends its own records, numbered by batch row
+    firsts = [r.rows.tolist() for r in trace if r.iteration == 1]
+    assert firsts == [list(range(at, min(at + 7, 48))) for at in range(0, 48, 7)]
     per_row = [[] for _ in syndromes]
     for rec in trace:
         for row, gamma in zip(rec.rows, rec.gamma):
@@ -566,6 +578,53 @@ def test_trace_gammas_match_single_frame_decodes(small_code, small_graph):
     for row, s in enumerate(syndromes):
         single = decode(small_graph, s, prior, cfg)
         assert per_row[row] == single.gamma_trace.tolist()
+
+
+def test_trace_records_copy_the_reused_workspace(small_code, small_graph, monkeypatch):
+    prior = prior_llr(0.1)
+    cfg = DecoderConfig("bp4", l_max=8)
+    errors = sample_error(DepolarizingChannel(0.1, 21), small_code.n, 0, count=48)
+    syndromes = small_graph.syndromes(errors)
+    monkeypatch.setattr(decoder, "SLAB_ROWS", 7)
+    trace = []
+    decode_batch(small_graph, syndromes, prior, cfg, trace=trace)
+    # later slabs of the same call rewrote the workspace after these records
+    alone = []
+    for at in range(0, 48, 7):
+        records = []
+        decode_batch(small_graph, syndromes[at : at + 7], prior, cfg, trace=records)
+        alone += [(r.rows + at, r.vmsg, r.cv) for r in records]
+    assert len(alone) == len(trace)
+    for rec, (rows, vmsg, cv) in zip(trace, alone):
+        assert np.array_equal(rec.rows, rows)
+        assert np.array_equal(rec.vmsg, vmsg) and np.array_equal(rec.cv, cv)
+    # and a later call leaves them as they are
+    held = [r for r in trace if r.vmsg is not None]
+    kept = [(r.vmsg.copy(), r.cv.copy()) for r in held]
+    decode_batch(small_graph, syndromes[::-1], prior, cfg, trace=[])
+    for rec, (vmsg, cv) in zip(held, kept):
+        assert np.array_equal(rec.vmsg, vmsg) and np.array_equal(rec.cv, cv)
+
+
+def test_decode_batch_memory_does_not_grow_with_rows(gb126_code, gb126_graph):
+    # one workspace of SLAB_ROWS rows serves every slab of a batch
+    prior = prior_llr(0.05)
+    cfg = DecoderConfig("sagms", l_max=8, gain=GAIN)
+    errors = sample_error(DepolarizingChannel(0.05, 3), gb126_code.n, 0, count=8 * SLAB_ROWS)
+    syndromes = gb126_graph.syndromes(errors)
+    peaks = []
+    for rows in (SLAB_ROWS, 8 * SLAB_ROWS):
+        tracemalloc.start()
+        try:
+            decode_batch(gb126_graph, syndromes[:rows], prior, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+    # and no message-sized array is allocated beside it
+    ker = decoder._Kernel(gb126_graph, SLAB_ROWS)
+    workspace = sum(a.nbytes for a in vars(ker).values() if isinstance(a, np.ndarray))
+    assert peaks[0] < workspace + ker.vmsg.nbytes, (peaks, workspace)
 
 
 def test_decode_deterministic_across_runs(small_code, small_graph):
@@ -610,7 +669,7 @@ def test_marginal_bp4_exact_on_trees():
             # final hard decisions equal per-qubit posterior maximizers
             cmsg = np.zeros(graph.cn_sym.shape)
             cmsg[graph.cn_sym != 0] = final.cn_to_vn
-            ker = _Kernel(graph)
+            ker = _Kernel(graph, 1)
             hd = ker.vn_step(ker.to_qubits(cmsg[None]), prior.llr, cfg)[1][0]
             want = map_decisions(H, s, eps0)
             assert np.array_equal(hd, want), (seed, trial)

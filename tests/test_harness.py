@@ -12,14 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsagms import harness
+from qsagms import decoder, harness
 from qsagms.channel import DepolarizingChannel, prior_llr, sample_error
 from qsagms.code import SparseCheckMatrix, tanner_graph
 from qsagms.decoder import DecoderConfig, GainParams, decode_batch
 from qsagms.harness import (
     BATCH_FRAMES,
     MIN_BATCH,
-    SLAB_ROWS,
     FerPoint,
     SweepConfig,
     _batch_size,
@@ -471,20 +470,16 @@ def test_memo_lives_for_one_point(small_code, small_graph, monkeypatch, caplog):
 # -- decode slabs -------------------------------------------------------------------
 
 
-def test_slab_rows_covers_the_first_batch():
-    assert SLAB_ROWS >= MIN_BATCH  # a first batch reaches the decoder in one call
-
-
 @pytest.mark.parametrize("workers", [1, 2], ids=["1w", "2w"])
 @pytest.mark.parametrize("point", ["memo", "converging"])
 def test_slabs_do_not_change_points(small_code, small_graph, monkeypatch, point, workers):
     make, eps = {"memo": (_memo_sweep, 0.1), "converging": (_converging_sweep, 0.03)}[point]
     cfg = make(workers=workers)
     want = run_point(small_code, small_graph, cfg, epsilon=eps)
-    _, decoded = _batch_rows(monkeypatch)
-    monkeypatch.setattr(harness, "SLAB_ROWS", 7)
+    sampled, decoded = _batch_rows(monkeypatch)
+    monkeypatch.setattr(decoder, "SLAB_ROWS", 7)
     assert run_point(small_code, small_graph, cfg, epsilon=eps) == want
-    assert max(decoded) == 7  # batches reached the decoder in full slabs and no more
+    assert len(decoded) == len(sampled)  # one decode_batch call per batch
 
 
 def test_run_point_matched_vs_fixed_prior(small_code, small_graph):
