@@ -26,6 +26,7 @@ with S in {X, Y, Z} and columns strictly increasing within a row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -167,18 +168,29 @@ class TannerGraph:
     def edge_count(self) -> int:
         return int(self.cn_degrees.sum())
 
+    @cached_property
+    def _anti(self) -> np.ndarray:
+        """(d_c, m) masks: bit p of [k, i] is the trace inner product of the
+        symbol in slot k of check i with Pauli p."""
+        paulis = np.arange(4, dtype=np.uint8)
+        products = trace_inner(np.ascontiguousarray(self.cn_sym.T)[..., None], paulis)
+        return np.bitwise_or.reduce(products << paulis, axis=-1)
+
     def syndromes(self, e) -> np.ndarray:
         """Syndrome bits of error patterns ``e`` (qubits on the last axis).
 
         Bit i is the parity of the trace inner products between check i's
         symbols and the errors on its qubits, i.e. 1 iff stabilizer i
         anticommutes with the error; symbol-0 padding slots contribute 0.
+        The products are looked up in one (..., d_c, m) array, one slot
+        plane per check slot, and the parity is an xor across the planes.
         """
         e = np.asarray(e)
         if e.shape[-1:] != (self.n,):
             raise ValueError(f"error patterns of shape {e.shape} need {self.n} qubits")
-        t = trace_inner(self.cn_sym, np.take(e, self.cn_vn, axis=-1))
-        return np.bitwise_xor.reduce(t, axis=-1)
+        t = np.take(e, self.cn_vn.T, axis=-1)
+        np.bitwise_and(np.right_shift(self._anti, t, out=t), 1, out=t)
+        return np.bitwise_xor.reduce(t, axis=-2)
 
 
 def check_decodable(graph: TannerGraph) -> None:

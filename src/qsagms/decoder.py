@@ -23,7 +23,9 @@ is the one inspection path: ``decode`` builds its traces from it.
 A batch is decoded in slabs of at most SLAB_ROWS rows through one
 workspace that ``decode_batch`` allocates once: every step writes into it
 in place, so the iteration loop allocates no message-sized array, and
-peak memory does not grow with the batch.
+peak memory does not grow with the batch.  Messages are held batch-last,
+slot by slot, so every reduction over a node's slots is elementwise
+arithmetic on (nodes, rows) planes: no masked or short-axis numpy call.
 
 Two qubit-node scalarizations are provided.  ``marginal`` (the default)
 keeps per-Pauli log-beliefs and emits the commute/anticommute LLR relative
@@ -173,47 +175,98 @@ def _marginal_init(prior_llr_value: float) -> float:
     return math.log1p(math.exp(-prior_llr_value)) + prior_llr_value - math.log(2.0)
 
 
+def _view(flat: np.ndarray, r: int, *shape: int) -> np.ndarray:
+    """The leading part of a flat buffer as a contiguous (*shape, r) array."""
+    return flat[: math.prod(shape) * r].reshape(*shape, r)
+
+
+def _pad_rows(sym: np.ndarray):
+    """Padding slots of a dense layout as rows of its slot-major flattening
+    (slot k of node i is row k * nodes + i); None when it has none."""
+    pad = np.flatnonzero(sym.T == 0)
+    return pad if pad.size else None
+
+
+def _fill(x: np.ndarray, pad, value: float) -> np.ndarray:
+    """``x`` with its padding slots (rows ``pad``) set to ``value``."""
+    if pad is not None:
+        x.reshape(-1, x.shape[-1])[pad] = value
+    return x
+
+
 def _degree_groups(degrees: np.ndarray):
-    """(degree, rows mask) pairs of a padded layout, each mask shaped (k, 1)
-    to select rows of a (..., k, 1) array; None when no row is padded."""
+    """(degree, nodes mask) pairs of a padded layout, each mask shaped
+    (nodes, 1) to select rows of a (nodes, r) plane; None when unpadded."""
     if (degrees == degrees.max()).all():
         return None
     return [(int(d), (degrees == d)[:, None]) for d in np.unique(degrees)]
 
 
-def _pad_mask(sym: np.ndarray):
-    """Padding slots of a dense layout; None when it has none."""
-    pad = sym == 0
-    return pad if pad.any() else None
+def _pairwise(x, out, tmp):
+    """np.sum(x, axis=0) of the planes ``x`` into ``out``, bit for bit as
+    numpy sums the same terms along a contiguous axis: from +0.0, fewer than
+    8 terms one after another; up to 128 in 8 running accumulators combined
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest; more as two such
+    halves.  ``tmp`` holds len(x) - 1 scratch planes."""
+    k = len(x)
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        _pairwise(x[half:], tmp[0], tmp[1:])
+        return np.add(_pairwise(x[:half], out, tmp[1:]), tmp[0], out=out)
+    out.fill(0.0)
+    if k >= 8:
+        r, a, b = (x, tmp[0], tmp[1]) if k < 16 else (tmp[:8], tmp[8], tmp[9])
+        if k >= 16:
+            np.add(x[:8], x[8:16], out=r)
+            for i in range(16, k - k % 8, 8):
+                np.add(r, x[i : i + 8], out=r)
+        for h in (0, 4):  # 0.0 + X + Y is X + Y, but never -0.0, as numpy's start
+            np.add(np.add(r[h], r[h + 1], out=a), np.add(r[h + 2], r[h + 3], out=b), out=a)
+            np.add(out, a, out=out)
+    for p in x[k - k % 8 :]:
+        np.add(out, p, out=out)
+    return out
 
 
-def _segment_sum(x, groups, out, scratch):
-    """Sum of each row's own slots (last axis) into ``out``, shaped (..., 1).
+def _plane_sum(x, out, tmp):
+    """x[0] + np.sum(x[1:], axis=0): the head added last, the order of the
+    pinned results.  ``tmp`` holds len(x) - 2 scratch planes."""
+    return np.add(x[0], _pairwise(x[1:], out, tmp), out=out)
 
-    head + rest reproduces the summation order of the pinned results;
-    sum() alone pairs differently.  Rows of a padded layout are summed per
-    degree over their own slots only: numpy's pairwise sum groups terms
-    differently once padding makes a row 9 or more slots wide.  Each degree
-    sums every row into ``scratch`` and keeps the rows of that degree.
-    """
+
+def _segment_sum(x, groups, out, tmp):
+    """Each node's sum over its own slots (the planes of ``x``) into the
+    plane ``out``.  Padded layouts sum each degree's slots into ``tmp[-1]``
+    and keep its nodes: padding would regroup a pairwise sum of 9 terms."""
     if groups is None:
-        np.sum(x[..., 1:], axis=-1, keepdims=True, out=out)
-        return np.add(x[..., :1], out, out=out)
-    for d, rows in groups:
-        np.sum(x[..., 1:d], axis=-1, keepdims=True, out=scratch)
-        np.add(x[..., :1], scratch, out=scratch)
-        np.copyto(out, scratch, where=rows)
+        return _plane_sum(x, out, tmp)
+    for d, nodes in groups:
+        np.copyto(out, _plane_sum(x[:d], tmp[-1], tmp[:-1]), where=nodes)
+    return out
+
+
+def _extrinsic_min(mag, out):
+    """out[k] = the minimum of mag[j] over the other slots j != k (+inf for
+    a lone slot): suffix minima into ``out``, then a prefix pass over ``mag``
+    in place.  Exact, and no argmin: where the minimum is tied, the second
+    minimum equals the first."""
+    out[-1].fill(np.inf)
+    for k in range(len(mag) - 2, -1, -1):  # out[k] = min(mag[k + 1:])
+        np.minimum(mag[k + 1], out[k + 1], out=out[k])
+    for k in range(1, len(mag)):  # mag[k - 1] = min(mag[:k])
+        np.minimum(mag[k - 1], out[k], out=out[k])
+        np.minimum(mag[k - 1], mag[k], out=mag[k])
     return out
 
 
 def _gain(cfg: DecoderConfig, gamma: np.ndarray, residual: np.ndarray):
     """Min-sum gain: 1 for ms (bp4 ignores it), alpha for sms; for sagms the
-    ramp at each frame's ratio ``gamma`` (B,), times eta_unsat on the
-    unsatisfied checks of ``residual`` (B, m), shaped (B, m, 1)."""
+    ramp at each frame's ratio ``gamma`` (r,), times eta_unsat on the
+    unsatisfied checks of ``residual`` (r, m), as an (m, r) plane."""
     if cfg.variant == "sagms":
         p = cfg.gain
         base = linear_gain_fit(p.alpha_max, p.alpha_min, gamma)
-        return (base[:, None] * np.where(residual == 1, p.eta_unsat, 1.0))[..., None]
+        return np.multiply(base, np.where(residual.T == 1, p.eta_unsat, 1.0), order="C")
     return cfg.alpha if cfg.variant == "sms" else 1.0
 
 
@@ -221,160 +274,148 @@ class _Kernel:
     """Vectorized batch decoder over the dense layouts of one Tanner graph,
     with a workspace for up to ``rows`` frames.
 
-    Qubit-to-check messages are held check-major as (frames, m, d_c) and
-    check-to-qubit messages qubit-major as (frames, n, d_v).  Padding slots
-    hold the neutral element of every reduction over them: magnitude +inf
-    with sign + (min-sum; phi(inf) = 0 for bp4) in the check view, 0 in the
-    qubit view.  Every reduction runs along the last axis within one frame,
-    so each frame's arithmetic is independent of the batch composition and
-    of any worker partitioning.
+    Messages are held batch-last: qubit-to-check as (d_c, m, r) and
+    check-to-qubit as (d_v, n, r), for r active frames.  Each slot of every
+    node is a contiguous (m, r) or (n, r) plane, so a reduction over a
+    node's slots is elementwise arithmetic on planes, one frame per column:
+    a frame's arithmetic is independent of the batch composition and of any
+    worker partitioning.  Padding slots hold the neutral element of every
+    reduction over them: magnitude +inf with sign + in the check view
+    (phi(inf) = 0 for bp4), 0 in the qubit view.  Layout gathers are row
+    takes of r-vectors.
 
-    Every step writes into the workspace, allocated here once, and returns
-    views of its leading rows: a step's result stays valid until the same
-    step runs again.  So one kernel serves one thread.
+    The workspace is flat buffers allocated here once.  Every step writes
+    into and returns contiguous views of them sized for the current r,
+    valid until the same step runs again, so one kernel serves one thread.
     """
 
     def __init__(self, graph: TannerGraph, rows: int):
         check_decodable(graph)
         self.g = graph
         n, m = graph.n, graph.m
-        self.cn_pad = _pad_mask(graph.cn_sym)
-        self.vn_pad = _pad_mask(graph.vn_sym)
-        self.cn_groups = _degree_groups(graph.cn_degrees)
-        self.vn_groups = _degree_groups(graph.vn_degrees)
-        self.slots = np.arange(graph.cn_sym.shape[1])
+        d_c, d_v = graph.cn_sym.shape[1], graph.vn_sym.shape[1]
+        self.check, self.qubit = (d_c, m), (d_v, n)
+        self.cn_pad, self.vn_pad = _pad_rows(graph.cn_sym), _pad_rows(graph.vn_sym)
+        self.cn_groups, self.vn_groups = map(_degree_groups, (graph.cn_degrees, graph.vn_degrees))
+        sym = graph.vn_sym.T.astype(np.intp)
         # anticommutation masks of candidate errors X, Z, Y vs edge symbols
-        self.anti = [trace_inner(e, graph.vn_sym).astype(np.float64) for e in (1, 2, 3)]
-        # per edge of symbol s, the flat (Pauli, qubit) position of s in the
-        # (rows, 4, n) metrics and of the two Paulis anticommuting with s in
-        # the (rows, 3, n) sums; padding slots read entries never used
-        sym = graph.vn_sym.astype(np.intp)
-        qubit = np.arange(n)[:, None]
+        self.anti = [trace_inner(e, sym).astype(np.float64)[..., None] for e in (1, 2, 3)]
+        # per edge of symbol s, the row of s in the (4n, r) metrics and of
+        # the two Paulis anticommuting with s in the (3n, r) sums; padding
+        # slots read rows never used
+        qubit = np.arange(n)
         self.own_at = sym * n + qubit
-        self.other_at = (
-            np.where(sym == 1, 1, 0) * n + qubit,
-            np.where(sym == 3, 1, 2) * n + qubit,
-        )
-        # the workspace: message-shaped buffers in each view, then per-row
-        # scratch ((rows, m, 1) and (rows, n, 1)), sums and metrics
-        check, qubit_view = (rows, *graph.cn_sym.shape), (rows, *graph.vn_sym.shape)
+        self.other_at = ((sym == 1) * n + qubit, np.where(sym == 3, 1, 2) * n + qubit)
+        # slot k of check i reads row t * n + j of the qubit layout, where
+        # it is slot t of qubit j, and back
+        at, back = graph.cn_gather.T, graph.vn_gather.T
+        self.to_check, self.to_qubit = at % d_v * n + at // d_v, back % d_c * m + back // d_c
+        # the workspace: message buffers in each view, then planes
+        check, qubit_view = d_c * m * rows, d_v * n * rows
         self.vmsg, self.spare, self.cmsg = (np.empty(check) for _ in range(3))
-        self.neg, self.is_first = (np.empty(check, dtype=bool) for _ in range(2))
+        self.neg = np.empty(check, dtype=bool)
         self.cv, self.qmsg, self.b1, self.b2 = (np.empty(qubit_view) for _ in range(4))
-        self.c1, self.c2 = np.empty((rows, m, 1)), np.empty((rows, m, 1))
-        self.first = np.empty((rows, m, 1), dtype=np.intp)
-        self.parity = np.empty((rows, m), dtype=bool)
-        self.v1, self.v2 = np.empty((rows, n, 1)), np.empty((rows, n, 1))
-        self.sums = np.empty((rows, 3, n))
-        self.metrics = np.zeros((rows, 4, n))  # column 0, for I, stays 0
-        self.choice = np.empty((rows, n), dtype=np.intp)
-        self.e_hat = np.empty((rows, n), dtype=np.uint8)
+        self.parity = np.empty(m * rows, dtype=bool)
+        self.sums, self.metrics = np.empty(3 * n * rows), np.empty(4 * n * rows)
+        self.best, self.later = np.empty(n * rows), np.empty(3 * n * rows, dtype=bool)
+        self.e_hat = np.empty(n * rows, dtype=np.uint8)
 
     def start(self, rows: int, v0: float, l0: float):
         """Initial messages ``v0`` and the hard decision of zero sums."""
-        vmsg = self.vmsg[:rows]
+        vmsg, sums = _view(self.vmsg, rows, *self.check), _view(self.sums, rows, 3, self.g.n)
         vmsg.fill(v0)
-        if self.cn_pad is not None:
-            np.copyto(vmsg, np.inf, where=self.cn_pad)
-        sums = self.sums[:rows]
         sums.fill(0.0)
-        return vmsg, self.decide(sums, l0)
+        return _fill(vmsg, self.cn_pad, np.inf), self.decide(sums, l0)
 
     def decide(self, sums: np.ndarray, l0: float) -> np.ndarray:
-        """(r, n) Pauli codes minimizing 0 for I and l0 + sums[:, e - 1] for
-        e = X, Z, Y, where ``sums`` (r, 3, n) adds each qubit's incoming
-        messages that anticommute with e; argmin keeps the first minimum on
-        ties.  The metrics stay in ``self.metrics``."""
-        r = len(sums)
-        metrics, choice, e_hat = self.metrics[:r], self.choice[:r], self.e_hat[:r]
-        np.add(l0, sums, out=metrics[:, 1:])
-        np.argmin(metrics, axis=1, out=choice)
-        np.copyto(e_hat, choice, casting="unsafe")
-        return e_hat
+        """(n, r) Pauli codes minimizing 0 for I and l0 + sums[e - 1] for
+        e = X, Z, Y, where ``sums`` (3, n, r) adds each qubit's incoming
+        messages that anticommute with e; the first minimum wins ties, as
+        argmin's would.  The metrics stay in ``self.metrics``."""
+        r, n = sums.shape[-1], self.g.n
+        metrics, best = _view(self.metrics, r, 4, n), _view(self.best, r, n)
+        metrics[0].fill(0.0)
+        np.add(l0, sums, out=metrics[1:])
+        np.minimum.reduce(metrics, axis=0, out=best)
+        # later[e]: none of metrics[:e + 1] is the minimum; the code counts them
+        later = _view(self.later, r, 3, n)
+        np.not_equal(metrics[:3], best, out=later)
+        np.logical_and(later[0], later[1], out=later[1])
+        np.logical_and(later[1], later[2], out=later[2])
+        return np.add.reduce(later.view(np.uint8), axis=0, out=_view(self.e_hat, r, n))
 
     def compact(self, vmsg: np.ndarray, keep: np.ndarray) -> np.ndarray:
-        """The ``keep`` rows of ``vmsg``, moved into the spare buffer, which
-        then becomes the message buffer."""
-        out = self.spare[: np.count_nonzero(keep)]
-        np.take(vmsg, np.flatnonzero(keep), axis=0, out=out, mode="clip")
+        """The ``keep`` columns of ``vmsg``, moved into the spare buffer,
+        which then becomes the message buffer."""
+        out = _view(self.spare, np.count_nonzero(keep), *self.check)
+        np.take(vmsg, np.flatnonzero(keep), axis=-1, out=out, mode="clip")
         self.vmsg, self.spare = self.spare, self.vmsg
         return out
 
     def to_qubits(self, cmsg: np.ndarray) -> np.ndarray:
-        """Check-major (r, m, d_c) messages gathered qubit-major (r, n, d_v)."""
-        r = len(cmsg)
-        cv = self.cv[:r]
-        np.take(cmsg.reshape(r, -1), self.g.vn_gather, axis=1, out=cv, mode="clip")
-        if self.vn_pad is not None:
-            np.copyto(cv, 0.0, where=self.vn_pad)
-        return cv
+        """(d_c, m, r) messages gathered into the (d_v, n, r) qubit view."""
+        r = cmsg.shape[-1]
+        cv = _view(self.cv, r, *self.qubit)
+        np.take(cmsg.reshape(-1, r), self.to_qubit, axis=0, out=cv, mode="clip")
+        return _fill(cv, self.vn_pad, 0.0)
 
     def cn_step(self, vmsg, syn, cfg, gain):
-        """Check-node update; min-sum magnitudes are scaled by ``gain``.
-
-        The output is negative where the observed syndrome bit and the signs
-        of the other messages of the check hold an odd number of minuses."""
-        r = len(vmsg)
-        mag, neg, parity = self.cmsg[:r], self.neg[:r], self.parity[:r]
+        """Check-node update of ``vmsg``, which it overwrites; min-sum
+        magnitudes are scaled by ``gain`` (a scalar or an (m, r) plane).
+        The output is negative where the observed syndrome bit (``syn``,
+        (m, r)) and the other messages' signs hold an odd number of minuses."""
+        r = vmsg.shape[-1]
+        neg, parity = _view(self.neg, r, *self.check), _view(self.parity, r, self.g.m)
         np.less(vmsg, 0.0, out=neg)
-        np.logical_xor.reduce(neg, axis=-1, out=parity)
+        np.logical_xor.reduce(neg, axis=0, out=parity)
         np.logical_xor(parity, syn, out=parity)
-        np.not_equal(neg, parity[..., None], out=neg)
-        np.abs(vmsg, out=mag)
+        np.not_equal(neg, parity, out=neg)
+        mag, out = np.abs(vmsg, out=vmsg), _view(self.cmsg, r, *self.check)
+        sign = _view(self.spare, r, *self.check)
         if cfg.variant == "bp4":
-            total = self.c1[:r]
             phi_llr(np.maximum(mag, PHI_ARG_FLOOR, out=mag), out=mag)
-            _segment_sum(mag, self.cn_groups, total, self.c2[:r])
-            np.subtract(total, mag, out=mag)
-            np.clip(mag, PHI_SUM_MIN, PHI_SUM_MAX, out=mag)
-            phi_llr(mag, out=mag)
+            total = _segment_sum(mag, self.cn_groups, sign[0], sign[1:])
+            np.subtract(total, mag, out=out)
+            np.clip(out, PHI_SUM_MIN, PHI_SUM_MAX, out=out)
+            phi_llr(out, out=out)
         else:
-            # the first minimum sends the second minimum, the others the first
-            first, is_first = self.first[:r], self.is_first[:r]
-            min1, min2 = self.c1[:r], self.c2[:r]
-            np.argmin(mag, axis=-1, out=first, keepdims=True)
-            np.min(mag, axis=-1, out=min1, keepdims=True)
-            np.equal(self.slots, first, out=is_first)
-            np.copyto(mag, np.inf, where=is_first)
-            np.min(mag, axis=-1, out=min2, keepdims=True)
-            np.copyto(mag, np.multiply(gain, min1, out=min1))
-            np.copyto(mag, np.multiply(gain, min2, out=min2), where=is_first)
-        np.negative(mag, out=mag, where=neg)
-        return np.clip(mag, -LLR_CLIP, LLR_CLIP, out=mag)
+            np.multiply(_extrinsic_min(mag, out), gain, out=out)
+        # x * -1.0 is -x, zeros and infinities included
+        np.add(np.multiply(neg, -2.0, out=sign), 1.0, out=sign)
+        np.multiply(out, sign, out=out)
+        return np.clip(out, -LLR_CLIP, LLR_CLIP, out=out)
 
     def vn_step(self, cv, l0, cfg):
-        """Qubit-node update from qubit-major messages; returns check-major
+        """Qubit-node update from the qubit view; returns check-view
         messages and the next hard decision, from one pass of per-Pauli sums.
 
         In marginal mode the belief in an edge's own symbol s leaves out no
         message (the edge's own commutes with s), so it is its qubit's
         decision metric for s, and its log-add-exp is taken once per qubit."""
-        r = len(cv)
-        sums, out, v1 = self.sums[:r], self.qmsg[:r], self.v1[:r]
+        r, n = cv.shape[-1], self.g.n
+        sums, out = _view(self.sums, r, 3, n), _view(self.qmsg, r, *self.qubit)
+        b1, b2 = _view(self.b1, r, *self.qubit), _view(self.b2, r, *self.qubit)
         for e in range(3):
-            np.multiply(cv, self.anti[e], out=out)
-            _segment_sum(out, self.vn_groups, sums[:, e, :, None], v1)
+            _segment_sum(np.multiply(cv, self.anti[e], out=out), self.vn_groups, sums[e], b1)
         e_hat = self.decide(sums, l0)
         if cfg.vn_mode == "additive":
-            total = _segment_sum(cv, self.vn_groups, self.v2[:r], v1)
+            total = _segment_sum(cv, self.vn_groups, b2[0], b1)
             np.add(l0, np.subtract(total, cv, out=out), out=out)
         else:
-            metrics = self.metrics[:r, 1:]
-            np.logaddexp(0.0, np.negative(metrics, out=metrics), out=metrics)
-            np.take(self.metrics[:r].reshape(r, -1), self.own_at, axis=1, out=out, mode="clip")
+            metrics = _view(self.metrics, r, 4, n)
+            beliefs = metrics[1:]
+            np.logaddexp(0.0, np.negative(beliefs, out=beliefs), out=beliefs)
+            np.take(metrics.reshape(-1, r), self.own_at, axis=0, out=out, mode="clip")
             # -(l0 + (sum - cv)) of the other two Paulis, as (cv - sum) - l0
-            flat = sums.reshape(r, -1)
-            b1, b2 = self.b1[:r], self.b2[:r]
+            flat = sums.reshape(-1, r)
             for b, at in zip((b1, b2), self.other_at):
-                np.take(flat, at, axis=1, out=b, mode="clip")
+                np.take(flat, at, axis=0, out=b, mode="clip")
                 np.subtract(np.subtract(cv, b, out=b), l0, out=b)
             np.subtract(out, np.logaddexp(b1, b2, out=b1), out=out)
         np.clip(out, -LLR_CLIP, LLR_CLIP, out=out)
-        vmsg = self.vmsg[:r]
-        np.take(out.reshape(r, -1), self.g.cn_gather, axis=1, out=vmsg, mode="clip")
-        if self.cn_pad is not None:
-            np.copyto(vmsg, np.inf, where=self.cn_pad)
-        return vmsg, e_hat
+        vmsg = _view(self.vmsg, r, *self.check)
+        np.take(out.reshape(-1, r), self.to_check, axis=0, out=vmsg, mode="clip")
+        return _fill(vmsg, self.cn_pad, np.inf), e_hat
 
 
 def decode_batch(
@@ -419,7 +460,7 @@ def decode_batch(
         active = np.arange(at, at + len(syn))
         vmsg, e_hat = ker.start(len(syn), v0, l0)
         for ell in range(1, cfg.l_max + 1):
-            residual = syn ^ graph.syndromes(e_hat)
+            residual = syn ^ graph.syndromes(e_hat.T)
             unsat = residual.sum(axis=1)
             gamma = unsat / graph.m
             if trace is not None:
@@ -431,7 +472,7 @@ def decode_batch(
                 idx = active[newly]
                 success[idx] = True
                 iterations[idx] = ell
-                e_hat_out[idx] = e_hat[newly]
+                e_hat_out[idx] = e_hat[:, newly].T
 
             if early_stop and zero.any():
                 keep = ~zero
@@ -439,22 +480,20 @@ def decode_batch(
                 if active.size == 0:
                     break
                 vmsg = ker.compact(vmsg, keep)
-                syn = syn[keep]
-                e_hat = e_hat[keep]
-                residual = residual[keep]
+                syn, e_hat, residual = syn[keep], e_hat[:, keep], residual[keep]
                 gamma = gamma[keep]
 
             if ell == cfg.l_max:
                 # failure estimate is the hard decision of the final iteration
                 pending = ~success[active]
-                e_hat_out[active[pending]] = e_hat[pending]
+                e_hat_out[active[pending]] = e_hat[:, pending].T
                 if trace is None:
                     break
 
-            cv = ker.to_qubits(ker.cn_step(vmsg, syn, cfg, _gain(cfg, gamma, residual)))
+            cv = ker.to_qubits(ker.cn_step(vmsg, syn.T, cfg, _gain(cfg, gamma, residual)))
             vmsg, e_hat = ker.vn_step(cv, l0, cfg)
-            if trace is not None:  # copies: the workspace is rewritten
-                trace[-1].vmsg, trace[-1].cv = vmsg.copy(), cv.copy()
+            if trace is not None:  # (rows, node, slot) copies: the workspace is rewritten
+                trace[-1].vmsg, trace[-1].cv = (a.transpose(2, 1, 0).copy() for a in (vmsg, cv))
 
     return BatchDecodeResult(success=success, e_hat=e_hat_out, iterations=iterations)
 

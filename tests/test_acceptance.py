@@ -163,8 +163,9 @@ def test_criterion_5_cycle_free_enumeration_oracle():
             worst = max(worst, abs(float(final.vn_to_cn[idx]) - expected))
         cmsg = np.zeros(graph.cn_sym.shape)
         cmsg[graph.cn_sym != 0] = final.cn_to_vn
+        # the kernel's batch-last layout: (d_c, m, r) in, (n, r) decisions out
         ker = _Kernel(graph, 1)
-        hd = ker.vn_step(ker.to_qubits(cmsg[None]), prior.llr, cfg)[1][0]
+        hd = ker.vn_step(ker.to_qubits(cmsg.T[:, :, None]), prior.llr, cfg)[1][:, 0]
         decisions_ok &= bool(np.array_equal(hd, map_decisions(H, s, eps0)))
     ok = worst <= 1e-9 and decisions_ok
     _report(5, "tree oracle (4^n enumeration)", ok,

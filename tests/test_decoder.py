@@ -14,12 +14,15 @@ from qsagms.code import GbSpec, SparseCheckMatrix, build_gb, tanner_graph
 from qsagms import decoder
 from qsagms.analysis import phi_llr
 from qsagms.decoder import (
+    LLR_CLIP,
     SLAB_ROWS,
     VN_MODES,
     DecoderConfig,
     GainParams,
+    _extrinsic_min,
     _Kernel,
     _marginal_init,
+    _plane_sum,
     decode,
     decode_batch,
 )
@@ -173,6 +176,43 @@ def test_cn_update_sagms_scales_ms(incoming, s_bit):
         scaled = cn_update("sagms", incoming, s_bit, gain=gain)
         assert scaled == pytest.approx(gain * ms)
         assert abs(scaled) <= abs(ms) + 1e-12
+
+
+# messages with repeated minima and zeros among them
+tied_llrs = st.lists(
+    st.one_of(finite_llrs, st.sampled_from([0.0, 1.5, -1.5])), min_size=2, max_size=12
+).flatmap(lambda m: st.permutations(m + m[: len(m) // 2]))
+
+
+@settings(max_examples=200)
+@given(tied_llrs, st.integers(0, 3), st.sampled_from([0.3, 0.44, 0.5, 0.55, 1.0]))
+def test_extrinsic_min_matches_cn_update(incoming, padding, gain):
+    # one check: its slots as (slot, 1) planes, padded with +inf magnitudes
+    mag = np.abs(np.array(incoming + [np.inf] * padding))[:, None]
+    ext = _extrinsic_min(mag.copy(), np.empty_like(mag))[:, 0]
+    for variant in ("ms", "sms", "sagms"):
+        g = 1.0 if variant == "ms" else gain
+        for k in range(len(incoming)):
+            others = incoming[:k] + incoming[k + 1 :]
+            want = abs(cn_update(variant, others, 0, gain=g))
+            assert np.clip(ext[k] * g, -LLR_CLIP, LLR_CLIP) == want, (variant, k)
+
+
+def test_plane_sum_is_numpy_sum_along_a_contiguous_axis():
+    # signed zeros, ties and magnitudes 1e-8..1e8, where summation order
+    # shows in the low bits; 2..130 terms cross the sequential, 8-way and
+    # halving regimes of numpy's pairwise sum
+    rng = np.random.default_rng(15)
+    for d in range(2, 131):
+        x = rng.choice([0.0, -0.0, 1.0, -1.0, 1.0, -1.0], size=(d, 96))
+        x[:, :48] *= rng.uniform(1.0, 10.0, size=(d, 48)) * 10.0 ** rng.integers(-8, 8, (d, 48))
+        x[:, 48:64] *= 10.0 ** rng.integers(-8, 8, (d, 16))  # ties
+        x[:, 64:72] = rng.choice([0.0, -0.0], size=(d, 8))
+        x[:, 72] = -0.0
+        terms = np.ascontiguousarray(x.T)  # each column's terms on a contiguous axis
+        want = terms[:, 0] + np.sum(terms[:, 1:], axis=-1)
+        got = _plane_sum(x, np.empty(96), np.empty((d - 2, 96)))
+        assert got.tobytes() == want.tobytes(), d
 
 
 # -- qubit-node update ----------------------------------------------------------
@@ -473,9 +513,10 @@ PINNED_IRREGULAR_HASHES = {
 }
 
 
-def test_engine_output_pinned_on_irregular_graph():
-    # check degrees 2-14: padded rows are 9 or more slots wide, where numpy's
-    # pairwise sums would regroup real terms if padding entered them
+def _irregular_graph():
+    """A 60-qubit matrix with check degrees 2-14: padded rows are 9 or more
+    slots wide, where numpy's pairwise sums would regroup real terms if
+    padding entered them."""
     rng = np.random.default_rng(5)
     while True:
         rows = [
@@ -488,16 +529,69 @@ def test_engine_output_pinned_on_irregular_graph():
     H = SparseCheckMatrix(n=60, rows=rows)
     graph = tanner_graph(H)
     assert graph.cn_sym.shape[1] >= 10 and graph.cn_degrees.min() < 9
+    return H, graph
+
+
+def _irregular_cases():
+    """(name, DecoderConfig) of every variant in both qubit-node modes."""
+    for mode in VN_MODES:
+        for variant, kw in VARIANT_CASES:
+            yield f"{variant}-{mode}", DecoderConfig(variant, vn_mode=mode, **kw)
+
+
+def test_engine_output_pinned_on_irregular_graph():
+    H, graph = _irregular_graph()
     ch = DepolarizingChannel(0.08, 20260810)
     syndromes = np.stack([syndrome_dense(H, e) for e in sample_error(ch, H.n, 0, count=512)])
-    got = {}
-    for mode in VN_MODES:
-        for variant, kw in (("bp4", {}), ("ms", {}), ("sms", {"alpha": 0.5}),
-                            ("sagms", {"gain": GAIN})):
-            cfg = DecoderConfig(variant, vn_mode=mode, **kw)
-            r = decode_batch(graph, syndromes, prior_llr(0.08), cfg)
-            got[f"{variant}-{mode}"] = _outcome_hash(r)
+    got = {
+        name: _outcome_hash(decode_batch(graph, syndromes, prior_llr(0.08), cfg))
+        for name, cfg in _irregular_cases()
+    }
     assert got == PINNED_IRREGULAR_HASHES
+
+
+#: SHA-256 over the gamma, vmsg and cv bytes of every IterationRecord of
+#: decode_batch(..., early_stop=False, trace=...): frames 0-63 of the
+#: irregular channel above in every variant and mode, and frames 0-63 of
+#: the [[126,28]] channel of PINNED_126_HASHES for sagms and bp4.
+PINNED_MESSAGE_HASHES = {
+    "bp4-marginal": "8fe8ad7a8eb4b054bde89c59b018a322f33a79bedf0efcaa5fbc6d09ca5ab613",
+    "ms-marginal": "3270fc5e6d746649a9fa62c9984d143ef69a25a44c10caf4a675c0c55cf7044a",
+    "sms-marginal": "faad9a9d786a28f2ce98236f21ea5bf597ddafbd3db8a78a0d016c6ac9b45919",
+    "sagms-marginal": "257692711dbb66b6f7779da00e30ede3d5d902cc350af64add8fdfdc1639ebfb",
+    "bp4-additive": "e74ebc4584510f9cf383c1a0bb9e7c300405d30f1c4cc79eddbeca925e75d922",
+    "ms-additive": "6616fda045112fc84a8e06a8d3c3a7c7afdee89556b87ee975c7a454d15f57b0",
+    "sms-additive": "e7917b2be99309c8161ed457e7928d04799b24598dc4f93f982a83ff8b0ec2d1",
+    "sagms-additive": "b4e71048259df2e2f6263d52b317b207cc15770c2cca4e1c672575dcb2c6bf6b",
+    "126-sagms": "587f92d1822876e2b4bf82c6496b9261b5b144f53fdad8d92e30b942d13821ba",
+    "126-bp4": "eac8e44f31694c22882d9a5abec94ebdc34b117ccdfb753bf0b08bcff0b9c3db",
+}
+
+
+def test_engine_messages_pinned(gb126_code, gb126_graph):
+    H, graph = _irregular_graph()
+    ch = DepolarizingChannel(0.08, 20260810)
+    irregular = np.stack([syndrome_dense(H, e) for e in sample_error(ch, H.n, 0, count=64)])
+    ch = DepolarizingChannel(0.05, 20260810)
+    gb126 = np.stack([
+        syndrome_dense(gb126_code, e) for e in sample_error(ch, gb126_code.n, 0, count=64)
+    ])
+    runs = [(name, graph, irregular, 0.08, cfg) for name, cfg in _irregular_cases()]
+    runs += [
+        ("126-sagms", gb126_graph, gb126, 0.05, DecoderConfig("sagms", gain=GAIN)),
+        ("126-bp4", gb126_graph, gb126, 0.05, DecoderConfig("bp4")),
+    ]
+    got = {}
+    for name, g, syndromes, eps, cfg in runs:
+        trace = []
+        decode_batch(g, syndromes, prior_llr(eps), cfg, early_stop=False, trace=trace)
+        h = hashlib.sha256()
+        for rec in trace:
+            h.update(rec.gamma.tobytes())
+            h.update(rec.vmsg.tobytes())
+            h.update(rec.cv.tobytes())
+        got[name] = h.hexdigest()
+    assert got == PINNED_MESSAGE_HASHES
 
 
 def _outcome_hash(r) -> str:
@@ -621,10 +715,12 @@ def test_decode_batch_memory_does_not_grow_with_rows(gb126_code, gb126_graph):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.25 * peaks[0], peaks
-    # and no message-sized array is allocated beside it
+    # and no message-sized array is allocated beside it: one (d_c, m, r)
+    # float64 array of the kernel's layout
     ker = decoder._Kernel(gb126_graph, SLAB_ROWS)
     workspace = sum(a.nbytes for a in vars(ker).values() if isinstance(a, np.ndarray))
-    assert peaks[0] < workspace + ker.vmsg.nbytes, (peaks, workspace)
+    message = gb126_graph.cn_sym.size * SLAB_ROWS * np.dtype(np.float64).itemsize
+    assert peaks[0] < workspace + message, (peaks, workspace)
 
 
 def test_decode_deterministic_across_runs(small_code, small_graph):
@@ -669,8 +765,9 @@ def test_marginal_bp4_exact_on_trees():
             # final hard decisions equal per-qubit posterior maximizers
             cmsg = np.zeros(graph.cn_sym.shape)
             cmsg[graph.cn_sym != 0] = final.cn_to_vn
+            # the kernel's batch-last layout: (d_c, m, r) in, (n, r) decisions out
             ker = _Kernel(graph, 1)
-            hd = ker.vn_step(ker.to_qubits(cmsg[None]), prior.llr, cfg)[1][0]
+            hd = ker.vn_step(ker.to_qubits(cmsg.T[:, :, None]), prior.llr, cfg)[1][:, 0]
             want = map_decisions(H, s, eps0)
             assert np.array_equal(hd, want), (seed, trial)
             decided.update(want.tolist())
