@@ -143,9 +143,9 @@ class CodeParams:
 class TannerGraph:
     """Dense check-major adjacency of a check matrix, decoder-ready.
 
-    Check i's edges fill row i of the (m, d_c) arrays in column order, so
-    their row-major order is the canonical edge order; qubit j's edges fill
-    row j of the (n, d_v) arrays in that same order.  Rows shorter than the
+    Check i's edges fill row i of the (m, d_c) arrays in the order of row i
+    of the matrix (column order, once it is validated); qubit j's edges fill
+    row j of the (n, d_v) arrays in check order.  Rows shorter than the
     maximum degree are padded: padding slots carry symbol 0 (identity),
     which is how kernels tell them apart, and gather index 0.
 

@@ -17,8 +17,9 @@ boost.  Each iteration runs: residual syndrome of the hard decision, early
 exit on all-zero, syndrome ratio, gains, check-node update, qubit-node
 update.  The qubit-node update's per-Pauli sums are also the metrics of
 the next hard decision; the first decision is taken from zero sums.  An
-optional trace records each iteration's syndrome ratios and messages, and
-is the one inspection path: ``decode`` builds its traces from it.
+optional trace records each iteration's syndrome ratios, messages and the
+decision they give, and is the one inspection path: ``decode`` takes its
+syndrome-ratio trace from it.
 
 A batch is decoded in slabs of at most SLAB_ROWS rows through one
 workspace that ``decode_batch`` allocates once: every step writes into it
@@ -127,15 +128,6 @@ class DecoderConfig:
 
 
 @dataclass
-class EdgeMessageState:
-    """Per-edge message snapshot (canonical row-major edge order)."""
-
-    vn_to_cn: np.ndarray
-    cn_to_vn: np.ndarray
-    iteration: int
-
-
-@dataclass
 class DecodeResult:
     """Outcome of one decode: estimate, convergence and per-iteration ratios."""
 
@@ -143,7 +135,6 @@ class DecodeResult:
     e_hat: np.ndarray
     iterations_used: int
     gamma_trace: np.ndarray
-    message_trace: list[EdgeMessageState]
 
 
 @dataclass
@@ -158,15 +149,18 @@ class BatchDecodeResult:
 @dataclass
 class IterationRecord:
     """One executed iteration of one slab of ``decode_batch``: the batch
-    ``rows`` decoded in it, their syndrome ratios ``gamma``, and copies of
-    the messages after its update (``vmsg`` check-major, ``cv`` qubit-major)
-    of those rows still active after early exit, None when no row is left."""
+    ``rows`` decoded in it and their syndrome ratios ``gamma``; then, for
+    the rows still active after early exit (None when no row is left),
+    copies of the messages after its update, ``vmsg`` (rows, m, d_c) and
+    ``cv`` (rows, n, d_v) in the graph's slots, and the hard decision
+    ``e_hat`` (rows, n) they give, which the next iteration tests."""
 
     iteration: int
     rows: np.ndarray
     gamma: np.ndarray
     vmsg: np.ndarray | None = None
     cv: np.ndarray | None = None
+    e_hat: np.ndarray | None = None
 
 
 def _marginal_init(prior_llr_value: float) -> float:
@@ -180,17 +174,11 @@ def _view(flat: np.ndarray, r: int, *shape: int) -> np.ndarray:
     return flat[: math.prod(shape) * r].reshape(*shape, r)
 
 
-def _pad_rows(sym: np.ndarray):
-    """Padding slots of a dense layout as rows of its slot-major flattening
-    (slot k of node i is row k * nodes + i); None when it has none."""
-    pad = np.flatnonzero(sym.T == 0)
-    return pad if pad.size else None
-
-
-def _fill(x: np.ndarray, pad, value: float) -> np.ndarray:
-    """``x`` with its padding slots (rows ``pad``) set to ``value``."""
-    if pad is not None:
-        x.reshape(-1, x.shape[-1])[pad] = value
+def _sentinel(flat: np.ndarray, r: int, rows: int, value: float) -> np.ndarray:
+    """The leading part of a flat buffer as a (rows + 1, r) gather source,
+    its last row set to ``value``: the row padding slots read."""
+    x = _view(flat, r, rows + 1)
+    x[-1] = value
     return x
 
 
@@ -282,7 +270,8 @@ class _Kernel:
     worker partitioning.  Padding slots hold the neutral element of every
     reduction over them: magnitude +inf with sign + in the check view
     (phi(inf) = 0 for bp4), 0 in the qubit view.  Layout gathers are row
-    takes of r-vectors.
+    takes of r-vectors, and a padding slot reads a sentinel row after the
+    source view; the per-Pauli products are gathers from the qubit view too.
 
     The workspace is flat buffers allocated here once.  Every step writes
     into and returns contiguous views of them sized for the current r,
@@ -295,23 +284,29 @@ class _Kernel:
         n, m = graph.n, graph.m
         d_c, d_v = graph.cn_sym.shape[1], graph.vn_sym.shape[1]
         self.check, self.qubit = (d_c, m), (d_v, n)
-        self.cn_pad, self.vn_pad = _pad_rows(graph.cn_sym), _pad_rows(graph.vn_sym)
         self.cn_groups, self.vn_groups = map(_degree_groups, (graph.cn_degrees, graph.vn_degrees))
         sym = graph.vn_sym.T.astype(np.intp)
-        # anticommutation masks of candidate errors X, Z, Y vs edge symbols
-        self.anti = [trace_inner(e, sym).astype(np.float64)[..., None] for e in (1, 2, 3)]
+        # slot t of qubit j, row t * n + j of the qubit view, times the
+        # candidate errors X, Z, Y: itself where they anticommute, else the
+        # zero row after the view (padding slots, of symbol I, commute)
+        slots = np.arange(d_v * n).reshape(d_v, n)
+        self.product_at = [np.where(trace_inner(e, sym) == 1, slots, d_v * n) for e in (1, 2, 3)]
         # per edge of symbol s, the row of s in the (4n, r) metrics and of
         # the two Paulis anticommuting with s in the (3n, r) sums; padding
         # slots read rows never used
         qubit = np.arange(n)
         self.own_at = sym * n + qubit
         self.other_at = ((sym == 1) * n + qubit, np.where(sym == 3, 1, 2) * n + qubit)
-        # slot k of check i reads row t * n + j of the qubit layout, where
-        # it is slot t of qubit j, and back
+        # slot k of check i reads row t * n + j of the qubit view, where it
+        # is slot t of qubit j, and back; padding slots read the sentinel
+        # row, and the qubit view's own zero row reads the check view's
         at, back = graph.cn_gather.T, graph.vn_gather.T
-        self.to_check, self.to_qubit = at % d_v * n + at // d_v, back % d_c * m + back // d_c
-        # the workspace: message buffers in each view, then planes
-        check, qubit_view = d_c * m * rows, d_v * n * rows
+        self.to_check = np.where(graph.cn_sym.T == 0, d_v * n, at % d_v * n + at // d_v)
+        back = np.where(graph.vn_sym.T == 0, d_c * m, back % d_c * m + back // d_c)
+        self.to_qubit = np.append(back, d_c * m)
+        # the workspace: message buffers in each view, with room for a
+        # sentinel row, then planes
+        check, qubit_view = (d_c * m + 1) * rows, (d_v * n + 1) * rows
         self.vmsg, self.spare, self.cmsg = (np.empty(check) for _ in range(3))
         self.neg = np.empty(check, dtype=bool)
         self.cv, self.qmsg, self.b1, self.b2 = (np.empty(qubit_view) for _ in range(4))
@@ -323,9 +318,11 @@ class _Kernel:
     def start(self, rows: int, v0: float, l0: float):
         """Initial messages ``v0`` and the hard decision of zero sums."""
         vmsg, sums = _view(self.vmsg, rows, *self.check), _view(self.sums, rows, 3, self.g.n)
-        vmsg.fill(v0)
+        qmsg = _sentinel(self.qmsg, rows, math.prod(self.qubit), np.inf)
+        qmsg[:-1].fill(v0)
+        np.take(qmsg, self.to_check, axis=0, out=vmsg, mode="clip")
         sums.fill(0.0)
-        return _fill(vmsg, self.cn_pad, np.inf), self.decide(sums, l0)
+        return vmsg, self.decide(sums, l0)
 
     def decide(self, sums: np.ndarray, l0: float) -> np.ndarray:
         """(n, r) Pauli codes minimizing 0 for I and l0 + sums[e - 1] for
@@ -353,11 +350,14 @@ class _Kernel:
         return out
 
     def to_qubits(self, cmsg: np.ndarray) -> np.ndarray:
-        """(d_c, m, r) messages gathered into the (d_v, n, r) qubit view."""
+        """The (d_c, m, r) messages ``cn_step`` returned, read from its
+        buffer with a zero row after them, gathered into the (d_v, n, r)
+        qubit view, which has a zero row after it too."""
         r = cmsg.shape[-1]
-        cv = _view(self.cv, r, *self.qubit)
-        np.take(cmsg.reshape(-1, r), self.to_qubit, axis=0, out=cv, mode="clip")
-        return _fill(cv, self.vn_pad, 0.0)
+        src = _sentinel(self.cmsg, r, math.prod(self.check), 0.0)  # cmsg, then 0
+        cv = _view(self.cv, r, self.to_qubit.size)
+        np.take(src, self.to_qubit, axis=0, out=cv, mode="clip")
+        return cv[:-1].reshape(*self.qubit, r)
 
     def cn_step(self, vmsg, syn, cfg, gain):
         """Check-node update of ``vmsg``, which it overwrites; min-sum
@@ -386,8 +386,9 @@ class _Kernel:
         return np.clip(out, -LLR_CLIP, LLR_CLIP, out=out)
 
     def vn_step(self, cv, l0, cfg):
-        """Qubit-node update from the qubit view; returns check-view
-        messages and the next hard decision, from one pass of per-Pauli sums.
+        """Qubit-node update from the qubit view ``to_qubits`` returned;
+        returns check-view messages and the next hard decision, from one
+        pass of per-Pauli sums.
 
         In marginal mode the belief in an edge's own symbol s leaves out no
         message (the edge's own commutes with s), so it is its qubit's
@@ -395,8 +396,10 @@ class _Kernel:
         r, n = cv.shape[-1], self.g.n
         sums, out = _view(self.sums, r, 3, n), _view(self.qmsg, r, *self.qubit)
         b1, b2 = _view(self.b1, r, *self.qubit), _view(self.b2, r, *self.qubit)
-        for e in range(3):
-            _segment_sum(np.multiply(cv, self.anti[e], out=out), self.vn_groups, sums[e], b1)
+        products = _view(self.cv, r, self.to_qubit.size)  # cv and its zero row
+        for e, at in enumerate(self.product_at):
+            np.take(products, at, axis=0, out=out, mode="clip")
+            _segment_sum(out, self.vn_groups, sums[e], b1)
         e_hat = self.decide(sums, l0)
         if cfg.vn_mode == "additive":
             total = _segment_sum(cv, self.vn_groups, b2[0], b1)
@@ -414,8 +417,9 @@ class _Kernel:
             np.subtract(out, np.logaddexp(b1, b2, out=b1), out=out)
         np.clip(out, -LLR_CLIP, LLR_CLIP, out=out)
         vmsg = _view(self.vmsg, r, *self.check)
-        np.take(out.reshape(-1, r), self.to_check, axis=0, out=vmsg, mode="clip")
-        return _fill(vmsg, self.cn_pad, np.inf), e_hat
+        qmsg = _sentinel(self.qmsg, r, math.prod(self.qubit), np.inf)
+        np.take(qmsg, self.to_check, axis=0, out=vmsg, mode="clip")
+        return vmsg, e_hat
 
 
 def decode_batch(
@@ -493,38 +497,24 @@ def decode_batch(
             cv = ker.to_qubits(ker.cn_step(vmsg, syn.T, cfg, _gain(cfg, gamma, residual)))
             vmsg, e_hat = ker.vn_step(cv, l0, cfg)
             if trace is not None:  # (rows, node, slot) copies: the workspace is rewritten
-                trace[-1].vmsg, trace[-1].cv = (a.transpose(2, 1, 0).copy() for a in (vmsg, cv))
+                rec = trace[-1]
+                rec.vmsg, rec.cv, rec.e_hat = (a.T.copy() for a in (vmsg, cv, e_hat))
 
     return BatchDecodeResult(success=success, e_hat=e_hat_out, iterations=iterations)
 
 
-def decode(
-    graph: TannerGraph,
-    s,
-    prior: ChannelPrior,
-    cfg: DecoderConfig,
-    *,
-    early_stop: bool = True,
-) -> DecodeResult:
-    """Run the decoder on one syndrome, traced: ``gamma_trace`` holds the
-    syndrome ratio of every executed iteration and ``message_trace`` the
-    messages (canonical edge order) after every executed update, the final
-    one included.  A reported success is re-verified on ``graph``."""
+def decode(graph: TannerGraph, s, prior: ChannelPrior, cfg: DecoderConfig) -> DecodeResult:
+    """Run the decoder on one syndrome: ``gamma_trace`` holds the syndrome
+    ratio of every executed iteration, and a reported success is
+    re-verified on ``graph``.  Messages are inspected through
+    ``decode_batch(..., trace=...)``."""
     s = np.asarray(s)
     if s.shape != (graph.m,):
         raise ValueError(f"syndrome must have length m={graph.m}")
     trace: list[IterationRecord] = []
-    batch = decode_batch(graph, s[None, :], prior, cfg, early_stop=early_stop, trace=trace)
+    batch = decode_batch(graph, s[None, :], prior, cfg, trace=trace)
     success, e_hat = bool(batch.success[0]), batch.e_hat[0]
     if success and (graph.syndromes(e_hat) != s).any():
         raise RuntimeError("internal inconsistency: reported success with nonzero residual")
-    edges = graph.cn_sym != 0
-    gather = graph.cn_gather[edges]
-    return DecodeResult(
-        success, e_hat, int(batch.iterations[0]),
-        gamma_trace=np.array([r.gamma[0] for r in trace]),
-        message_trace=[
-            EdgeMessageState(r.vmsg[0][edges], r.cv[0].ravel()[gather], r.iteration)
-            for r in trace if r.vmsg is not None
-        ],
-    )
+    gamma_trace = np.array([r.gamma[0] for r in trace])
+    return DecodeResult(success, e_hat, int(batch.iterations[0]), gamma_trace)

@@ -196,7 +196,7 @@ def brute_vn_message(H, s, eps0: float, check: int, qubit: int) -> float:
 
 
 def edges_of(H) -> list[tuple[int, int, int]]:
-    """(check, qubit, symbol) of every edge in canonical row-major order."""
+    """(check, qubit, symbol) of every edge, row by row in the order of H."""
     return [(i, j, sym) for i, row in enumerate(H.rows) for j, sym in row]
 
 
@@ -368,3 +368,22 @@ def reference_decode(H, s, prior: ChannelPrior, cfg: DecoderConfig, record=None)
 
     # failure: the estimate is the hard decision made in the final iteration
     return False, e_hat, cfg.l_max, gamma_trace
+
+
+def edge_messages(graph, record, row: int = 0):
+    """(vn_to_cn, cn_to_vn) messages of one row of a traced
+    ``IterationRecord``, as dictionaries keyed by (check, qubit) like those
+    of ``reference_decode``'s record.  The graph's own slot maps name the
+    edges: slot k of check i reaches qubit ``cn_vn[i, k]``, and slot t of
+    qubit j comes from check ``vn_gather[j, t] // d_c``; padding slots
+    (symbol 0) are left out."""
+    d_c = graph.cn_sym.shape[1]
+    vn_to_cn = {
+        (int(i), int(graph.cn_vn[i, k])): float(record.vmsg[row, i, k])
+        for i, k in zip(*np.nonzero(graph.cn_sym))
+    }
+    cn_to_vn = {
+        (int(graph.vn_gather[j, t]) // d_c, int(j)): float(record.cv[row, j, t])
+        for j, t in zip(*np.nonzero(graph.vn_sym))
+    }
+    return vn_to_cn, cn_to_vn

@@ -23,12 +23,13 @@ from qsagms.analysis import (
 )
 from qsagms.channel import DepolarizingChannel, prior_llr, sample_error
 from qsagms.code import SparseCheckMatrix, GbSpec, build_gb, tanner_graph
-from qsagms.decoder import DecoderConfig, GainParams, _Kernel, decode, decode_batch
+from qsagms.decoder import DecoderConfig, GainParams, decode_batch
 from qsagms.harness import SweepConfig, run_sweep, wilson_interval
 
 from .conftest import make_tree_code
 from .oracles import (
     brute_vn_message,
+    edge_messages,
     edges_of,
     map_decisions,
     syndrome_dense,
@@ -104,13 +105,13 @@ def _equivalence_frames(H, graph, cfg_a, cfg_b, n_frames, eps, seed, n_traj):
         and np.array_equal(ra.e_hat, rb.e_hat)
         and np.array_equal(ra.iterations, rb.iterations)
     )
-    traj_equal = True
-    for f in range(n_traj):
-        ta = decode(graph, syndromes[f], prior, cfg_a, early_stop=False)
-        tb = decode(graph, syndromes[f], prior, cfg_b, early_stop=False)
-        for sa, sb in zip(ta.message_trace, tb.message_trace):
-            traj_equal &= np.array_equal(sa.vn_to_cn, sb.vn_to_cn)
-            traj_equal &= np.array_equal(sa.cn_to_vn, sb.cn_to_vn)
+    # every message of the first n_traj frames, traced in one batch each
+    ta, tb = [], []
+    decode_batch(graph, syndromes[:n_traj], prior, cfg_a, early_stop=False, trace=ta)
+    decode_batch(graph, syndromes[:n_traj], prior, cfg_b, early_stop=False, trace=tb)
+    traj_equal = len(ta) == len(tb) and all(
+        np.array_equal(a.vmsg, b.vmsg) and np.array_equal(a.cv, b.cv) for a, b in zip(ta, tb)
+    )
     return results_equal, traj_equal
 
 
@@ -156,16 +157,14 @@ def test_criterion_5_cycle_free_enumeration_oracle():
         )
         s = syndrome_dense(H, truth)
         cfg = DecoderConfig("bp4", l_max=2 * H.n, vn_mode="marginal")
-        result = decode(graph, s, prior, cfg, early_stop=False)
-        final = result.message_trace[-1]
-        for idx, (i, j, _) in enumerate(edges_of(H)):
+        trace = []
+        decode_batch(graph, s[None, :], prior, cfg, early_stop=False, trace=trace)
+        vn_to_cn, _ = edge_messages(graph, trace[-1])
+        for i, j, _ in edges_of(H):
             expected = brute_vn_message(H, s, eps0, check=i, qubit=j)
-            worst = max(worst, abs(float(final.vn_to_cn[idx]) - expected))
-        cmsg = np.zeros(graph.cn_sym.shape)
-        cmsg[graph.cn_sym != 0] = final.cn_to_vn
-        # the kernel's batch-last layout: (d_c, m, r) in, (n, r) decisions out
-        ker = _Kernel(graph, 1)
-        hd = ker.vn_step(ker.to_qubits(cmsg.T[:, :, None]), prior.llr, cfg)[1][:, 0]
+            worst = max(worst, abs(vn_to_cn[i, j] - expected))
+        # the decision the final messages give
+        hd = trace[-1].e_hat[0]
         decisions_ok &= bool(np.array_equal(hd, map_decisions(H, s, eps0)))
     ok = worst <= 1e-9 and decisions_ok
     _report(5, "tree oracle (4^n enumeration)", ok,

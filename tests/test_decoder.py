@@ -20,7 +20,6 @@ from qsagms.decoder import (
     DecoderConfig,
     GainParams,
     _extrinsic_min,
-    _Kernel,
     _marginal_init,
     _plane_sum,
     decode,
@@ -32,6 +31,7 @@ from .conftest import make_tree_code
 from .oracles import (
     brute_vn_message,
     cn_update,
+    edge_messages,
     edges_of,
     effective_gain,
     hard_decision,
@@ -391,24 +391,31 @@ def test_sms_alpha_one_is_ms_bit_identical(toy_code, toy_graph):
     assert np.array_equal(a.iterations, b.iterations)
 
 
+def _traced(graph, syndromes, prior, cfg, **kw) -> list:
+    """The IterationRecords of one decode_batch call."""
+    trace = []
+    decode_batch(graph, np.atleast_2d(syndromes), prior, cfg, trace=trace, **kw)
+    return trace
+
+
+def _assert_same_messages(t1, t2) -> None:
+    assert len(t1) == len(t2)
+    for a, b in zip(t1, t2):
+        assert np.array_equal(a.vmsg, b.vmsg) and np.array_equal(a.cv, b.cv)
+
+
 def test_degenerate_equivalence_message_trajectories(small_code, small_graph):
     prior = prior_llr(0.1)
     e = np.zeros(small_code.n, dtype=np.uint8)
     e[2] = PAULI_X
     e[7] = PAULI_Z
     s = small_graph.syndromes(e)
-    r1 = decode(
-        small_graph, s, prior,
-        DecoderConfig("sagms", l_max=6, gain=GainParams(0.5, 0.5, 1.0)),
-        early_stop=False,
+    sagms = DecoderConfig("sagms", l_max=6, gain=GainParams(0.5, 0.5, 1.0))
+    sms = DecoderConfig("sms", l_max=6, alpha=0.5)
+    _assert_same_messages(
+        _traced(small_graph, s, prior, sagms, early_stop=False),
+        _traced(small_graph, s, prior, sms, early_stop=False),
     )
-    r2 = decode(
-        small_graph, s, prior,
-        DecoderConfig("sms", l_max=6, alpha=0.5), early_stop=False,
-    )
-    for st1, st2 in zip(r1.message_trace, r2.message_trace):
-        assert np.array_equal(st1.vn_to_cn, st2.vn_to_cn)
-        assert np.array_equal(st1.cn_to_vn, st2.cn_to_vn)
 
 
 # -- engine vs scalar reference ---------------------------------------------------
@@ -459,14 +466,24 @@ def test_engine_messages_match_reference(small_code, small_graph):
     e[0] = PAULI_Y
     s = small_graph.syndromes(e)
     cfg = DecoderConfig("sagms", l_max=5, gain=GAIN)
-    got = decode(small_graph, s, prior, cfg, early_stop=False)
     record = []
     reference_decode(small_code, s, prior, cfg, record=record)
-    edges = edges_of(small_code)
-    for state, (ref_v, ref_c) in zip(got.message_trace, record):
-        for idx, (i, j, _) in enumerate(edges):
-            assert state.vn_to_cn[idx] == pytest.approx(ref_v[(i, j)], abs=1e-9)
-            assert state.cn_to_vn[idx] == pytest.approx(ref_c[(i, j)], abs=1e-9)
+    # with each row reversed, tanner_graph (which keeps a row's order) runs
+    # the check slots in descending column order
+    reversed_rows = SparseCheckMatrix(small_code.n, [row[::-1] for row in small_code.rows])
+    reversed_graph = tanner_graph(reversed_rows)
+    assert (np.diff(reversed_graph.cn_vn, axis=1) < 0).all()
+    for graph in (small_graph, reversed_graph):
+        trace = _traced(graph, s, prior, cfg, early_stop=False)
+        # the reference stops at convergence, the trace runs on to l_max
+        assert 1 <= len(record) <= len(trace) == cfg.l_max
+        for rec, (ref_v, ref_c) in zip(trace, record):
+            vn_to_cn, cn_to_vn = edge_messages(graph, rec)
+            assert vn_to_cn.keys() == ref_v.keys() and cn_to_vn.keys() == ref_c.keys()
+            for edge, value in ref_v.items():
+                assert vn_to_cn[edge] == pytest.approx(value, abs=1e-9)
+            for edge, value in ref_c.items():
+                assert cn_to_vn[edge] == pytest.approx(value, abs=1e-9)
 
 
 #: SHA-256 over (success, iterations, e_hat) of frames 0-511 of
@@ -700,6 +717,35 @@ def test_trace_records_copy_the_reused_workspace(small_code, small_graph, monkey
         assert np.array_equal(rec.vmsg, vmsg) and np.array_equal(rec.cv, cv)
 
 
+@pytest.mark.parametrize("early_stop", [True, False])
+def test_trace_decision_is_the_one_the_next_iteration_tests(
+    small_code, small_graph, early_stop, monkeypatch
+):
+    prior = prior_llr(0.1)
+    cfg = DecoderConfig("sagms", l_max=8, gain=GAIN)
+    errors = sample_error(DepolarizingChannel(0.1, 21), small_code.n, 0, count=48)
+    syndromes = small_graph.syndromes(errors)
+    monkeypatch.setattr(decoder, "SLAB_ROWS", 7)
+    trace = []
+    res = decode_batch(small_graph, syndromes, prior, cfg, early_stop=early_stop, trace=trace)
+    # a record's decision is for the rows left after early exit, which the
+    # slab's next record decodes
+    left = [r.rows[r.gamma > 0] if early_stop else r.rows for r in trace]
+    for rec, rows in zip(trace, left):
+        want = (rows.size, small_code.n)
+        assert rec.e_hat is None if rows.size == 0 else rec.e_hat.shape == want
+    nexts = [(a, rows, b) for a, rows, b in zip(trace, left, trace[1:]) if b.iteration > 1]
+    assert len(nexts) == len(trace) - sum(r.iteration == 1 for r in trace)
+    for rec, rows, nxt in nexts:
+        assert np.array_equal(nxt.rows, rows)
+        # its residual syndrome ratios are the next record's gammas
+        residual = syndromes[nxt.rows] ^ small_graph.syndromes(rec.e_hat)
+        assert nxt.gamma.tolist() == [syndrome_ratio(r) for r in residual]
+        # a row that first converges there reports that decision
+        first = res.iterations[nxt.rows] == nxt.iteration
+        assert np.array_equal(res.e_hat[nxt.rows[first]], rec.e_hat[first])
+
+
 def test_decode_batch_memory_does_not_grow_with_rows(gb126_code, gb126_graph):
     # one workspace of SLAB_ROWS rows serves every slab of a batch
     prior = prior_llr(0.05)
@@ -728,10 +774,9 @@ def test_decode_deterministic_across_runs(small_code, small_graph):
     e = sample_error(DepolarizingChannel(0.2, 9), small_code.n, 0)
     s = small_graph.syndromes(e)
     cfg = DecoderConfig("bp4", l_max=8)
-    r1 = decode(small_graph, s, prior, cfg)
-    r2 = decode(small_graph, s, prior, cfg)
-    for st1, st2 in zip(r1.message_trace, r2.message_trace):
-        assert np.array_equal(st1.vn_to_cn, st2.vn_to_cn)
+    _assert_same_messages(
+        _traced(small_graph, s, prior, cfg), _traced(small_graph, s, prior, cfg)
+    )
 
 
 # -- cycle-free exactness ----------------------------------------------------------
@@ -753,21 +798,18 @@ def test_marginal_bp4_exact_on_trees():
                               for _ in range(H.n)], dtype=np.uint8)
             s = syndrome_dense(H, truth)
             cfg = DecoderConfig("bp4", l_max=2 * H.n, vn_mode="marginal")
-            result = decode(graph, s, prior, cfg, early_stop=False)
-            final = result.message_trace[-1]
+            final = _traced(graph, s, prior, cfg, early_stop=False)[-1]
 
             # converged qubit-to-check messages equal brute-force subtree LLRs
-            for idx, (i, j, _) in enumerate(edges_of(H)):
+            vn_to_cn, _ = edge_messages(graph, final)
+            for i, j, _ in edges_of(H):
                 expected = brute_vn_message(H, s, eps0, check=i, qubit=j)
-                got = float(final.vn_to_cn[idx])
+                got = vn_to_cn[i, j]
                 assert got == pytest.approx(expected, abs=1e-9), (seed, trial, i, j)
 
-            # final hard decisions equal per-qubit posterior maximizers
-            cmsg = np.zeros(graph.cn_sym.shape)
-            cmsg[graph.cn_sym != 0] = final.cn_to_vn
-            # the kernel's batch-last layout: (d_c, m, r) in, (n, r) decisions out
-            ker = _Kernel(graph, 1)
-            hd = ker.vn_step(ker.to_qubits(cmsg.T[:, :, None]), prior.llr, cfg)[1][:, 0]
+            # the decisions the final messages give equal per-qubit posterior
+            # maximizers
+            hd = final.e_hat[0]
             want = map_decisions(H, s, eps0)
             assert np.array_equal(hd, want), (seed, trial)
             decided.update(want.tolist())
@@ -783,17 +825,16 @@ def test_marginal_bp4_beliefs_match_posteriors_on_tree():
     truth = np.array([0, 1, 0, 0, 2, 0, 3][: H.n], dtype=np.uint8)
     s = syndrome_dense(H, truth)
     cfg = DecoderConfig("bp4", l_max=2 * H.n, vn_mode="marginal")
-    result = decode(graph, s, prior, cfg, early_stop=False)
-    final = result.message_trace[-1]
+    _, cn_to_vn = edge_messages(graph, _traced(graph, s, prior, cfg, early_stop=False)[-1])
 
     marg = posterior_marginals(H, s, eps0)
     from qsagms.pauli import trace_inner
 
     edges = edges_of(H)
     for j in range(H.n):
-        adjacent = [k for k, edge in enumerate(edges) if edge[1] == j]
-        incoming = [float(final.cn_to_vn[k]) for k in adjacent]
-        syms = [edges[k][2] for k in adjacent]
+        adjacent = [(i, sym) for i, qubit, sym in edges if qubit == j]
+        incoming = [cn_to_vn[i, j] for i, _ in adjacent]
+        syms = [sym for _, sym in adjacent]
         metrics = []
         for e in range(4):
             m = 0.0 if e == 0 else prior.llr
