@@ -149,6 +149,14 @@ class TannerGraph:
     maximum degree are padded: padding slots carry symbol 0 (identity),
     which is how kernels tell them apart, and gather index 0.
 
+    A generalized bicycle matrix instead orders its slots by circulant
+    offset, and ``ell`` records its circulant size (None otherwise): check
+    i's slots by (half, (column - i) mod ell), qubit j's by (check block,
+    (check - j) mod ell).  Shifting both qubit halves and both check blocks
+    by the same amount then maps every node's slots onto the shifted node's
+    in the same order, so a kernel that sums a node's slots in slot order
+    decodes a jointly rotated syndrome to the rotated messages, bit for bit.
+
     ``cn_gather`` maps each check slot to its slot in the flattened qubit
     layout and ``vn_gather`` maps each qubit slot back, so one ``np.take``
     turns messages held in one layout into the other.
@@ -163,6 +171,7 @@ class TannerGraph:
     cn_gather: np.ndarray = field(repr=False)
     vn_sym: np.ndarray = field(repr=False)
     vn_gather: np.ndarray = field(repr=False)
+    ell: int | None = None
 
     @property
     def edge_count(self) -> int:
@@ -203,7 +212,16 @@ def check_decodable(graph: TannerGraph) -> None:
 
 
 def tanner_graph(H: SparseCheckMatrix) -> TannerGraph:
-    """Build the dense check-major and qubit-major layouts of ``H``."""
+    """Build the dense check-major and qubit-major layouts of ``H``.
+
+    Raises ValueError if ``H.gb`` is set but does not build the rows: the
+    circulant-offset layout and the orbits it makes exact are the spec's.
+    """
+    ell = None
+    if H.gb is not None:
+        if (2 * H.gb.ell, _gb_rows(H.gb)) != (H.n, H.rows):
+            raise ValueError("gb line does not match the rows")
+        ell = H.gb.ell
     cn_degrees = np.array([len(row) for row in H.rows], dtype=np.int64)
     vn_degrees = np.bincount([j for row in H.rows for j, _ in row], minlength=H.n)
     d_c, d_v = int(cn_degrees.max(initial=0)), int(vn_degrees.max(initial=0))
@@ -212,15 +230,23 @@ def tanner_graph(H: SparseCheckMatrix) -> TannerGraph:
     cn_gather = np.zeros((H.m, d_c), dtype=np.int64)
     vn_sym = np.zeros((H.n, d_v), dtype=np.uint8)
     vn_gather = np.zeros((H.n, d_v), dtype=np.int64)
-    filled = [0] * H.n
+    edges = []  # (check, slot, qubit, symbol), check slots in their final order
     for i, row in enumerate(H.rows):
-        for k, (j, sym) in enumerate(row):
-            t = filled[j]
-            filled[j] += 1
-            cn_vn[i, k], cn_sym[i, k], cn_gather[i, k] = j, sym, j * d_v + t
-            vn_sym[j, t], vn_gather[j, t] = sym, i * d_c + k
+        if ell is not None:
+            row = sorted(row, key=lambda entry: (entry[0] // ell, (entry[0] - i) % ell))
+        edges += [(i, k, j, sym) for k, (j, sym) in enumerate(row)]
+    if ell is None:
+        edges.sort(key=lambda edge: edge[2])  # stable: each qubit's checks in order
+    else:
+        edges.sort(key=lambda edge: (edge[2], edge[0] // ell, (edge[0] - edge[2]) % ell))
+    filled = [0] * H.n
+    for i, k, j, sym in edges:
+        t = filled[j]
+        filled[j] += 1
+        cn_vn[i, k], cn_sym[i, k], cn_gather[i, k] = j, sym, j * d_v + t
+        vn_sym[j, t], vn_gather[j, t] = sym, i * d_c + k
     return TannerGraph(
-        H.n, H.m, cn_degrees, vn_degrees, cn_vn, cn_sym, cn_gather, vn_sym, vn_gather
+        H.n, H.m, cn_degrees, vn_degrees, cn_vn, cn_sym, cn_gather, vn_sym, vn_gather, ell
     )
 
 
@@ -239,6 +265,13 @@ def build_gb(spec: GbSpec) -> SparseCheckMatrix:
     of the negated exponents).  ``validate`` checks the rows; since
     circulants commute, an OrthogonalityError would be a construction bug.
     """
+    H = SparseCheckMatrix(n=2 * spec.ell, rows=_gb_rows(spec), gb=spec)
+    H.validate()
+    return H
+
+
+def _gb_rows(spec: GbSpec) -> list[list[tuple[int, int]]]:
+    """The rows ``build_gb`` validates, unvalidated."""
     ell = spec.ell
     a_cols = _circulant_columns(ell, spec.a_exponents)
     b_cols = _circulant_columns(ell, spec.b_exponents)
@@ -254,10 +287,7 @@ def build_gb(spec: GbSpec) -> SparseCheckMatrix:
         row = [(j, PAULI_Z) for j in bt_cols[i]]
         row += [(ell + j, PAULI_Z) for j in at_cols[i]]
         rows.append(row)
-
-    H = SparseCheckMatrix(n=2 * ell, rows=rows, gb=spec)
-    H.validate()
-    return H
+    return rows
 
 
 def gf2_rank(packed_rows: list[int]) -> int:

@@ -22,15 +22,20 @@ the harness needs only its (fail, iterations) per frame.  So each point
 keeps one memo keyed by packed syndrome, shared by its threads: a batch
 decodes each distinct syndrome the point has not decoded before, once, in
 one ``decode_batch`` call, which owns its workspace, so each thread
-decodes in its own.  A hit returns what decoding returns, so the memo
-never changes an estimate.  At low noise, where few syndromes are
-distinct, the memo removes most of the decoding.
+decodes in its own.  On a generalized bicycle graph (``graph.ell`` set)
+the memo is keyed by syndrome orbit instead: the graph's circulant-offset
+slot layout makes the decoder exactly equivariant under joint rotations
+of the two syndrome halves, so every syndrome of an orbit decodes to the
+same (fail, iterations), and a batch decodes one representative per
+orbit.  A hit returns what decoding returns, so the memo never changes an
+estimate.  At low noise, where few syndromes are distinct and fewer
+orbits, the memo removes most of the decoding.
 
 Failure means the decoder did not reach an all-zero residual syndrome
 within its iteration budget.  Each estimate carries a 95% Wilson score
 interval and the full configuration digest; per-point JSON artifacts make
-sweeps resumable (a completed point with a matching digest is not
-recomputed).
+sweeps resumable (a completed point with a matching digest and numerics
+tag is not recomputed).
 """
 
 from __future__ import annotations
@@ -63,6 +68,12 @@ MIN_BATCH = 512
 
 #: Memo size at which a point stops storing syndromes (see ``_decode_frames``).
 MEMO_ENTRIES = 1 << 17
+
+#: Names the arithmetic behind a point file's estimate, here the slot
+#: layout of generalized bicycle graphs.  It stays out of the config digest;
+#: a sweep recomputes a point file whose tag is missing or differs, so a
+#: point decoded under other numerics never joins a sweep.
+NUMERICS = "gb-slots-by-circulant-offset"
 
 
 @dataclass(frozen=True)
@@ -183,6 +194,36 @@ def config_digest(cfg: SweepConfig) -> str:
     return hashlib.sha256(canonical_json(_config_dict(cfg)).encode()).hexdigest()
 
 
+def _orbit_keys(syndromes: np.ndarray, ell: int) -> np.ndarray:
+    """One key per syndrome row of a graph on ``ell``, equal for two rows
+    exactly when a joint rotation of both ell-bit halves maps one onto the
+    other: the lexicographic minimum of the halves' bits over the ell
+    rotations, held as big-endian uint64 words, ceil(ell / 64) per half,
+    and returned as a (rows,) array of void scalars.
+
+    Each half is packed twice over, so rotation t is the ell bits from bit
+    t on: word by word, two source words shifted together, the bits past
+    ell masked off.
+    """
+    rows, width = len(syndromes), -(-ell // 64)
+    doubled = np.zeros((rows, 2, 128 * width), dtype=np.uint8)
+    doubled[..., :ell] = doubled[..., ell : 2 * ell] = syndromes.reshape(rows, 2, ell)
+    words = np.packbits(doubled, axis=-1).view(">u8").astype(np.uint64)
+    in_ell = ~np.uint64(0) << np.uint64(64 * width - ell)  # of the last word
+    best = np.full((rows, 2 * width), ~np.uint64(0))
+    for t in range(ell):
+        q, s = divmod(t, 64)
+        head, tail = words[..., q : q + width], words[..., q + 1 : q + width + 1]
+        rotated = (head << s) | (tail >> (64 - s))
+        rotated[..., -1] &= in_ell
+        rotated = rotated.reshape(rows, 2 * width)
+        less = np.zeros(rows, dtype=bool)  # (half 0 words, half 1 words) < best
+        for a, b in zip(rotated.T[::-1], best.T[::-1]):
+            less = (a < b) | ((a == b) & less)
+        np.copyto(best, rotated, where=less[:, None])
+    return best.view(f"V{16 * width}").ravel()
+
+
 def _decode_frames(graph: TannerGraph, decoder_cfg, ch, prior, memo: dict, start, count):
     """Sample frames [start, start+count); return (fails, iterations, decoded).
 
@@ -191,8 +232,10 @@ def _decode_frames(graph: TannerGraph, decoder_cfg, ch, prior, memo: dict, start
     that one-frame calls would give.  The decoder is a deterministic
     function of the syndrome, so each distinct syndrome of the batch
     reaches the batch's one ``decode_batch`` call, and only if ``memo``
-    (packed syndrome -> ``2 * iterations + fail``) lacks it.  ``decoded``
-    counts those rows.
+    (packed syndrome -> ``2 * iterations + fail``) lacks it.  On a graph
+    with ``ell`` the distinct syndromes are grouped by orbit
+    (``_orbit_keys``), the memo is keyed by orbit and one syndrome of each
+    orbit is decoded.  ``decoded`` counts the rows decoded.
 
     The point's threads share ``memo``.  Each call stores at most the room
     it sees below MEMO_ENTRIES, but threads may see the same room, so the
@@ -203,6 +246,11 @@ def _decode_frames(graph: TannerGraph, decoder_cfg, ch, prior, memo: dict, start
     rows, first, inverse = np.unique(
         packed.view(f"V{packed.shape[1]}").ravel(), return_index=True, return_inverse=True
     )
+    if graph.ell is not None:
+        rows, rep, orbit = np.unique(
+            _orbit_keys(syndromes[first], graph.ell), return_index=True, return_inverse=True
+        )
+        first, inverse = first[rep], orbit[inverse]
     keys = rows.tolist()
     outcome = np.array([memo.get(key, -1) for key in keys], dtype=np.int64)
     miss = np.flatnonzero(outcome < 0)
@@ -312,8 +360,9 @@ def run_point(
         seed=cfg.seed,
     )
     log.info(
-        "point eps=%g fer=%g (%d/%d frames) CI=[%g, %g], decoded %d distinct of %d%s",
-        epsilon, point.fer, failures, frames, low, high, decoded, sampled,
+        "point eps=%g fer=%g (%d/%d frames) CI=[%g, %g], decoded %d %s of %d%s",
+        epsilon, point.fer, failures, frames, low, high, decoded,
+        "distinct" if graph.ell is None else "orbits", sampled,
         " cap-hit" if point.cap_hit else "",
     )
     return point
@@ -323,6 +372,7 @@ def _point_payload(point: FerPoint, cfg: SweepConfig) -> dict:
     return {
         "point": asdict(point),
         "config": _config_dict(cfg),
+        "numerics": NUMERICS,
         "version": __version__,
     }
 
@@ -341,10 +391,10 @@ def run_sweep(
 
     With ``out_dir`` set, each completed point is written to
     ``points/point_<digest12>_<k>.json``; on rerun a point whose file exists
-    with a matching digest is loaded instead of recomputed.  The aggregate
-    ``results.json`` (all points, config echo, software version) and the
-    plot-ready ``fer.tsv`` (epsilon and FER, ascending epsilon) are
-    rewritten at the end.  ``H`` is the matrix ``graph`` was built from;
+    with a matching digest and ``NUMERICS`` tag is loaded instead of
+    recomputed.  The aggregate ``results.json`` (all points, config echo,
+    numerics tag, software version) and the plot-ready ``fer.tsv`` (epsilon
+    and FER, ascending epsilon) are rewritten at the end.  ``H`` is the matrix ``graph`` was built from;
     the harness no longer reads it.
     """
     digest = config_digest(cfg)
@@ -356,7 +406,10 @@ def run_sweep(
         if pfile is not None and pfile.exists():
             try:
                 payload = json.loads(pfile.read_text(encoding="utf-8"))
-                if payload["point"]["config_digest"] == digest:
+                if (
+                    payload["point"]["config_digest"] == digest
+                    and payload.get("numerics") == NUMERICS
+                ):
                     point = FerPoint(**payload["point"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise OSError(f"unreadable point file {pfile}: {exc}") from exc

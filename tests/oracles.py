@@ -6,7 +6,8 @@ dense GF(2) bit-plane syndrome/orthogonality/rank, a pairwise
 row-intersection commutation check, polynomial-gcd dimension
 counting for generalized bicycle codes, exhaustive 4^n posterior
 enumeration for small codes, and a scalar reference decoder composed from
-the per-node update rules below (to cross-check the vectorized kernel).
+the per-node update rules below (to cross-check the vectorized kernel; it
+takes only each node's slot order from the Tanner graph).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from qsagms.analysis import phi_llr
 from qsagms.channel import ChannelPrior
+from qsagms.code import tanner_graph
 from qsagms.decoder import (
     LLR_CLIP,
     PHI_ARG_FLOOR,
@@ -127,6 +129,14 @@ def gb_dimension_from_gcd(ell: int, a_exps, b_exps) -> int:
     ring = (1 << ell) | 1
     g = _gf2_poly_gcd(_gf2_poly_gcd(a, b), ring)
     return 2 * (g.bit_length() - 1)
+
+
+def orbit_key(syndrome, ell: int) -> tuple[int, ...]:
+    """Canonical form of a syndrome of a generalized bicycle code on ``ell``
+    under joint rotations of its two ell-bit halves: the least of its ell
+    rotations, each a tuple of bits."""
+    halves = np.asarray(syndrome).reshape(2, ell)
+    return min(tuple(np.roll(halves, t, axis=1).ravel().tolist()) for t in range(ell))
 
 
 # -- exhaustive posterior enumeration (small n) -------------------------------
@@ -299,75 +309,88 @@ def hard_decision(prior: ChannelPrior, incoming, incoming_symbols) -> int:
 # -- scalar reference decoder --------------------------------------------------
 
 
-def reference_decode(H, s, prior: ChannelPrior, cfg: DecoderConfig, record=None):
+def reference_decode(
+    H, s, prior: ChannelPrior, cfg: DecoderConfig, record=None, early_stop: bool = True
+):
     """Flooding decoder written as plain loops over the spec's node updates.
 
-    Returns (success, e_hat, iterations, gamma_trace).  If ``record`` is a
-    list, (vn_to_cn, cn_to_vn) message dictionaries keyed by (check, qubit)
-    are appended after each iteration's updates.
+    Each node takes its messages in the slot order of ``tanner_graph(H)``,
+    read through the maps ``edge_messages`` uses, so that its sums run in
+    the order of the kernel's.  Returns (success, e_hat, iterations,
+    gamma_trace).  ``early_stop=False`` iterates on to ``l_max`` past the
+    first all-zero residual, as ``decode_batch`` can; the returned success,
+    estimate and iteration count are still that residual's, and
+    ``gamma_trace`` holds every iteration run.  If ``record`` is a list,
+    (vn_to_cn, cn_to_vn) message dictionaries keyed by (check, qubit) are
+    appended after each iteration's updates.
     """
-    edges = edges_of(H)
-    cn_members = {i: [] for i in range(H.m)}
-    vn_members = {j: [] for j in range(H.n)}
-    for idx, (i, j, _) in enumerate(edges):
-        cn_members[i].append(idx)
-        vn_members[j].append(idx)
+    graph = tanner_graph(H)
+    d_c = graph.cn_sym.shape[1]
+    symbol = {(i, j): sym for i, row in enumerate(H.rows) for j, sym in row}
+    cn_members = [
+        [(i, int(graph.cn_vn[i, k])) for k in range(graph.cn_degrees[i])] for i in range(H.m)
+    ]
+    vn_members = [
+        [(int(graph.vn_gather[j, t]) // d_c, j) for t in range(graph.vn_degrees[j])]
+        for j in range(H.n)
+    ]
+    # the graph gives only the order; the edges themselves come from H
+    pairs = sorted((i, j) for i, j, _ in edges_of(H))
+    assert sorted(e for members in cn_members for e in members) == pairs
+    assert sorted(e for members in vn_members for e in members) == pairs
 
     if cfg.vn_mode == "marginal":
         v0 = _marginal_init(prior.llr)
     else:
         v0 = prior.llr
-    vmsg = {idx: v0 for idx in range(len(edges))}
-    cmsg = {idx: 0.0 for idx in range(len(edges))}
+    vmsg = {edge: v0 for edge in symbol}
+    cmsg = {edge: 0.0 for edge in symbol}
     s = np.asarray(s, dtype=np.uint8)
 
     gamma_trace = []
-    e_hat = np.zeros(H.n, dtype=np.uint8)
+    converged = None
     for ell in range(1, cfg.l_max + 1):
         e_hat = np.array([
-            hard_decision(prior, [cmsg[k] for k in vn_members[j]],
-                          [edges[k][2] for k in vn_members[j]])
+            hard_decision(prior, [cmsg[edge] for edge in vn_members[j]],
+                          [symbol[edge] for edge in vn_members[j]])
             for j in range(H.n)
         ], dtype=np.uint8)
         residual = s ^ syndrome_dense(H, e_hat)
         gamma = syndrome_ratio(residual)
         gamma_trace.append(gamma)
-        if not residual.any():
-            return True, e_hat, ell, gamma_trace
+        if not residual.any() and converged is None:
+            converged = (True, e_hat, ell)
+            if early_stop:
+                break
 
         new_cmsg = {}
         for i in range(H.m):
-            for k in cn_members[i]:
-                incoming = [vmsg[k2] for k2 in cn_members[i] if k2 != k]
+            for edge in cn_members[i]:
+                incoming = [vmsg[other] for other in cn_members[i] if other != edge]
                 if cfg.variant == "sagms":
                     gain = effective_gain(gamma, int(residual[i]), cfg.gain)
                 elif cfg.variant == "sms":
                     gain = cfg.alpha
                 else:
                     gain = 1.0
-                new_cmsg[k] = cn_update(cfg.variant, incoming, int(s[i]), gain)
+                new_cmsg[edge] = cn_update(cfg.variant, incoming, int(s[i]), gain)
         cmsg = new_cmsg
 
         new_vmsg = {}
         for j in range(H.n):
-            for k in vn_members[j]:
-                others = [k2 for k2 in vn_members[j] if k2 != k]
-                incoming = [cmsg[k2] for k2 in others]
-                syms = [edges[k2][2] for k2 in others]
-                new_vmsg[k] = vn_update(
-                    cfg.vn_mode, prior, incoming, syms, edges[k][2]
+            for edge in vn_members[j]:
+                others = [other for other in vn_members[j] if other != edge]
+                new_vmsg[edge] = vn_update(
+                    cfg.vn_mode, prior, [cmsg[other] for other in others],
+                    [symbol[other] for other in others], symbol[edge],
                 )
         vmsg = new_vmsg
         if record is not None:
-            record.append(
-                (
-                    {(edges[k][0], edges[k][1]): v for k, v in vmsg.items()},
-                    {(edges[k][0], edges[k][1]): v for k, v in cmsg.items()},
-                )
-            )
+            record.append((dict(vmsg), dict(cmsg)))
 
     # failure: the estimate is the hard decision made in the final iteration
-    return False, e_hat, cfg.l_max, gamma_trace
+    success, e_hat, iterations = converged or (False, e_hat, cfg.l_max)
+    return success, e_hat, iterations, gamma_trace
 
 
 def edge_messages(graph, record, row: int = 0):

@@ -111,7 +111,33 @@ def test_tanner_graph_toy(toy_code, toy_graph):
 
 
 def test_tanner_graph_126_28(gb126_graph):
-    assert gb126_graph.edge_count == 1260  # 126 checks of degree 10
+    g = gb126_graph
+    assert g.edge_count == 1260  # 126 checks of degree 10
+    assert g.ell == 63
+    # every check of a block, and every qubit of a half, holds its slots at
+    # the same circulant offsets, in the same order
+    node = np.arange(126)[:, None]
+    cn_offsets = (g.cn_vn - node) % 63
+    vn_offsets = (g.vn_gather // g.cn_sym.shape[1] - node) % 63
+    for offsets in (cn_offsets, vn_offsets):
+        assert (offsets[:63] == offsets[0]).all() and (offsets[63:] == offsets[63]).all()
+    assert cn_offsets[0].tolist() == [0, 1, 14, 16, 22, 0, 3, 13, 20, 42]  # (half, offset)
+
+
+@pytest.mark.parametrize(
+    "gb_line", GB_LINE_MISMATCH.values(), ids=GB_LINE_MISMATCH.keys()
+)
+def test_tanner_graph_rejects_gb_that_does_not_build_the_rows(toy_code, gb_line):
+    fields = dict(part.split("=") for part in gb_line.split()[1:])
+    gb = GbSpec(
+        int(fields["ell"]),
+        tuple(int(e) for e in fields["a"].split(",")),
+        tuple(int(e) for e in fields["b"].split(",")),
+    )
+    H = SparseCheckMatrix(toy_code.n, toy_code.rows, gb=gb)
+    with pytest.raises(ValueError, match="^gb line does not match the rows$"):
+        tanner_graph(H)
+    assert tanner_graph(SparseCheckMatrix(toy_code.n, toy_code.rows)).ell is None
 
 
 def test_tanner_graph_check_slots_follow_rows(tree_code, tree_graph):

@@ -467,7 +467,8 @@ def test_engine_messages_match_reference(small_code, small_graph):
     s = small_graph.syndromes(e)
     cfg = DecoderConfig("sagms", l_max=5, gain=GAIN)
     record = []
-    reference_decode(small_code, s, prior, cfg, record=record)
+    ok, _, iters, _ = reference_decode(small_code, s, prior, cfg, record=record, early_stop=False)
+    assert (ok, iters) == (True, 2)  # the records run on past the convergence
     # with each row reversed, tanner_graph (which keeps a row's order) runs
     # the check slots in descending column order
     reversed_rows = SparseCheckMatrix(small_code.n, [row[::-1] for row in small_code.rows])
@@ -475,8 +476,7 @@ def test_engine_messages_match_reference(small_code, small_graph):
     assert (np.diff(reversed_graph.cn_vn, axis=1) < 0).all()
     for graph in (small_graph, reversed_graph):
         trace = _traced(graph, s, prior, cfg, early_stop=False)
-        # the reference stops at convergence, the trace runs on to l_max
-        assert 1 <= len(record) <= len(trace) == cfg.l_max
+        assert len(record) == len(trace) == cfg.l_max
         for rec, (ref_v, ref_c) in zip(trace, record):
             vn_to_cn, cn_to_vn = edge_messages(graph, rec)
             assert vn_to_cn.keys() == ref_v.keys() and cn_to_vn.keys() == ref_c.keys()
@@ -570,7 +570,8 @@ def test_engine_output_pinned_on_irregular_graph():
 #: SHA-256 over the gamma, vmsg and cv bytes of every IterationRecord of
 #: decode_batch(..., early_stop=False, trace=...): frames 0-63 of the
 #: irregular channel above in every variant and mode, and frames 0-63 of
-#: the [[126,28]] channel of PINNED_126_HASHES for sagms and bp4.
+#: the [[126,28]] channel of PINNED_126_HASHES for sagms and bp4, whose
+#: messages are held and summed in the circulant-offset slot order.
 PINNED_MESSAGE_HASHES = {
     "bp4-marginal": "8fe8ad7a8eb4b054bde89c59b018a322f33a79bedf0efcaa5fbc6d09ca5ab613",
     "ms-marginal": "3270fc5e6d746649a9fa62c9984d143ef69a25a44c10caf4a675c0c55cf7044a",
@@ -580,8 +581,8 @@ PINNED_MESSAGE_HASHES = {
     "ms-additive": "6616fda045112fc84a8e06a8d3c3a7c7afdee89556b87ee975c7a454d15f57b0",
     "sms-additive": "e7917b2be99309c8161ed457e7928d04799b24598dc4f93f982a83ff8b0ec2d1",
     "sagms-additive": "b4e71048259df2e2f6263d52b317b207cc15770c2cca4e1c672575dcb2c6bf6b",
-    "126-sagms": "587f92d1822876e2b4bf82c6496b9261b5b144f53fdad8d92e30b942d13821ba",
-    "126-bp4": "eac8e44f31694c22882d9a5abec94ebdc34b117ccdfb753bf0b08bcff0b9c3db",
+    "126-sagms": "3d512a9c765b8d55f6e9e2c06ba7cf97636f8e46091fc7445a32edf25c8662a0",
+    "126-bp4": "72a4ee0aab778b4e2115524eba9a7903d6f4c2f2a8f730408e680ae1221ba0a3",
 }
 
 
@@ -609,6 +610,43 @@ def test_engine_messages_pinned(gb126_code, gb126_graph):
             h.update(rec.cv.tobytes())
         got[name] = h.hexdigest()
     assert got == PINNED_MESSAGE_HASHES
+
+
+def _shift(ell: int, t: int) -> np.ndarray:
+    """Where a joint shift by ``t`` moves each node of a generalized
+    bicycle graph on ``ell``: qubits and checks alike, 2 * ell of them, stay
+    in their half or block and move by t within it."""
+    node = np.arange(2 * ell)
+    return node // ell * ell + (node + t) % ell
+
+
+@pytest.mark.parametrize("variant,kw", VARIANT_CASES)
+@pytest.mark.parametrize("vn_mode", VN_MODES)
+def test_decoder_is_shift_equivariant_on_gb_graphs(
+    small_graph, gb126_graph, variant, kw, vn_mode
+):
+    # with early stop off every row runs every iteration; a jointly shifted
+    # syndrome gives the shifted messages and decisions, bit for bit
+    cfg = DecoderConfig(variant, vn_mode=vn_mode, **kw)
+    for graph, eps, shifts in ((small_graph, 0.1, range(1, 5)), (gb126_graph, 0.06, (1, 17, 40))):
+        prior = prior_llr(eps)
+        errors = sample_error(DepolarizingChannel(eps, 20260810), graph.n, 0, count=64)
+        syndromes = graph.syndromes(errors)
+        want = _traced(graph, syndromes, prior, cfg, early_stop=False)
+        assert len(want) == cfg.l_max
+        for t in shifts:
+            node = _shift(graph.ell, t)
+            moved = np.empty_like(errors)
+            moved[:, node] = errors
+            shifted = graph.syndromes(moved)
+            assert np.array_equal(shifted[:, node], syndromes)
+            got = _traced(graph, shifted, prior, cfg, early_stop=False)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.gamma.tobytes() == b.gamma.tobytes()
+                assert a.vmsg[:, node].tobytes() == b.vmsg.tobytes()
+                assert a.cv[:, node].tobytes() == b.cv.tobytes()
+                assert a.e_hat[:, node].tobytes() == b.e_hat.tobytes()
 
 
 def _outcome_hash(r) -> str:

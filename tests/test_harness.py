@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -31,6 +32,8 @@ from qsagms.harness import (
     wilson_interval,
 )
 from qsagms.pauli import PAULI_Z
+
+from .oracles import orbit_key
 
 
 @pytest.fixture(autouse=True)
@@ -395,10 +398,11 @@ def test_memoized_frames_match_plain_decode(small_code, small_graph, workers):
     assert np.array_equal(fails, ~plain.success)
     assert np.array_equal(iters, plain.iterations)
     assert fails.dtype == bool and 0 < fails.sum() < len(fails)
-    distinct = len(np.unique(syndromes, axis=0))
+    distinct = np.unique(syndromes, axis=0)
+    orbits = len({orbit_key(row, small_graph.ell) for row in distinct})
     if workers == 1:
-        assert decoded == distinct  # one memo: each syndrome decoded once
-    assert distinct <= decoded < 3000
+        assert decoded == orbits  # one memo: each orbit decoded once
+    assert orbits <= decoded < len(distinct)
 
 
 def test_memo_cap_does_not_change_points(small_code, small_graph, monkeypatch):
@@ -464,7 +468,54 @@ def test_memo_lives_for_one_point(small_code, small_graph, monkeypatch, caplog):
     assert sum(decoded) == 2 * rows  # the second point hit no memo of the first
     ends = [r.getMessage() for r in caplog.records if r.getMessage().startswith("point ")]
     assert len(ends) == 2
-    assert all(f"decoded {rows} distinct of 3000" in line for line in ends)
+    assert all(f"decoded {rows} orbits of 3000" in line for line in ends)
+
+
+@st.composite
+def syndrome_rows(draw):
+    """(ell, rows): syndromes of a graph on ell, periodic in each half with a
+    period that divides ell, so that short orbits and equal rows occur.  An
+    ell above 64 spans more than one uint64 word of key per half."""
+    ell = draw(st.sampled_from([3, 5, 63, 64, 65, 127]))
+    period = draw(st.sampled_from([d for d in range(1, ell + 1) if ell % d == 0]))
+    bits = st.lists(st.integers(0, 1), min_size=2 * period, max_size=2 * period)
+    patterns = draw(st.lists(bits, min_size=1, max_size=6))
+    rows = [np.tile(np.reshape(p, (2, period)), ell // period).ravel() for p in patterns]
+    return ell, np.array(rows, dtype=np.uint8)
+
+
+@settings(max_examples=120, deadline=None)
+@given(syndrome_rows())
+def test_orbit_keys_match_brute_force_oracle(args):
+    ell, rows = args
+    halves = rows.reshape(len(rows), 2, ell)
+    rotations = np.stack([np.roll(halves, t, axis=2) for t in range(ell)], axis=1)
+    keys = np.array(harness._orbit_keys(rotations.reshape(-1, 2 * ell), ell).tolist())
+    keys = keys.reshape(len(rows), ell)
+    assert (keys == keys[:, :1]).all()  # the same key at every joint rotation
+    want = [orbit_key(row, ell) for row in rows]
+    for a, b in itertools.product(range(len(rows)), repeat=2):
+        assert (keys[a, 0] == keys[b, 0]) == (want[a] == want[b])
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["1w", "2w"])
+def test_orbit_memo_does_not_change_points(gb126_code, gb126_graph, monkeypatch, workers):
+    # at eps 0.01 most frames of [[126,28]] carry weight-2 errors, whose
+    # syndromes share orbits
+    _, decoded = _batch_rows(monkeypatch)
+    cfg = _sweep(
+        code_id="gb-126-28", variant="sagms", l_max=8, eps=(0.01,), seed=4,
+        target_failures=10**6, max_frames=4096, workers=workers,
+    )
+    got = run_point(gb126_code, gb126_graph, cfg, epsilon=0.01)
+    orbit_rows = sum(decoded)
+    # no memo, and without ell no orbits: each batch decodes its distinct syndromes
+    monkeypatch.setattr(harness, "MEMO_ENTRIES", 0)
+    decoded.clear()
+    plain = replace(gb126_graph, ell=None)
+    want = run_point(gb126_code, plain, replace(cfg, workers=1), epsilon=0.01)
+    assert got == want
+    assert orbit_rows < 0.8 * sum(decoded)
 
 
 # -- decode slabs -------------------------------------------------------------------
@@ -560,6 +611,27 @@ def test_run_sweep_recomputes_a_point_of_another_digest(tmp_path, small_code, sm
     pfile.write_text(canonical_json(payload) + "\n")
     assert run_sweep(small_code, small_graph, cfg, out_dir=out) == first  # not loaded
     assert pfile.read_bytes() == good  # rewritten
+
+
+def test_run_sweep_recomputes_a_point_of_other_numerics(tmp_path, small_code, small_graph):
+    cfg = _sweep(variant="ms", l_max=4, eps=(0.3, 0.2), target_failures=25, seed=77)
+    out = tmp_path / "sweep"
+    first = run_sweep(small_code, small_graph, cfg, out_dir=out)
+    results = (out / "results.json").read_bytes()
+    pfile = sorted((out / "points").glob("*.json"))[0]
+    good = pfile.read_bytes()
+    assert json.loads(good)["numerics"] == harness.NUMERICS
+    for numerics in (None, "other"):  # a tagless file, and one of other numerics
+        payload = json.loads(good)
+        payload["point"]["frames"] += 1  # what a stale file would claim
+        if numerics is None:
+            del payload["numerics"]
+        else:
+            payload["numerics"] = numerics
+        pfile.write_text(canonical_json(payload) + "\n")
+        assert run_sweep(small_code, small_graph, cfg, out_dir=out) == first  # not loaded
+        assert pfile.read_bytes() == good  # rewritten
+        assert (out / "results.json").read_bytes() == results
 
 
 def test_interrupted_write_keeps_previous_file(tmp_path, monkeypatch):
