@@ -14,11 +14,12 @@ One scalar LLR flows per edge.  The sign of every check-node output is
 (-1)^(s_i) times the product of the extrinsic message signs, where s_i is
 the *observed* syndrome bit; the residual bit enters only the sagms gain
 boost.  Each iteration runs: residual syndrome of the hard decision, early
-exit on all-zero, syndrome ratio, gains, check-node update, qubit-node
-update.  The qubit-node update's per-Pauli sums are also the metrics of
-the next hard decision; the first decision is taken from zero sums.  An
-optional trace records each iteration's syndrome ratios, messages and the
-decision they give, and is the one inspection path: ``decode`` takes its
+exit on all-zero, syndrome ratio, gains, then, for the frames that go on,
+the qubit-node messages of the last update (the prior's at the first), the
+check-node update and the per-Pauli sums that are the metrics of the next
+hard decision; the first decision is taken from zero sums.  An optional
+trace records each iteration's syndrome ratios, messages and the decision
+they give, and is the one inspection path: ``decode`` takes its
 syndrome-ratio trace from it.
 
 A batch is decoded in slabs of at most SLAB_ROWS rows through one
@@ -153,7 +154,8 @@ class IterationRecord:
     the rows still active after early exit (None when no row is left),
     copies of the messages after its update, ``vmsg`` (rows, m, d_c) and
     ``cv`` (rows, n, d_v) in the graph's slots, and the hard decision
-    ``e_hat`` (rows, n) they give, which the next iteration tests."""
+    ``e_hat`` (rows, n) they give, which the next iteration tests (built
+    for the record: untraced, ``vmsg`` is built only for rows that go on)."""
 
     iteration: int
     rows: np.ndarray
@@ -276,6 +278,8 @@ class _Kernel:
     The workspace is flat buffers allocated here once.  Every step writes
     into and returns contiguous views of them sized for the current r,
     valid until the same step runs again, so one kernel serves one thread.
+    Between iterations it holds the qubit view and the per-Pauli sums of
+    the last decision, and builds messages from them for rows that go on.
     """
 
     def __init__(self, graph: TannerGraph, rows: int):
@@ -307,22 +311,20 @@ class _Kernel:
         # the workspace: message buffers in each view, with room for a
         # sentinel row, then planes
         check, qubit_view = (d_c * m + 1) * rows, (d_v * n + 1) * rows
-        self.vmsg, self.spare, self.cmsg = (np.empty(check) for _ in range(3))
+        self.vmsg, self.sign, self.cmsg = (np.empty(check) for _ in range(3))
         self.neg = np.empty(check, dtype=bool)
         self.cv, self.qmsg, self.b1, self.b2 = (np.empty(qubit_view) for _ in range(4))
         self.parity = np.empty(m * rows, dtype=bool)
-        self.sums, self.metrics = np.empty(3 * n * rows), np.empty(4 * n * rows)
+        self.sums, self.metrics = (np.empty(4 * n * rows) for _ in range(2))  # compact swaps them
         self.best, self.later = np.empty(n * rows), np.empty(3 * n * rows, dtype=bool)
         self.e_hat = np.empty(n * rows, dtype=np.uint8)
 
-    def start(self, rows: int, v0: float, l0: float):
-        """Initial messages ``v0`` and the hard decision of zero sums."""
-        vmsg, sums = _view(self.vmsg, rows, *self.check), _view(self.sums, rows, 3, self.g.n)
-        qmsg = _sentinel(self.qmsg, rows, math.prod(self.qubit), np.inf)
-        qmsg[:-1].fill(v0)
-        np.take(qmsg, self.to_check, axis=0, out=vmsg, mode="clip")
-        sums.fill(0.0)
-        return vmsg, self.decide(sums, l0)
+    def start(self, rows: int, l0: float, v0: float) -> np.ndarray:
+        """The hard decision of zero sums, which the first iteration tests,
+        and ``v0`` in every column of qmsg, which ``to_checks`` then sends."""
+        self.sums.fill(0.0)
+        self.qmsg.fill(v0)
+        return self.decide(_view(self.sums, rows, 3, self.g.n), l0)
 
     def decide(self, sums: np.ndarray, l0: float) -> np.ndarray:
         """(n, r) Pauli codes minimizing 0 for I and l0 + sums[e - 1] for
@@ -341,13 +343,16 @@ class _Kernel:
         np.logical_and(later[1], later[2], out=later[2])
         return np.add.reduce(later.view(np.uint8), axis=0, out=_view(self.e_hat, r, n))
 
-    def compact(self, vmsg: np.ndarray, keep: np.ndarray) -> np.ndarray:
-        """The ``keep`` columns of ``vmsg``, moved into the spare buffer,
-        which then becomes the message buffer."""
-        out = _view(self.spare, np.count_nonzero(keep), *self.check)
-        np.take(vmsg, np.flatnonzero(keep), axis=-1, out=out, mode="clip")
-        self.vmsg, self.spare = self.spare, self.vmsg
-        return out
+    def compact(self, cv: np.ndarray, sums: np.ndarray, keep: np.ndarray):
+        """The ``keep`` columns of ``cv``, with its zero row, and ``sums``,
+        moved into the qmsg and metrics buffers, dead until the next message
+        step, which then become the cv and sums buffers."""
+        at, q, n = np.flatnonzero(keep), self.to_qubit.size, self.g.n
+        out = _view(self.qmsg, at.size, q)
+        np.take(_view(self.cv, cv.shape[-1], q), at, axis=-1, out=out, mode="clip")
+        sums = np.take(sums, at, axis=-1, out=_view(self.metrics, at.size, 3, n), mode="clip")
+        self.cv, self.qmsg, self.sums, self.metrics = self.qmsg, self.cv, self.metrics, self.sums
+        return out[:-1].reshape(*self.qubit, at.size), sums
 
     def to_qubits(self, cmsg: np.ndarray) -> np.ndarray:
         """The (d_c, m, r) messages ``cn_step`` returned, read from its
@@ -371,7 +376,7 @@ class _Kernel:
         np.logical_xor(parity, syn, out=parity)
         np.not_equal(neg, parity, out=neg)
         mag, out = np.abs(vmsg, out=vmsg), _view(self.cmsg, r, *self.check)
-        sign = _view(self.spare, r, *self.check)
+        sign = _view(self.sign, r, *self.check)
         if cfg.variant == "bp4":
             phi_llr(np.maximum(mag, PHI_ARG_FLOOR, out=mag), out=mag)
             total = _segment_sum(mag, self.cn_groups, sign[0], sign[1:])
@@ -385,28 +390,35 @@ class _Kernel:
         np.multiply(out, sign, out=out)
         return np.clip(out, -LLR_CLIP, LLR_CLIP, out=out)
 
-    def vn_step(self, cv, l0, cfg):
-        """Qubit-node update from the qubit view ``to_qubits`` returned;
-        returns check-view messages and the next hard decision, from one
-        pass of per-Pauli sums.
-
-        In marginal mode the belief in an edge's own symbol s leaves out no
-        message (the edge's own commutes with s), so it is its qubit's
-        decision metric for s, and its log-add-exp is taken once per qubit."""
+    def vn_decide(self, cv: np.ndarray, l0: float):
+        """The decision step of the qubit-node update: the per-Pauli sums of
+        the qubit view ``to_qubits`` returned and their hard decision."""
         r, n = cv.shape[-1], self.g.n
         sums, out = _view(self.sums, r, 3, n), _view(self.qmsg, r, *self.qubit)
-        b1, b2 = _view(self.b1, r, *self.qubit), _view(self.b2, r, *self.qubit)
+        b1 = _view(self.b1, r, *self.qubit)
         products = _view(self.cv, r, self.to_qubit.size)  # cv and its zero row
         for e, at in enumerate(self.product_at):
             np.take(products, at, axis=0, out=out, mode="clip")
             _segment_sum(out, self.vn_groups, sums[e], b1)
-        e_hat = self.decide(sums, l0)
+        return sums, self.decide(sums, l0)
+
+    def vn_messages(self, cv: np.ndarray, sums: np.ndarray, l0: float, cfg) -> np.ndarray:
+        """The message step of the qubit-node update: check-view messages
+        from the qubit view ``cv`` and the ``sums`` of its decision.
+
+        In marginal mode the belief in an edge's own symbol s leaves out no
+        message (the edge's own commutes with s), so it is its qubit's
+        decision metric for s, recomputed as ``decide`` does, and its
+        log-add-exp is taken once per qubit."""
+        r, n = cv.shape[-1], self.g.n
+        out = _view(self.qmsg, r, *self.qubit)
+        b1, b2 = _view(self.b1, r, *self.qubit), _view(self.b2, r, *self.qubit)
         if cfg.vn_mode == "additive":
             total = _segment_sum(cv, self.vn_groups, b2[0], b1)
             np.add(l0, np.subtract(total, cv, out=out), out=out)
         else:
             metrics = _view(self.metrics, r, 4, n)
-            beliefs = metrics[1:]
+            beliefs = np.add(l0, sums, out=metrics[1:])
             np.logaddexp(0.0, np.negative(beliefs, out=beliefs), out=beliefs)
             np.take(metrics.reshape(-1, r), self.own_at, axis=0, out=out, mode="clip")
             # -(l0 + (sum - cv)) of the other two Paulis, as (cv - sum) - l0
@@ -416,10 +428,14 @@ class _Kernel:
                 np.subtract(np.subtract(cv, b, out=b), l0, out=b)
             np.subtract(out, np.logaddexp(b1, b2, out=b1), out=out)
         np.clip(out, -LLR_CLIP, LLR_CLIP, out=out)
-        vmsg = _view(self.vmsg, r, *self.check)
+        return self.to_checks(r)
+
+    def to_checks(self, r: int) -> np.ndarray:
+        """The (d_v, n, r) messages in the qmsg buffer gathered into the
+        (d_c, m, r) check view; padding slots read a +inf sentinel row."""
         qmsg = _sentinel(self.qmsg, r, math.prod(self.qubit), np.inf)
-        np.take(qmsg, self.to_check, axis=0, out=vmsg, mode="clip")
-        return vmsg, e_hat
+        vmsg = _view(self.vmsg, r, *self.check)
+        return np.take(qmsg, self.to_check, axis=0, out=vmsg, mode="clip")
 
 
 def decode_batch(
@@ -436,21 +452,23 @@ def decode_batch(
     Frames are mutually independent: results are bit-identical for any
     partitioning of the same frames into batches.  The batch runs in slabs
     of at most SLAB_ROWS rows through one workspace, allocated once per
-    call.  ``early_stop=False`` keeps iterating converged frames to
-    ``l_max`` (reported success, iteration count and estimate still reflect
-    the first all-zero residual); it exists for fixed-point inspection and
-    the cycle-free oracle tests.  A ``trace`` list receives one
-    ``IterationRecord`` per executed iteration of each slab, slab after
-    slab, and makes the otherwise-skipped final update run so that the last
+    call.  Qubit-to-check messages are built only for the frames whose
+    decision was tested and goes on.  ``early_stop=False`` keeps iterating
+    converged frames to ``l_max`` (reported success, iteration count and
+    estimate still reflect the first all-zero residual); it exists for
+    fixed-point inspection and the cycle-free oracle tests.  A ``trace``
+    list receives one ``IterationRecord`` per executed iteration of each
+    slab, slab after slab, with the messages of every update built for it,
+    and makes the otherwise-skipped final update run so that the last
     record of a slab holds its final messages; it never changes a result.
     """
     syndromes = np.asarray(syndromes)
     if syndromes.ndim != 2 or syndromes.shape[1] != graph.m:
         raise ValueError(f"syndromes must have shape (B, {graph.m})")
-    b_total = syndromes.shape[0]
-    ker = _Kernel(graph, min(b_total, SLAB_ROWS))
     if not ((syndromes == 0) | (syndromes == 1)).all():
         raise ValueError("syndrome bits must be 0 or 1")
+    b_total = syndromes.shape[0]
+    ker = _Kernel(graph, min(b_total, SLAB_ROWS))
     l0 = prior.llr
     v0 = _marginal_init(l0) if cfg.vn_mode == "marginal" else l0
     v0 = float(np.clip(v0, -LLR_CLIP, LLR_CLIP))
@@ -462,7 +480,7 @@ def decode_batch(
     for at in range(0, b_total, SLAB_ROWS):
         syn = syndromes[at : at + SLAB_ROWS].astype(np.uint8)
         active = np.arange(at, at + len(syn))
-        vmsg, e_hat = ker.start(len(syn), v0, l0)
+        e_hat, cv, sums = ker.start(len(syn), l0, v0), None, None
         for ell in range(1, cfg.l_max + 1):
             residual = syn ^ graph.syndromes(e_hat.T)
             unsat = residual.sum(axis=1)
@@ -483,7 +501,8 @@ def decode_batch(
                 active = active[keep]
                 if active.size == 0:
                     break
-                vmsg = ker.compact(vmsg, keep)
+                if cv is not None:
+                    cv, sums = ker.compact(cv, sums, keep)
                 syn, e_hat, residual = syn[keep], e_hat[:, keep], residual[keep]
                 gamma = gamma[keep]
 
@@ -494,10 +513,11 @@ def decode_batch(
                 if trace is None:
                     break
 
+            vmsg = ker.to_checks(len(syn)) if cv is None else ker.vn_messages(cv, sums, l0, cfg)
             cv = ker.to_qubits(ker.cn_step(vmsg, syn.T, cfg, _gain(cfg, gamma, residual)))
-            vmsg, e_hat = ker.vn_step(cv, l0, cfg)
+            sums, e_hat = ker.vn_decide(cv, l0)
             if trace is not None:  # (rows, node, slot) copies: the workspace is rewritten
-                rec = trace[-1]
+                rec, vmsg = trace[-1], ker.vn_messages(cv, sums, l0, cfg)
                 rec.vmsg, rec.cv, rec.e_hat = (a.T.copy() for a in (vmsg, cv, e_hat))
 
     return BatchDecodeResult(success=success, e_hat=e_hat_out, iterations=iterations)

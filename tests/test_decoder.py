@@ -296,6 +296,16 @@ def test_decode_batch_checks_syndromes(small_graph):
     assert res.e_hat.shape == (0, small_graph.n)
 
 
+def test_decode_batch_checks_bits_before_allocating(small_graph, monkeypatch):
+    def workspace(*args):
+        raise AssertionError("workspace allocated for an invalid batch")
+
+    monkeypatch.setattr(decoder, "_Kernel", workspace)
+    bad = np.full((2, small_graph.m), 2)
+    with pytest.raises(ValueError, match="syndrome bits must be 0 or 1"):
+        decode_batch(small_graph, bad, prior_llr(0.05), DecoderConfig("ms"))
+
+
 # -- decode: trivial and structural cases ----------------------------------------
 
 
@@ -612,6 +622,43 @@ def test_engine_messages_pinned(gb126_code, gb126_graph):
     assert got == PINNED_MESSAGE_HASHES
 
 
+#: SHA-256 over the rows, gamma, vmsg, cv and e_hat bytes of every
+#: IterationRecord of decode_batch(..., trace=...) with early stop on, where
+#: converged rows leave the slab: the channels of PINNED_MESSAGE_HASHES.
+PINNED_EARLY_STOP_HASHES = {
+    "sagms-additive": "e37316acfd33cee5fbb414b7c0c12af71985764303904c41bdaafc1d45f72609",
+    "126-sagms": "072225dda574ac6d8a39f5526cde6cf7dbe34427bd193c30cfb4d3ef0d3b27b2",
+    "126-bp4": "a18fe2d1f72552303126b59dd74b35f37a947e96fd9d937ef539904fc5f5f7bc",
+}
+
+
+def test_engine_messages_pinned_with_early_stop(gb126_code, gb126_graph):
+    H, graph = _irregular_graph()
+    ch = DepolarizingChannel(0.08, 20260810)
+    irregular = np.stack([syndrome_dense(H, e) for e in sample_error(ch, H.n, 0, count=64)])
+    ch = DepolarizingChannel(0.05, 20260810)
+    gb126 = np.stack([
+        syndrome_dense(gb126_code, e) for e in sample_error(ch, gb126_code.n, 0, count=64)
+    ])
+    runs = [
+        ("sagms-additive", graph, irregular, 0.08,
+         DecoderConfig("sagms", gain=GAIN, vn_mode="additive")),
+        ("126-sagms", gb126_graph, gb126, 0.05, DecoderConfig("sagms", gain=GAIN)),
+        ("126-bp4", gb126_graph, gb126, 0.05, DecoderConfig("bp4")),
+    ]
+    got = {}
+    for name, g, syndromes, eps, cfg in runs:
+        trace = _traced(g, syndromes, prior_llr(eps), cfg)
+        assert len({r.rows.size for r in trace}) > 2  # rows leave at several iterations
+        h = hashlib.sha256()
+        for rec in trace:
+            for a in (rec.rows, rec.gamma, rec.vmsg, rec.cv, rec.e_hat):
+                if a is not None:
+                    h.update(a.tobytes())
+        got[name] = h.hexdigest()
+    assert got == PINNED_EARLY_STOP_HASHES
+
+
 def _shift(ell: int, t: int) -> np.ndarray:
     """Where a joint shift by ``t`` moves each node of a generalized
     bicycle graph on ``ell``: qubits and checks alike, 2 * ell of them, stay
@@ -805,6 +852,48 @@ def test_decode_batch_memory_does_not_grow_with_rows(gb126_code, gb126_graph):
     workspace = sum(a.nbytes for a in vars(ker).values() if isinstance(a, np.ndarray))
     message = gb126_graph.cn_sym.size * SLAB_ROWS * np.dtype(np.float64).itemsize
     assert peaks[0] < workspace + message, (peaks, workspace)
+
+
+def _message_rows(monkeypatch) -> list:
+    """The row counts every message step of the kernel is called with."""
+    seen, step = [], decoder._Kernel.vn_messages
+
+    def spy(ker, cv, *args):
+        seen.append(cv.shape[-1])
+        return step(ker, cv, *args)
+
+    monkeypatch.setattr(decoder._Kernel, "vn_messages", spy)
+    return seen
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.05])
+def test_weight_one_syndromes_never_build_messages(gb126_graph, eps, monkeypatch):
+    # every single-qubit error converges at iteration 2: the first update
+    # sends v0, and the decision after it is tested before any message
+    n = gb126_graph.n
+    errors = np.zeros((3 * n, n), dtype=np.uint8)
+    errors[np.arange(3 * n), np.arange(3 * n) // 3] = np.tile([PAULI_X, PAULI_Z, PAULI_Y], n)
+    syndromes = gb126_graph.syndromes(errors)
+    seen = _message_rows(monkeypatch)
+    for mode in VN_MODES:
+        for variant, kw in VARIANT_CASES:
+            cfg = DecoderConfig(variant, vn_mode=mode, **kw)
+            res = decode_batch(gb126_graph, syndromes, prior_llr(eps), cfg)
+            assert res.success.all() and (res.iterations == 2).all(), (variant, mode)
+    assert seen == []
+
+
+@pytest.mark.parametrize("variant,kw", VARIANT_CASES)
+def test_message_steps_run_only_for_rows_that_go_on(gb126_graph, variant, kw, monkeypatch):
+    # a row tested at iterations 1..k (k = l_max on failure) is updated
+    # k - 1 times; the first update sends v0, each later one runs the
+    # message step: max(k - 2, 0) passes
+    errors = sample_error(DepolarizingChannel(0.05, 20260810), gb126_graph.n, 0, count=512)
+    syndromes = gb126_graph.syndromes(errors)
+    seen = _message_rows(monkeypatch)
+    res = decode_batch(gb126_graph, syndromes, prior_llr(0.05), DecoderConfig(variant, **kw))
+    assert not res.success.all() and len(set(res.iterations.tolist())) > 3
+    assert sum(seen) == np.maximum(res.iterations - 2, 0).sum()
 
 
 def test_decode_deterministic_across_runs(small_code, small_graph):
