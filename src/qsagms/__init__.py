@@ -35,13 +35,7 @@ from .code import (
     save_code,
     tanner_graph,
 )
-from .decoder import (
-    DecodeResult,
-    DecoderConfig,
-    GainParams,
-    decode,
-    decode_batch,
-)
+from .decoder import DecoderConfig, GainParams, decode_batch
 from .harness import FerPoint, SweepConfig, run_point, run_sweep, wilson_interval
 from .pauli import (
     PAULI_I,
@@ -79,10 +73,8 @@ __all__ = [
     "load_code",
     "save_code",
     "tanner_graph",
-    "DecodeResult",
     "DecoderConfig",
     "GainParams",
-    "decode",
     "decode_batch",
     "FerPoint",
     "SweepConfig",

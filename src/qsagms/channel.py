@@ -29,6 +29,12 @@ from .pauli import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 SEED_LIMIT = 1 << 64
 
 
+def check_int(name: str, value) -> None:
+    """Reject a non-``int``, or a bool, where an integer field enters."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DepolarizingChannel:
     """True channel: depolarization probability and master seed.
@@ -43,6 +49,7 @@ class DepolarizingChannel:
     def __post_init__(self):
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
+        check_int("rng_seed", self.rng_seed)
         if not 0 <= self.rng_seed < SEED_LIMIT:
             raise ValueError(f"rng_seed must lie in [0, 2**64), got {self.rng_seed}")
 
@@ -92,6 +99,7 @@ def sample_error(
     the result is ``(count, n)``, row i the frame ``stream_id + i``, equal to
     what the one-frame call returns for that stream id; without, ``(n,)``.
     """
+    check_int("stream_id", stream_id)
     if n < 1:
         raise ValueError("n must be at least 1")
     frames = 1 if count is None else count

@@ -19,8 +19,8 @@ the qubit-node messages of the last update (the prior's at the first), the
 check-node update and the per-Pauli sums that are the metrics of the next
 hard decision; the first decision is taken from zero sums.  An optional
 trace records each iteration's syndrome ratios, messages and the decision
-they give, and is the one inspection path: ``decode`` takes its
-syndrome-ratio trace from it.
+they give, and is the one inspection path: ``decode_batch`` is the one
+entry point, and one syndrome is inspected as a one-row batch.
 
 A batch is decoded in slabs of at most SLAB_ROWS rows through one
 workspace that ``decode_batch`` allocates once: every step writes into it
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import linear_gain_fit, phi_llr
-from .channel import ChannelPrior
+from .channel import ChannelPrior, check_int
 from .code import TannerGraph, check_decodable
 from .pauli import trace_inner
 
@@ -116,6 +116,7 @@ class DecoderConfig:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.vn_mode not in VN_MODES:
             raise ValueError(f"vn_mode must be one of {VN_MODES}, got {self.vn_mode!r}")
+        check_int("l_max", self.l_max)
         if self.l_max < 1:
             raise ValueError("l_max must be at least 1")
         # a value decoding ignores would still enter the config digest
@@ -126,16 +127,6 @@ class DecoderConfig:
             raise ValueError(f"alpha is used by sms only, not {self.variant}")
         if (self.gain is not None) != (self.variant == "sagms"):
             raise ValueError("GainParams are required by sagms and used by it only")
-
-
-@dataclass
-class DecodeResult:
-    """Outcome of one decode: estimate, convergence and per-iteration ratios."""
-
-    success: bool
-    e_hat: np.ndarray
-    iterations_used: int
-    gamma_trace: np.ndarray
 
 
 @dataclass
@@ -521,20 +512,3 @@ def decode_batch(
                 rec.vmsg, rec.cv, rec.e_hat = (a.T.copy() for a in (vmsg, cv, e_hat))
 
     return BatchDecodeResult(success=success, e_hat=e_hat_out, iterations=iterations)
-
-
-def decode(graph: TannerGraph, s, prior: ChannelPrior, cfg: DecoderConfig) -> DecodeResult:
-    """Run the decoder on one syndrome: ``gamma_trace`` holds the syndrome
-    ratio of every executed iteration, and a reported success is
-    re-verified on ``graph``.  Messages are inspected through
-    ``decode_batch(..., trace=...)``."""
-    s = np.asarray(s)
-    if s.shape != (graph.m,):
-        raise ValueError(f"syndrome must have length m={graph.m}")
-    trace: list[IterationRecord] = []
-    batch = decode_batch(graph, s[None, :], prior, cfg, trace=trace)
-    success, e_hat = bool(batch.success[0]), batch.e_hat[0]
-    if success and (graph.syndromes(e_hat) != s).any():
-        raise RuntimeError("internal inconsistency: reported success with nonzero residual")
-    gamma_trace = np.array([r.gamma[0] for r in trace])
-    return DecodeResult(success, e_hat, int(batch.iterations[0]), gamma_trace)

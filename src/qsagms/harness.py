@@ -53,7 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import SEED_LIMIT, DepolarizingChannel, prior_llr, sample_error
+from .channel import SEED_LIMIT, DepolarizingChannel, check_int, prior_llr, sample_error
 from .code import SparseCheckMatrix, TannerGraph
 from .decoder import DecoderConfig, decode_batch
 
@@ -109,6 +109,8 @@ class SweepConfig:
             raise ValueError("epsilon_list is empty")
         if any(not 0.0 < e < 1.0 for e in self.epsilon_list):
             raise ValueError("epsilon values must lie in (0, 1)")
+        for name in ("seed", "target_failures", "max_frames", "workers"):
+            check_int(name, getattr(self, name))
         if self.target_failures < 1:
             raise ValueError("target_failures must be at least 1")
         if self.max_frames < 1:

@@ -126,6 +126,15 @@ def test_sample_error_streams_uncorrelated():
     assert abs(corr) < 0.01
 
 
+@pytest.mark.parametrize("value", [1.5, 1.0, True, "1"])
+def test_seed_and_stream_id_must_be_ints(value):
+    # each is truncated into a Philox key word: seed 1.5 would draw seed 1's frames
+    with pytest.raises(ValueError, match="rng_seed"):
+        DepolarizingChannel(0.1, value)
+    with pytest.raises(ValueError, match="stream_id"):
+        sample_error(DepolarizingChannel(0.1, 1), 8, value)
+
+
 def test_sample_error_rejects_bad_n():
     with pytest.raises(ValueError):
         sample_error(DepolarizingChannel(0.1, 1), 0, stream_id=0)

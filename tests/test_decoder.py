@@ -22,7 +22,6 @@ from qsagms.decoder import (
     _extrinsic_min,
     _marginal_init,
     _plane_sum,
-    decode,
     decode_batch,
 )
 from qsagms.pauli import PAULI_X, PAULI_Y, PAULI_Z
@@ -95,6 +94,13 @@ def test_decoder_config_validation():
             DecoderConfig(variant, gain=GAIN, **kw)
     for variant, kw in VARIANT_CASES:
         DecoderConfig(variant, **kw)
+
+
+@pytest.mark.parametrize("l_max", [2.5, 2.0, True, "8"])
+def test_decoder_config_l_max_must_be_an_int(l_max):
+    # a float l_max would fail later, inside decoding, not here
+    with pytest.raises(ValueError, match="l_max"):
+        DecoderConfig("ms", l_max=l_max)
 
 
 # -- syndrome ratio and effective gain ------------------------------------------
@@ -309,14 +315,31 @@ def test_decode_batch_checks_bits_before_allocating(small_graph, monkeypatch):
 # -- decode: trivial and structural cases ----------------------------------------
 
 
+def _row_gammas(trace, rows: int) -> list:
+    """Each batch row's syndrome ratios, one per iteration it ran, from a trace."""
+    per_row = [[] for _ in range(rows)]
+    for rec in trace:
+        for row, gamma in zip(rec.rows, rec.gamma):
+            per_row[row].append(gamma)
+    return per_row
+
+
+def _weight_one_errors(n: int) -> np.ndarray:
+    """The 3n single-qubit errors, qubit by qubit, each as X, Z and Y."""
+    errors = np.zeros((3 * n, n), dtype=np.uint8)
+    errors[np.arange(3 * n), np.arange(3 * n) // 3] = np.tile([PAULI_X, PAULI_Z, PAULI_Y], n)
+    return errors
+
+
 @pytest.mark.parametrize("variant,kw", VARIANT_CASES)
 def test_decode_zero_syndrome(toy_graph, variant, kw):
     prior = prior_llr(0.05)
     cfg = DecoderConfig(variant, l_max=8, **kw)
-    r = decode(toy_graph, np.zeros(6, dtype=np.uint8), prior, cfg)
-    assert r.success and r.iterations_used == 1
+    trace = []
+    r = decode_batch(toy_graph, np.zeros((1, 6), dtype=np.uint8), prior, cfg, trace=trace)
+    assert r.success[0] and r.iterations[0] == 1
     assert not r.e_hat.any()
-    assert r.gamma_trace.tolist() == [0.0]
+    assert _row_gammas(trace, 1) == [[0.0]]
 
 
 def test_weight1_regression_twinned_toy_code(toy_graph):
@@ -324,48 +347,41 @@ def test_weight1_regression_twinned_toy_code(toy_graph):
     make every weight-1 syndrome invariant under a column swap, so no
     symmetric flooding decoder can zero it; all 18 cases fail."""
     prior = prior_llr(0.05)
+    syndromes = toy_graph.syndromes(_weight_one_errors(6))
     for vn_mode in ("marginal", "additive"):
         cfg = DecoderConfig("bp4", l_max=8, vn_mode=vn_mode)
-        outcomes = []
-        for j in range(6):
-            for p in (1, 2, 3):
-                e = np.zeros(6, dtype=np.uint8)
-                e[j] = p
-                r = decode(toy_graph, toy_graph.syndromes(e), prior, cfg)
-                outcomes.append(r.success)
-        assert outcomes == [False] * 18
+        r = decode_batch(toy_graph, syndromes, prior, cfg)
+        assert r.success.tolist() == [False] * 18
 
 
-def test_weight1_all_converge_on_twin_free_code(small_code, small_graph):
+def test_weight1_all_converge_on_twin_free_code(small_graph):
     prior = prior_llr(0.05)
-    for variant, kw in [
-        ("bp4", {}), ("ms", {}), ("sms", {"alpha": 0.5}), ("sagms", {"gain": GAIN}),
-    ]:
-        cfg = DecoderConfig(variant, l_max=8, **kw)
-        for j in range(small_code.n):
-            for p in (1, 2, 3):
-                e = np.zeros(small_code.n, dtype=np.uint8)
-                e[j] = p
-                s = small_graph.syndromes(e)
-                r = decode(small_graph, s, prior, cfg)
-                assert r.success, (variant, j, p)
-                assert np.array_equal(small_graph.syndromes(r.e_hat), s)
+    syndromes = small_graph.syndromes(_weight_one_errors(small_graph.n))
+    for variant, kw in VARIANT_CASES:
+        r = decode_batch(small_graph, syndromes, prior, DecoderConfig(variant, l_max=8, **kw))
+        assert r.success.all(), (variant, np.flatnonzero(~r.success))
+        assert np.array_equal(small_graph.syndromes(r.e_hat), syndromes)
 
 
 def test_decode_success_implies_zero_residual(small_code, small_graph):
     prior = prior_llr(0.08)
-    ch = DepolarizingChannel(0.08, 42)
-    cfg = DecoderConfig("sagms", l_max=8, gain=GAIN)
-    for e in sample_error(ch, small_code.n, 0, count=200):
-        s = small_graph.syndromes(e)
-        r = decode(small_graph, s, prior, cfg)
-        if r.success:
-            assert np.array_equal(small_graph.syndromes(r.e_hat), s)
-        assert np.all((r.gamma_trace >= 0) & (r.gamma_trace <= 1))
-        # early termination at the first zero ratio, never later
-        zeros = np.nonzero(r.gamma_trace == 0.0)[0]
-        if r.success:
-            assert zeros.size and zeros[0] == r.iterations_used - 1
+    errors = sample_error(DepolarizingChannel(0.08, 42), small_code.n, 0, count=200)
+    syndromes = small_graph.syndromes(errors)
+    for vn_mode in VN_MODES:
+        for variant, kw in VARIANT_CASES:
+            cfg = DecoderConfig(variant, l_max=8, vn_mode=vn_mode, **kw)
+            trace = []
+            r = decode_batch(small_graph, syndromes, prior, cfg, trace=trace)
+            assert r.success.any(), (variant, vn_mode)
+            ok = r.success
+            assert np.array_equal(small_graph.syndromes(r.e_hat[ok]), syndromes[ok])
+            for row, gammas in enumerate(_row_gammas(trace, len(syndromes))):
+                gammas = np.array(gammas)
+                assert np.all((gammas >= 0) & (gammas <= 1))
+                # early termination at the first zero ratio, never later
+                zeros = np.flatnonzero(gammas == 0.0)
+                if ok[row]:
+                    assert zeros.size and zeros[0] == r.iterations[row] - 1
 
 
 # -- degenerate-parameter equivalences -------------------------------------------
@@ -441,14 +457,15 @@ def test_engine_matches_reference_decoder(
     ch = DepolarizingChannel(0.12, 77)
     cfg = DecoderConfig(variant, l_max=6, vn_mode=vn_mode, **kw)
     for H, graph in ((small_code, small_graph), (tree_code, tree_graph)):
-        for e in sample_error(ch, H.n, 0, count=25):
-            s = graph.syndromes(e)
-            got = decode(graph, s, prior, cfg)
-            ok, e_hat, iters, gammas = reference_decode(H, s, prior, cfg)
-            assert got.success == ok
-            assert got.iterations_used == iters
-            assert np.array_equal(got.e_hat, e_hat)
-            assert np.allclose(got.gamma_trace, gammas, atol=1e-12)
+        syndromes = graph.syndromes(sample_error(ch, H.n, 0, count=25))
+        trace = []
+        got = decode_batch(graph, syndromes, prior, cfg, trace=trace)
+        for row, gammas in enumerate(_row_gammas(trace, len(syndromes))):
+            ok, e_hat, iters, ref_gammas = reference_decode(H, syndromes[row], prior, cfg)
+            assert got.success[row] == ok
+            assert got.iterations[row] == iters
+            assert np.array_equal(got.e_hat[row], e_hat)
+            assert np.allclose(gammas, ref_gammas, atol=1e-12)
 
 
 @pytest.mark.slow
@@ -767,13 +784,9 @@ def test_trace_gammas_match_single_frame_decodes(small_code, small_graph, monkey
     # each slab appends its own records, numbered by batch row
     firsts = [r.rows.tolist() for r in trace if r.iteration == 1]
     assert firsts == [list(range(at, min(at + 7, 48))) for at in range(0, 48, 7)]
-    per_row = [[] for _ in syndromes]
-    for rec in trace:
-        for row, gamma in zip(rec.rows, rec.gamma):
-            per_row[row].append(gamma)
-    for row, s in enumerate(syndromes):
-        single = decode(small_graph, s, prior, cfg)
-        assert per_row[row] == single.gamma_trace.tolist()
+    # and each row's ratios are those of its own one-row batch
+    for s, gammas in zip(syndromes, _row_gammas(trace, len(syndromes))):
+        assert gammas == _row_gammas(_traced(small_graph, s, prior, cfg), 1)[0]
 
 
 def test_trace_records_copy_the_reused_workspace(small_code, small_graph, monkeypatch):
@@ -870,10 +883,7 @@ def _message_rows(monkeypatch) -> list:
 def test_weight_one_syndromes_never_build_messages(gb126_graph, eps, monkeypatch):
     # every single-qubit error converges at iteration 2: the first update
     # sends v0, and the decision after it is tested before any message
-    n = gb126_graph.n
-    errors = np.zeros((3 * n, n), dtype=np.uint8)
-    errors[np.arange(3 * n), np.arange(3 * n) // 3] = np.tile([PAULI_X, PAULI_Z, PAULI_Y], n)
-    syndromes = gb126_graph.syndromes(errors)
+    syndromes = gb126_graph.syndromes(_weight_one_errors(gb126_graph.n))
     seen = _message_rows(monkeypatch)
     for mode in VN_MODES:
         for variant, kw in VARIANT_CASES:

@@ -170,6 +170,15 @@ def test_sweep_config_validation():
     _sweep(seed=2**64 - 1)
 
 
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "3"])
+@pytest.mark.parametrize("field", ["seed", "target_failures", "max_frames", "workers"])
+def test_sweep_config_integer_fields_must_be_ints(field, value):
+    # a float seed would draw the frames of its truncation under another
+    # digest, and a float target the frames of its ceiling
+    with pytest.raises(ValueError, match=field):
+        _sweep(**{field: value})
+
+
 # -- run_point ----------------------------------------------------------------------
 
 
