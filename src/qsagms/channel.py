@@ -100,6 +100,9 @@ def sample_error(
     what the one-frame call returns for that stream id; without, ``(n,)``.
     """
     check_int("stream_id", stream_id)
+    check_int("n", n)
+    if count is not None:
+        check_int("count", count)
     if n < 1:
         raise ValueError("n must be at least 1")
     frames = 1 if count is None else count

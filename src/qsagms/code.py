@@ -191,15 +191,18 @@ class TannerGraph:
         Bit i is the parity of the trace inner products between check i's
         symbols and the errors on its qubits, i.e. 1 iff stabilizer i
         anticommutes with the error; symbol-0 padding slots contribute 0.
-        The products are looked up in one (..., d_c, m) array, one slot
-        plane per check slot, and the parity is an xor across the planes.
+        The products are looked up batch-last in one (d_c, m, ...) array,
+        one slot plane per check slot, gathered from the errors with the
+        qubits on the first axis, and the parity is an xor across the
+        planes.  The result is C-contiguous, with the checks last.
         """
         e = np.asarray(e)
         if e.shape[-1:] != (self.n,):
             raise ValueError(f"error patterns of shape {e.shape} need {self.n} qubits")
-        t = np.take(e, self.cn_vn.T, axis=-1)
-        np.bitwise_and(np.right_shift(self._anti, t, out=t), 1, out=t)
-        return np.bitwise_xor.reduce(t, axis=-2)
+        t = np.take(np.moveaxis(e, -1, 0), self.cn_vn.T, axis=0)
+        anti = self._anti.reshape(self._anti.shape + (1,) * (e.ndim - 1))
+        np.bitwise_and(np.right_shift(anti, t, out=t), 1, out=t)
+        return np.ascontiguousarray(np.moveaxis(np.bitwise_xor.reduce(t, axis=0), 0, -1))
 
 
 def check_decodable(graph: TannerGraph) -> None:

@@ -291,6 +291,7 @@ class _Kernel:
         # slots read rows never used
         qubit = np.arange(n)
         self.own_at = sym * n + qubit
+        self.sym_max = int(graph.vn_sym.max())  # own_at reads no metrics row above it
         self.other_at = ((sym == 1) * n + qubit, np.where(sym == 3, 1, 2) * n + qubit)
         # slot k of check i reads row t * n + j of the qubit view, where it
         # is slot t of qubit j, and back; padding slots read the sentinel
@@ -400,7 +401,7 @@ class _Kernel:
         In marginal mode the belief in an edge's own symbol s leaves out no
         message (the edge's own commutes with s), so it is its qubit's
         decision metric for s, recomputed as ``decide`` does, and its
-        log-add-exp is taken once per qubit."""
+        log-add-exp is taken once per qubit, for the symbols edges carry."""
         r, n = cv.shape[-1], self.g.n
         out = _view(self.qmsg, r, *self.qubit)
         b1, b2 = _view(self.b1, r, *self.qubit), _view(self.b2, r, *self.qubit)
@@ -409,7 +410,7 @@ class _Kernel:
             np.add(l0, np.subtract(total, cv, out=out), out=out)
         else:
             metrics = _view(self.metrics, r, 4, n)
-            beliefs = np.add(l0, sums, out=metrics[1:])
+            beliefs = np.add(l0, sums[: self.sym_max], out=metrics[1 : self.sym_max + 1])
             np.logaddexp(0.0, np.negative(beliefs, out=beliefs), out=beliefs)
             np.take(metrics.reshape(-1, r), self.own_at, axis=0, out=out, mode="clip")
             # -(l0 + (sum - cv)) of the other two Paulis, as (cv - sum) - l0

@@ -7,22 +7,19 @@ vectorized Philox call, bit-identical to sampling its frames one by one.
 A noise point stops at the smallest frame index at which the cumulative
 failure count reaches the target (or at the frame cap), and every started
 frame up to that index is counted exactly once.  One loop owns that rule:
-it binds the point's decode (channel, prior and memo) once, schedules
-disjoint, contiguous frame batches for any worker count (in the calling
-thread at 1, on a pool of threads at N, always on the caller's Tanner
-graph), consumes their results in frame order, cuts the last batch at the
-stopping frame and discards speculative batches beyond it, so the
-resulting estimate is bit-identical for any worker count.  Each batch is
-sized from the stop rule: it ends where the failure rate seen so far
-predicts the target, so a converging point decodes few frames past its
-stopping frame.
+it runs one batch of contiguous frames at a time, each sized from the stop
+rule (it ends where the failure rate seen so far predicts the target), and
+cuts the last batch at the stopping frame.  The batch plan is the same for
+any worker count: N workers split each batch into N frame ranges to sample
+and N row ranges to decode, on a pool of threads and on the caller's
+Tanner graph, so the estimate is bit-identical for any worker count.
 
 The decoder is a deterministic function of (syndrome, prior, config), and
 the harness needs only its (fail, iterations) per frame.  So each point
-keeps one memo keyed by packed syndrome, shared by its threads: a batch
-decodes each distinct syndrome the point has not decoded before, once, in
-one ``decode_batch`` call, which owns its workspace, so each thread
-decodes in its own.  On a generalized bicycle graph (``graph.ell`` set)
+keeps one memo keyed by packed syndrome, read and written by the calling
+thread only: a batch decodes each distinct syndrome the point has not
+decoded before, once, in ``decode_batch`` calls that each own their
+workspace.  On a generalized bicycle graph (``graph.ell`` set)
 the memo is keyed by syndrome orbit instead: the graph's circulant-offset
 slot layout makes the decoder exactly equivariant under joint rotations
 of the two syndrome halves, so every syndrome of an orbit decodes to the
@@ -84,8 +81,8 @@ class SweepConfig:
     epsilon) or "fixed" (one assumed epsilon0 for the whole sweep).
     ``workers`` is runtime provenance only: it never influences results and
     is excluded from the configuration digest and persisted artifacts.  A
-    point keeps ``workers`` + 2 batches in flight, but starts at most as
-    many threads as this process may use CPUs (``_usable_cpus``).
+    point splits each batch over ``workers`` threads, but starts at most as
+    many as this process may use CPUs (``_usable_cpus``).
     """
 
     code_id: str
@@ -226,24 +223,35 @@ def _orbit_keys(syndromes: np.ndarray, ell: int) -> np.ndarray:
     return best.view(f"V{16 * width}").ravel()
 
 
-def _decode_frames(graph: TannerGraph, decoder_cfg, ch, prior, memo: dict, start, count):
+def _spread(pool, parts: int, fn, total: int) -> list:
+    """[fn(lo, hi)] for at most ``parts`` non-empty ranges in order over [0, total),
+    on ``pool`` (numpy releases the GIL in array work), else in this thread."""
+    parts = min(parts, total)
+    bounds = [0] + [total * k // parts for k in range(1, parts + 1)]
+    return list((pool.map if pool else map)(fn, bounds[:-1], bounds[1:]))
+
+
+def _decode_frames(graph: TannerGraph, decoder_cfg, ch, prior, memo: dict, spread, start, count):
     """Sample frames [start, start+count); return (fails, iterations, decoded).
 
-    ``ch`` and ``prior`` are the point's channel and decoder prior.  One
-    ``sample_error`` call samples the whole batch, row for row the frames
-    that one-frame calls would give.  The decoder is a deterministic
-    function of the syndrome, so each distinct syndrome of the batch
-    reaches the batch's one ``decode_batch`` call, and only if ``memo``
-    (packed syndrome -> ``2 * iterations + fail``) lacks it.  On a graph
-    with ``ell`` the distinct syndromes are grouped by orbit
+    ``ch`` and ``prior`` are the point's channel and decoder prior, and
+    ``spread`` is ``_spread`` bound to the point's pool and thread count.
+    Each of its frame ranges is one ``sample_error`` call, row for row the
+    frames that one-frame calls would give.  The decoder is a deterministic
+    function of the syndrome, so each distinct syndrome of the batch is
+    decoded once, and only if ``memo`` (packed syndrome -> ``2 * iterations
+    + fail``) lacks it, in one ``decode_batch`` call per row range.  On a
+    graph with ``ell`` the distinct syndromes are grouped by orbit
     (``_orbit_keys``), the memo is keyed by orbit and one syndrome of each
-    orbit is decoded.  ``decoded`` counts the rows decoded.
-
-    The point's threads share ``memo``.  Each call stores at most the room
-    it sees below MEMO_ENTRIES, but threads may see the same room, so the
-    memo holds at most MEMO_ENTRIES + (threads - 1) * BATCH_FRAMES keys.
+    orbit is decoded.  ``decoded`` counts the rows decoded.  Only the
+    calling thread touches ``memo``, and it stores at most the room left
+    below MEMO_ENTRIES.
     """
-    syndromes = graph.syndromes(sample_error(ch, graph.n, start, count=count))
+    def sample(lo, hi):
+        return graph.syndromes(sample_error(ch, graph.n, start + lo, count=hi - lo))
+
+    parts = spread(sample, count)
+    syndromes = parts[0] if len(parts) == 1 else np.concatenate(parts)
     packed = np.packbits(syndromes, axis=1)
     rows, first, inverse = np.unique(
         packed.view(f"V{packed.shape[1]}").ravel(), return_index=True, return_inverse=True
@@ -256,8 +264,12 @@ def _decode_frames(graph: TannerGraph, decoder_cfg, ch, prior, memo: dict, start
     keys = rows.tolist()
     outcome = np.array([memo.get(key, -1) for key in keys], dtype=np.int64)
     miss = np.flatnonzero(outcome < 0)
-    res = decode_batch(graph, syndromes[first[miss]], prior, decoder_cfg)
-    outcome[miss] = 2 * res.iterations + ~res.success
+
+    def decode(lo, hi):
+        res = decode_batch(graph, syndromes[first[miss[lo:hi]]], prior, decoder_cfg)
+        outcome[miss[lo:hi]] = 2 * res.iterations + ~res.success
+
+    spread(decode, miss.size)
     stored = miss[: max(MEMO_ENTRIES - len(memo), 0)]
     memo.update(zip([keys[i] for i in stored], outcome[stored].tolist()))
     outcome = outcome[inverse]
@@ -293,31 +305,19 @@ def _batches(graph: TannerGraph, cfg: SweepConfig, epsilon, epsilon0):
     batch sized by ``_batch_size`` from the batches before it; the batch
     holding the stopping frame is cut after that frame and yielded last.
 
-    ``decode(start, count)`` is ``_decode_frames`` bound once to the point's
-    channel, prior and memo.  ``pending`` maps start frames to calls that
-    return batch results: ``decode`` here, one at a time, at 1 worker; a
-    window of N + 2 on a pool of at most N threads at N (fewer on a host
-    with fewer usable CPUs), all calling the same ``decode`` and so sharing
-    one memo.  numpy releases the GIL inside the decoder's array work.
-    Ending or closing the generator cancels queued batches and waits for
-    running ones.
+    One batch runs at a time, so the plan is the same at any worker count;
+    at N workers ``_decode_frames`` splits each batch over a pool of at most
+    N threads (fewer with fewer usable CPUs).  Ending the generator ends it.
     """
     ch = DepolarizingChannel(epsilon=epsilon, rng_seed=cfg.seed)
-    decode = partial(_decode_frames, graph, cfg.decoder, ch, prior_llr(epsilon0), {})
-    pool = None if cfg.workers == 1 else ThreadPoolExecutor(min(cfg.workers, _usable_cpus()))
-    window = cfg.workers + 2 if pool else 1
-    pending = {}
-    start = frames = failures = 0
+    threads = min(cfg.workers, _usable_cpus())
+    pool = None if cfg.workers == 1 else ThreadPoolExecutor(threads)
+    spread = partial(_spread, pool, threads)
+    decode = partial(_decode_frames, graph, cfg.decoder, ch, prior_llr(epsilon0), {}, spread)
+    frames = failures = 0
     try:
         while frames < cfg.max_frames and failures < cfg.target_failures:
-            while len(pending) < window and start < cfg.max_frames:
-                count = _batch_size(cfg, start, frames, failures)
-                if pool:
-                    pending[start] = pool.submit(decode, start, count).result
-                else:
-                    pending[start] = partial(decode, start, count)
-                start += count
-            fails, iters, decoded = pending.pop(frames)()
+            fails, iters, decoded = decode(frames, _batch_size(cfg, frames, frames, failures))
             # count through the stopping frame, if this batch holds it
             stop = np.searchsorted(np.cumsum(fails), cfg.target_failures - failures) + 1
             yield len(fails), fails[:stop], iters[:stop], decoded

@@ -135,6 +135,18 @@ def test_seed_and_stream_id_must_be_ints(value):
         sample_error(DepolarizingChannel(0.1, 1), 8, value)
 
 
+@pytest.mark.parametrize(
+    "name, kw",
+    [("count", {"count": True}), ("count", {"count": 2.5}), ("count", {"count": 2.0}),
+     ("n", {"n": 8.0}), ("n", {"n": True})],
+)
+def test_sample_error_counts_must_be_ints(name, kw):
+    # a float or bool count or n would otherwise reach np.zeros as a TypeError
+    args = {"n": 8, "stream_id": 0, **kw}
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        sample_error(DepolarizingChannel(0.1, 1), **args)
+
+
 def test_sample_error_rejects_bad_n():
     with pytest.raises(ValueError):
         sample_error(DepolarizingChannel(0.1, 1), 0, stream_id=0)

@@ -8,6 +8,7 @@ import os
 import sys
 import threading
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -254,11 +255,12 @@ def test_batch_size_rule(max_frames, start, frames, failures, size):
 
 def _batch_rows(monkeypatch) -> tuple[list[int], list[int]]:
     """Record, for every batch, the frames it samples (the ``count`` reaching
-    ``_decode_frames``), and the rows each ``decode_batch`` call sees."""
+    ``_decode_frames``, its last argument), and the rows each
+    ``decode_batch`` call sees."""
     sampled, decoded = [], []
 
     def sampling(*args):
-        sampled.append(args[6])
+        sampled.append(args[-1])
         return _decode_frames(*args)
 
     def decoding(graph, syndromes, *args):
@@ -293,28 +295,25 @@ def test_capped_point_decodes_only_its_frames(small_code, small_graph, monkeypat
 
 def _converging_sweep(**kw):
     """sagms at eps 0.03 on the [[10,2]] code, to 100 failures: it stops at
-    frame 4122, with speculative batches in flight at 2 workers."""
+    frame 4122, inside its last batch."""
     return _sweep(
         variant="sagms", l_max=4, eps=(0.03,), seed=31, target_failures=100, **kw
     )
 
 
-#: Every (start, size) that ``_batch_size`` returned, in call order, recorded
-#: before the 1-worker and the N-worker paths shared one scheduling loop.
+#: Every (start, size) that ``_batch_size`` returned at 1 worker, in call
+#: order, recorded before the 1-worker and the N-worker paths shared one
+#: scheduling loop.  Every worker count now schedules this plan.
 BATCH_PLANS = {
     ("memo", 1): [(0, 512), (512, 2488)],
-    ("memo", 2): [(0, 512), (512, 512), (1024, 512), (1536, 512), (2048, 952)],
     ("converging", 1): [(0, 512), (512, 3146), (3658, 750)],
-    ("converging", 2): [
-        (0, 512), (512, 512), (1024, 512), (1536, 512), (2048, 1610),
-        (3658, 609), (4267, 512), (4779, 512), (5291, 512),
-    ],
 }
 
 
-@pytest.mark.parametrize("workers", [1, 2], ids=["1w", "2w"])
+@pytest.mark.parametrize("workers", [1, 2, 3], ids=["1w", "2w", "3w"])
 @pytest.mark.parametrize("point", ["memo", "converging"])
 def test_batch_plan_pins(small_code, small_graph, monkeypatch, point, workers):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: workers)  # N threads on any host
     plan = []
 
     def recording(cfg, start, frames, failures):
@@ -326,12 +325,21 @@ def test_batch_plan_pins(small_code, small_graph, monkeypatch, point, workers):
     make, eps = {"memo": (_memo_sweep, 0.1), "converging": (_converging_sweep, 0.03)}[point]
     got = run_point(small_code, small_graph, make(workers=workers), epsilon=eps)
     assert (got.frames, got.failures) == {"memo": (3000, 621), "converging": (4122, 100)}[point]
-    assert plan == BATCH_PLANS[point, workers]
+    assert plan == BATCH_PLANS[point, 1]
+
+
+@pytest.mark.parametrize("parts, total", [(1, 5), (2, 5), (3, 2), (2, 0), (3, 4096)])
+def test_spread_makes_ordered_non_empty_ranges(parts, total):
+    ranges = harness._spread(None, parts, lambda lo, hi: (lo, hi), total)
+    assert len(ranges) == min(parts, total)  # no call at all for no rows
+    assert all(lo < hi for lo, hi in ranges)
+    assert [hi for _, hi in ranges[:-1]] == [lo for lo, _ in ranges[1:]]  # contiguous
+    assert ranges == [] or (ranges[0][0], ranges[-1][1]) == (0, total)
 
 
 def test_no_worker_outlives_an_early_stop(small_code, small_graph):
     point = run_point(small_code, small_graph, _converging_sweep(workers=2), epsilon=0.03)
-    assert point.frames < sum(BATCH_PLANS["converging", 2][-1])  # it stopped early
+    assert point.frames < sum(BATCH_PLANS["converging", 1][-1])  # it stopped early
     assert _pool_threads() == []
 
 
@@ -344,8 +352,8 @@ def test_batches_end_at_the_stopping_frame(small_graph, workers):
     assert (len(fails), int(fails.sum())) == (4122, 100)
     assert fails[-1]  # the 100th failure is the last frame yielded
     assert len(iters) == len(fails)
-    # every consumed batch is sampled whole: the last runs past frame 4122
-    assert sum(sampled for sampled, *_ in batches) == {1: 4408, 2: 4267}[workers]
+    # every batch is sampled whole, the last past frame 4122, at any worker count
+    assert sum(sampled for sampled, *_ in batches) == 4408
     assert _pool_threads() == []
 
 
@@ -409,9 +417,8 @@ def test_memoized_frames_match_plain_decode(small_code, small_graph, workers):
     assert fails.dtype == bool and 0 < fails.sum() < len(fails)
     distinct = np.unique(syndromes, axis=0)
     orbits = len({orbit_key(row, small_graph.ell) for row in distinct})
-    if workers == 1:
-        assert decoded == orbits  # one memo: each orbit decoded once
-    assert orbits <= decoded < len(distinct)
+    assert decoded == orbits  # one memo: each orbit decoded once
+    assert orbits < len(distinct)
 
 
 def test_memo_cap_does_not_change_points(small_code, small_graph, monkeypatch):
@@ -430,7 +437,8 @@ def test_memo_cap_does_not_change_points(small_code, small_graph, monkeypatch):
 @pytest.mark.parametrize("workers", [2, 4], ids=["2w", "4w"])
 def test_shared_memo_stays_within_its_bound(small_code, small_graph, monkeypatch, workers):
     # small batches, more threads than this host may have cores and a short
-    # switch interval give the threads many chances to store at once
+    # switch interval: the pool's threads sample and decode, but only the
+    # calling thread stores, so the memo stops at MEMO_ENTRIES exactly
     want = run_point(small_code, small_graph, _memo_sweep(), epsilon=0.1)
     sizes = []
 
@@ -451,17 +459,20 @@ def test_shared_memo_stays_within_its_bound(small_code, small_graph, monkeypatch
         sys.setswitchinterval(interval)
     assert got == want
     assert len(sizes) >= 3000 // 64
-    assert max(sizes) <= 5 + (workers - 1) * 64
+    assert max(sizes) == 5
 
 
 def test_memo_past_its_cap_stops_growing(small_graph, monkeypatch):
-    # concurrent threads can leave the memo above MEMO_ENTRIES; later
-    # batches must then store nothing rather than wrap the room negative
+    # a memo above MEMO_ENTRIES (here filled before the cap was lowered)
+    # must store nothing more rather than wrap the room negative
     monkeypatch.setattr(harness, "MEMO_ENTRIES", 5)
     cfg = _memo_sweep()
     memo = {f"filler {i}": 0 for i in range(7)}
     ch = DepolarizingChannel(epsilon=0.1, rng_seed=cfg.seed)
-    fails, _, decoded = _decode_frames(small_graph, cfg.decoder, ch, prior_llr(0.1), memo, 0, 512)
+    spread = partial(harness._spread, None, 1)
+    fails, _, decoded = _decode_frames(
+        small_graph, cfg.decoder, ch, prior_llr(0.1), memo, spread, 0, 512
+    )
     assert decoded > 2 and fails.any()
     assert list(memo) == [f"filler {i}" for i in range(7)]
 
@@ -478,6 +489,30 @@ def test_memo_lives_for_one_point(small_code, small_graph, monkeypatch, caplog):
     ends = [r.getMessage() for r in caplog.records if r.getMessage().startswith("point ")]
     assert len(ends) == 2
     assert all(f"decoded {rows} orbits of 3000" in line for line in ends)
+
+
+@pytest.mark.parametrize("point", ["memo", "converging"])
+def test_memo_and_point_line_do_not_depend_on_workers(
+    small_code, small_graph, monkeypatch, caplog, point
+):
+    make, eps = {"memo": (_memo_sweep, 0.1), "converging": (_converging_sweep, 0.03)}[point]
+    memos, lines = [], []
+
+    def recording(*args):
+        if not memos or memos[-1] is not args[4]:
+            memos.append(args[4])  # the point's memo, filled as its batches run
+        return _decode_frames(*args)
+
+    monkeypatch.setattr(harness, "_decode_frames", recording)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)  # two threads on any host
+    for workers in (1, 2):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="qsagms.harness"):
+            run_point(small_code, small_graph, make(workers=workers), epsilon=eps)
+        lines += [r.getMessage() for r in caplog.records if r.getMessage().startswith("point ")]
+    assert len(memos) == 2 and len(memos[0]) > 0
+    assert list(memos[1].items()) == list(memos[0].items())  # same keys, same order
+    assert len(lines) == 2 and lines[0] == lines[1] and " orbits of " in lines[0]
 
 
 @st.composite
@@ -538,8 +573,10 @@ def test_slabs_do_not_change_points(small_code, small_graph, monkeypatch, point,
     want = run_point(small_code, small_graph, cfg, epsilon=eps)
     sampled, decoded = _batch_rows(monkeypatch)
     monkeypatch.setattr(decoder, "SLAB_ROWS", 7)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: workers)
     assert run_point(small_code, small_graph, cfg, epsilon=eps) == want
-    assert len(decoded) == len(sampled)  # one decode_batch call per batch
+    # one decode_batch call per worker and batch, each on a non-empty part
+    assert len(decoded) == workers * len(sampled) and min(decoded) > 0
 
 
 def test_run_point_matched_vs_fixed_prior(small_code, small_graph):
