@@ -6,13 +6,15 @@ pure function of the configuration.  A batch of frames is sampled in one
 vectorized Philox call, bit-identical to sampling its frames one by one.
 A noise point stops at the smallest frame index at which the cumulative
 failure count reaches the target (or at the frame cap), and every started
-frame up to that index is counted exactly once.  One loop owns that rule:
-it runs one batch of contiguous frames at a time, each sized from the stop
-rule (it ends where the failure rate seen so far predicts the target), and
-cuts the last batch at the stopping frame.  The batch plan is the same for
-any worker count: N workers split each batch into N frame ranges to sample
-and N row ranges to decode, on a pool of threads and on the caller's
-Tanner graph, so the estimate is bit-identical for any worker count.
+frame up to that index is counted exactly once.  One loop, ``run_point``,
+owns that rule: it runs one batch of contiguous frames at a time, each
+sized from the stop rule (it ends where the failure rate seen so far
+predicts the target), sampled by ``_syndromes`` and scored by
+``_outcomes``, and cuts the last batch at the stopping frame.  The batch
+plan is the same for any worker count: N workers split each batch into N
+frame ranges to sample and N row ranges to decode, on a pool of threads
+and on the caller's Tanner graph, so the estimate is bit-identical for any
+worker count.
 
 The decoder is a deterministic function of (syndrome, prior, config), and
 the harness needs only its (fail, iterations) per frame.  So each point
@@ -63,7 +65,7 @@ log = logging.getLogger("qsagms.harness")
 BATCH_FRAMES = 4096
 MIN_BATCH = 512
 
-#: Memo size at which a point stops storing syndromes (see ``_decode_frames``).
+#: Memo size at which a point stops storing syndromes (see ``_outcomes``).
 MEMO_ENTRIES = 1 << 17
 
 #: Names the arithmetic behind a point file's estimate, here the slot
@@ -231,27 +233,33 @@ def _spread(pool, parts: int, fn, total: int) -> list:
     return list((pool.map if pool else map)(fn, bounds[:-1], bounds[1:]))
 
 
-def _decode_frames(graph: TannerGraph, decoder_cfg, ch, prior, memo: dict, spread, start, count):
-    """Sample frames [start, start+count); return (fails, iterations, decoded).
+def _syndromes(graph: TannerGraph, ch, spread, start, count) -> np.ndarray:
+    """Syndromes of frames [start, start+count) of channel ``ch``, one row a frame.
 
-    ``ch`` and ``prior`` are the point's channel and decoder prior, and
     ``spread`` is ``_spread`` bound to the point's pool and thread count.
     Each of its frame ranges is one ``sample_error`` call, row for row the
-    frames that one-frame calls would give.  The decoder is a deterministic
-    function of the syndrome, so each distinct syndrome of the batch is
-    decoded once, and only if ``memo`` (packed syndrome -> ``2 * iterations
-    + fail``) lacks it, in one ``decode_batch`` call per row range.  On a
-    graph with ``ell`` the distinct syndromes are grouped by orbit
-    (``_orbit_keys``), the memo is keyed by orbit and one syndrome of each
-    orbit is decoded.  ``decoded`` counts the rows decoded.  Only the
-    calling thread touches ``memo``, and it stores at most the room left
-    below MEMO_ENTRIES.
+    frames that one-frame calls would give, and the ranges' syndromes are
+    joined in frame order.
     """
     def sample(lo, hi):
         return graph.syndromes(sample_error(ch, graph.n, start + lo, count=hi - lo))
 
     parts = spread(sample, count)
-    syndromes = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _outcomes(graph: TannerGraph, decoder_cfg, prior, memo: dict, spread, syndromes):
+    """(fails, iterations, decoded) of decoding each row of ``syndromes``.
+
+    The decoder is a deterministic function of the syndrome, so each
+    distinct syndrome is decoded once, and only if ``memo`` (packed
+    syndrome -> ``2 * iterations + fail``) lacks it, in one ``decode_batch``
+    call per row range of ``spread``.  On a graph with ``ell`` the distinct
+    syndromes are grouped by orbit (``_orbit_keys``), the memo is keyed by
+    orbit and one syndrome of each orbit is decoded.  ``decoded`` counts
+    the rows decoded.  Only the calling thread touches ``memo``, and it
+    stores at most the room left below MEMO_ENTRIES.
+    """
     packed = np.packbits(syndromes, axis=1)
     rows, first, inverse = np.unique(
         packed.view(f"V{packed.shape[1]}").ravel(), return_index=True, return_inverse=True
@@ -276,8 +284,8 @@ def _decode_frames(graph: TannerGraph, decoder_cfg, ch, prior, memo: dict, sprea
     return outcome % 2 == 1, outcome // 2, int(miss.size)
 
 
-def _batch_size(cfg: SweepConfig, start, frames, failures) -> int:
-    """Frames of the batch at ``start``, given ``failures`` in frames [0, frames).
+def _batch_size(cfg: SweepConfig, frames, failures) -> int:
+    """Frames of the batch after frames [0, frames), which hold ``failures``.
 
     The batch runs to the frame where the observed failure rate predicts
     the target, clamped to [MIN_BATCH, BATCH_FRAMES]; with no observation it
@@ -289,8 +297,8 @@ def _batch_size(cfg: SweepConfig, start, frames, failures) -> int:
         size = BATCH_FRAMES
     else:
         predicted = -(-frames * cfg.target_failures // failures)
-        size = min(max(predicted - start, MIN_BATCH), BATCH_FRAMES)
-    return min(size, cfg.max_frames - start)
+        size = min(max(predicted - frames, MIN_BATCH), BATCH_FRAMES)
+    return min(size, cfg.max_frames - frames)
 
 
 def _usable_cpus() -> int:
@@ -298,34 +306,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _batches(graph: TannerGraph, cfg: SweepConfig, epsilon, epsilon0):
-    """Yield (sampled, fails, iters, decoded) per batch in frame order, each
-    batch sized by ``_batch_size`` from the batches before it; the batch
-    holding the stopping frame is cut after that frame and yielded last.
-
-    One batch runs at a time, so the plan is the same at any worker count;
-    at N workers ``_decode_frames`` splits each batch over a pool of at most
-    N threads (fewer with fewer usable CPUs).  Ending the generator ends it.
-    """
-    ch = DepolarizingChannel(epsilon=epsilon, rng_seed=cfg.seed)
-    threads = min(cfg.workers, _usable_cpus())
-    pool = None if cfg.workers == 1 else ThreadPoolExecutor(threads)
-    spread = partial(_spread, pool, threads)
-    decode = partial(_decode_frames, graph, cfg.decoder, ch, prior_llr(epsilon0), {}, spread)
-    frames = failures = 0
-    try:
-        while frames < cfg.max_frames and failures < cfg.target_failures:
-            fails, iters, decoded = decode(frames, _batch_size(cfg, frames, frames, failures))
-            # count through the stopping frame, if this batch holds it
-            stop = np.searchsorted(np.cumsum(fails), cfg.target_failures - failures) + 1
-            yield len(fails), fails[:stop], iters[:stop], decoded
-            frames += len(fails)
-            failures += int(fails.sum())
-    finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
 
 
 def run_point(
@@ -336,17 +316,36 @@ def run_point(
     Stops at the smallest frame index where cumulative failures reach
     ``cfg.target_failures``, else at ``cfg.max_frames`` (recorded as a cap
     hit so partial points are never mistaken for converged estimates).
-    ``H`` is the matrix ``graph`` was built from; the harness no longer
-    reads it.
+    Each batch is sized by ``_batch_size`` from the batches before it and
+    counted only through the stopping frame; at N workers its sampling and
+    decoding are split over a pool of at most N threads (fewer with fewer
+    usable CPUs), shut down when the point ends.  ``H`` is the matrix
+    ``graph`` was built from; the harness no longer reads it.
     """
     epsilon0 = epsilon if cfg.epsilon0_mode == "matched" else float(cfg.epsilon0)
+    ch = DepolarizingChannel(epsilon=epsilon, rng_seed=cfg.seed)
+    prior, memo = prior_llr(epsilon0), {}
+    threads = min(cfg.workers, _usable_cpus())
+    pool = None if cfg.workers == 1 else ThreadPoolExecutor(threads)
+    spread = partial(_spread, pool, threads)
     frames = failures = iter_sum = sampled = decoded = 0
-    for batch_sampled, fails, iters, batch_decoded in _batches(graph, cfg, epsilon, epsilon0):
-        sampled += batch_sampled
-        decoded += batch_decoded
-        frames += len(fails)
-        failures += int(fails.sum())
-        iter_sum += int(iters.sum())
+    try:
+        while frames < cfg.max_frames and failures < cfg.target_failures:
+            size = _batch_size(cfg, frames, failures)
+            syndromes = _syndromes(graph, ch, spread, frames, size)
+            fails, iters, rows = _outcomes(graph, cfg.decoder, prior, memo, spread, syndromes)
+            del syndromes  # not held while the next batch is sampled (peak RSS)
+            # count through the stopping frame, if this batch holds it
+            stop = np.searchsorted(np.cumsum(fails), cfg.target_failures - failures) + 1
+            fails, iters = fails[:stop], iters[:stop]
+            sampled += size
+            decoded += rows
+            frames += len(fails)
+            failures += int(fails.sum())
+            iter_sum += int(iters.sum())
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
     low, high = wilson_interval(failures, frames)
     point = FerPoint(
         epsilon=epsilon,
@@ -396,8 +395,8 @@ def run_sweep(
     with a matching digest and ``NUMERICS`` tag is loaded instead of
     recomputed.  The aggregate ``results.json`` (all points, config echo,
     numerics tag, software version) and the plot-ready ``fer.tsv`` (epsilon
-    and FER, ascending epsilon) are rewritten at the end.  ``H`` is the matrix ``graph`` was built from;
-    the harness no longer reads it.
+    and FER, ascending epsilon) are rewritten at the end.  ``H`` is the
+    matrix ``graph`` was built from; the harness no longer reads it.
     """
     digest = config_digest(cfg)
     out_path = Path(out_dir) if out_dir is not None else None

@@ -46,11 +46,6 @@ def z_bit(p):
     return p >> 1
 
 
-def from_bits(x, z):
-    """Pauli code from a symplectic pair (inverse of x_bit/z_bit)."""
-    return (x & 1) | ((z & 1) << 1)
-
-
 def trace_inner(a, b):
     """Symplectic form of two Paulis over GF(2).
 
@@ -58,11 +53,6 @@ def trace_inner(a, b):
     bilinear; ``trace_inner(p, p) == 0`` for every Pauli.
     """
     return (x_bit(a) & z_bit(b)) ^ (z_bit(a) & x_bit(b))
-
-
-def pauli_compose(a, b):
-    """Group composition modulo global phase: XOR of symplectic pairs."""
-    return a ^ b
 
 
 def symplectic_rows(H: "SparseCheckMatrix") -> list[int]:

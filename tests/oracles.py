@@ -2,6 +2,7 @@
 
 Everything here is deliberately written against dense representations and
 brute-force enumeration, sharing no machinery with the package internals:
+single-Pauli composition and the symplectic pair -> code map,
 dense GF(2) bit-plane syndrome/orthogonality/rank, a pairwise
 row-intersection commutation check, polynomial-gcd dimension
 counting for generalized bicycle codes, exhaustive 4^n posterior
@@ -31,6 +32,19 @@ from qsagms.decoder import (
     _marginal_init,
 )
 from qsagms.pauli import trace_inner
+
+
+# -- single-Pauli arithmetic ------------------------------------------------
+
+
+def from_bits(x, z):
+    """Pauli code from a symplectic pair (inverse of x_bit/z_bit)."""
+    return (x & 1) | ((z & 1) << 1)
+
+
+def pauli_compose(a, b):
+    """Group composition modulo global phase: XOR of symplectic pairs."""
+    return a ^ b
 
 
 # -- dense GF(2) bit-plane oracles ------------------------------------------

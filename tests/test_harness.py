@@ -24,7 +24,8 @@ from qsagms.harness import (
     FerPoint,
     SweepConfig,
     _batch_size,
-    _decode_frames,
+    _outcomes,
+    _syndromes,
     _write_text,
     canonical_json,
     config_digest,
@@ -234,42 +235,60 @@ def test_run_point_worker_count_independent(
 # -- batch sizes ----------------------------------------------------------------------
 
 
+BATCH_SIZE_CASES = [
+    (100_000, 0, 0, MIN_BATCH),  # first batch
+    (100_000, 512, 0, BATCH_FRAMES),  # no failure yet
+    (100_000, 1000, 30, 667),  # to the predicted stop, ceil(1000 * 50 / 30)
+    (100_000, 512, 49, MIN_BATCH),  # predicted stop 523 is too close
+    (100_000, 4000, 49, MIN_BATCH),  # predicted stop 4082 is too close
+    (100_000, 512, 1, BATCH_FRAMES),  # predicted stop 25,600 is too far
+    (100, 0, 0, 100),  # the frame cap
+    (1000, 512, 0, 488),
+    (1000, 512, 20, 488),
+]
+
+
+# ids read max_frames-start-frames-failures-size, where the batch starts at frames
 @pytest.mark.parametrize(
-    "max_frames, start, frames, failures, size",
-    [
-        (100_000, 0, 0, 0, MIN_BATCH),  # first batch
-        (100_000, 512, 512, 0, BATCH_FRAMES),  # no failure yet
-        (100_000, 1000, 1000, 30, 667),  # to the predicted stop, ceil(1000 * 50 / 30)
-        (100_000, 512, 512, 49, MIN_BATCH),  # predicted stop 523 is too close
-        (100_000, 2048, 512, 20, MIN_BATCH),  # a batch in flight passed it already
-        (100_000, 512, 512, 1, BATCH_FRAMES),  # predicted stop 25,600 is too far
-        (100, 0, 0, 0, 100),  # the frame cap
-        (1000, 512, 512, 0, 488),
-        (1000, 512, 512, 20, 488),
-    ],
+    "max_frames, frames, failures, size",
+    BATCH_SIZE_CASES,
+    ids=[f"{m}-{f}-{f}-{k}-{s}" for m, f, k, s in BATCH_SIZE_CASES],
 )
-def test_batch_size_rule(max_frames, start, frames, failures, size):
+def test_batch_size_rule(max_frames, frames, failures, size):
     cfg = _sweep(target_failures=50, max_frames=max_frames)
-    assert _batch_size(cfg, start, frames, failures) == size
+    assert _batch_size(cfg, frames, failures) == size
 
 
 def _batch_rows(monkeypatch) -> tuple[list[int], list[int]]:
     """Record, for every batch, the frames it samples (the ``count`` reaching
-    ``_decode_frames``, its last argument), and the rows each
+    ``_syndromes``, its last argument), and the rows each
     ``decode_batch`` call sees."""
     sampled, decoded = [], []
 
     def sampling(*args):
         sampled.append(args[-1])
-        return _decode_frames(*args)
+        return _syndromes(*args)
 
     def decoding(graph, syndromes, *args):
         decoded.append(len(syndromes))
         return decode_batch(graph, syndromes, *args)
 
-    monkeypatch.setattr(harness, "_decode_frames", sampling)
+    monkeypatch.setattr(harness, "_syndromes", sampling)
     monkeypatch.setattr(harness, "decode_batch", decoding)
     return sampled, decoded
+
+
+def _scored(monkeypatch) -> list[tuple]:
+    """Record the (fails, iterations, decoded) that ``_outcomes`` returns for
+    every batch, the batch whole, before ``run_point`` cuts it."""
+    scored = []
+
+    def scoring(*args):
+        scored.append(_outcomes(*args))
+        return scored[-1]
+
+    monkeypatch.setattr(harness, "_outcomes", scoring)
+    return scored
 
 
 def test_converging_point_decodes_one_small_batch(toy_code, toy_graph, monkeypatch):
@@ -301,7 +320,7 @@ def _converging_sweep(**kw):
     )
 
 
-#: Every (start, size) that ``_batch_size`` returned at 1 worker, in call
+#: Every (frames, size) that ``_batch_size`` returned at 1 worker, in call
 #: order, recorded before the 1-worker and the N-worker paths shared one
 #: scheduling loop.  Every worker count now schedules this plan.
 BATCH_PLANS = {
@@ -316,9 +335,9 @@ def test_batch_plan_pins(small_code, small_graph, monkeypatch, point, workers):
     monkeypatch.setattr(harness, "_usable_cpus", lambda: workers)  # N threads on any host
     plan = []
 
-    def recording(cfg, start, frames, failures):
-        size = _batch_size(cfg, start, frames, failures)
-        plan.append((start, size))
+    def recording(cfg, frames, failures):
+        size = _batch_size(cfg, frames, failures)
+        plan.append((frames, size))
         return size
 
     monkeypatch.setattr(harness, "_batch_size", recording)
@@ -344,16 +363,19 @@ def test_no_worker_outlives_an_early_stop(small_code, small_graph):
 
 
 @pytest.mark.parametrize("workers", [1, 2], ids=["1w", "2w"])
-def test_batches_end_at_the_stopping_frame(small_graph, workers):
-    cfg = _converging_sweep(workers=workers)
-    batches = list(harness._batches(small_graph, cfg, 0.03, 0.03))
-    fails = np.concatenate([f for _, f, _, _ in batches])
-    iters = np.concatenate([i for _, _, i, _ in batches])
-    assert (len(fails), int(fails.sum())) == (4122, 100)
-    assert fails[-1]  # the 100th failure is the last frame yielded
+def test_batches_end_at_the_stopping_frame(small_code, small_graph, monkeypatch, workers):
+    sampled, _ = _batch_rows(monkeypatch)
+    scored = _scored(monkeypatch)
+    point = run_point(small_code, small_graph, _converging_sweep(workers=workers), epsilon=0.03)
+    fails = np.concatenate([f for f, _, _ in scored])
+    iters = np.concatenate([i for _, i, _ in scored])
+    assert (point.frames, point.failures) == (4122, 100)
+    assert int(fails[:4122].sum()) == 100
+    assert fails[4121]  # the 100th failure is the last frame counted
     assert len(iters) == len(fails)
+    assert point.mean_iterations == int(iters[:4122].sum()) / 4122
     # every batch is sampled whole, the last past frame 4122, at any worker count
-    assert sum(sampled for sampled, *_ in batches) == 4408
+    assert sum(sampled) == len(fails) == 4408
     assert _pool_threads() == []
 
 
@@ -397,28 +419,46 @@ def _memo_sweep(**kw):
     )
 
 
-@pytest.mark.parametrize("workers", [1, 2], ids=["1w", "2w"])
-def test_memoized_frames_match_plain_decode(small_code, small_graph, workers):
-    cfg = _memo_sweep(workers=workers)
-    batches = list(harness._batches(small_graph, cfg, 0.1, 0.1))
-    sizes = [len(f) for _, f, _, _ in batches]
-    assert len(sizes) >= 2
-    assert [sampled for sampled, *_ in batches] == sizes  # a capped point cuts no batch
-    fails = np.concatenate([f for _, f, _, _ in batches])
-    iters = np.concatenate([i for _, _, i, _ in batches])
-    decoded = sum(d for _, _, _, d in batches)
+def _memo_keys(graph, rows) -> set:
+    """The memo keys of syndrome ``rows``: orbits on a graph with ``ell``,
+    else the distinct syndromes."""
+    return {orbit_key(row, graph.ell) if graph.ell else tuple(row.tolist()) for row in rows}
 
-    ch = DepolarizingChannel(epsilon=0.1, rng_seed=cfg.seed)
-    errors = sample_error(ch, small_graph.n, 0, count=3000)
-    syndromes = small_graph.syndromes(errors)
-    plain = decode_batch(small_graph, syndromes, prior_llr(0.1), cfg.decoder)
-    assert np.array_equal(fails, ~plain.success)
-    assert np.array_equal(iters, plain.iterations)
-    assert fails.dtype == bool and 0 < fails.sum() < len(fails)
-    distinct = np.unique(syndromes, axis=0)
-    orbits = len({orbit_key(row, small_graph.ell) for row in distinct})
-    assert decoded == orbits  # one memo: each orbit decoded once
-    assert orbits < len(distinct)
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["1w", "2w"])
+def test_memoized_frames_match_plain_decode(
+    small_code, small_graph, monkeypatch, caplog, workers
+):
+    cfg = _memo_sweep(workers=workers)
+    keys = {}
+    # the memo is keyed by orbit on the GB graph, by packed syndrome without ell
+    for graph, kind in [(small_graph, "orbits"), (replace(small_graph, ell=None), "distinct")]:
+        sampled, _ = _batch_rows(monkeypatch)
+        scored = _scored(monkeypatch)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="qsagms.harness"):
+            point = run_point(small_code, graph, cfg, epsilon=0.1)
+        sizes = [len(f) for f, _, _ in scored]
+        assert len(sizes) >= 2
+        assert sampled == sizes and sum(sizes) == point.frames  # a capped point cuts no batch
+        fails = np.concatenate([f for f, _, _ in scored])
+        iters = np.concatenate([i for _, i, _ in scored])
+        decoded = sum(d for _, _, d in scored)
+
+        ch = DepolarizingChannel(epsilon=0.1, rng_seed=cfg.seed)
+        syndromes = graph.syndromes(sample_error(ch, graph.n, 0, count=3000))
+        plain = decode_batch(graph, syndromes, prior_llr(0.1), cfg.decoder)
+        assert np.array_equal(fails, ~plain.success)
+        assert np.array_equal(iters, plain.iterations)
+        assert fails.dtype == bool and 0 < fails.sum() < len(fails)
+        keys[kind] = len(_memo_keys(graph, syndromes))
+        assert decoded == keys[kind]  # one memo: each key decoded once
+        bounds = np.cumsum([0] + sizes)
+        per_batch = [_memo_keys(graph, syndromes[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        assert decoded < sum(map(len, per_batch))  # later batches hit keys earlier ones decoded
+        ends = [r.getMessage() for r in caplog.records if r.getMessage().startswith("point ")]
+        assert len(ends) == 1 and f"decoded {decoded} {kind} of 3000" in ends[0]
+    assert keys["orbits"] < keys["distinct"]
 
 
 def test_memo_cap_does_not_change_points(small_code, small_graph, monkeypatch):
@@ -443,14 +483,14 @@ def test_shared_memo_stays_within_its_bound(small_code, small_graph, monkeypatch
     sizes = []
 
     def recording(*args):
-        result = _decode_frames(*args)
-        sizes.append(len(args[4]))  # the point's memo, after this batch
+        result = _outcomes(*args)
+        sizes.append(len(args[3]))  # the point's memo, after this batch
         return result
 
     for name, value in [("MEMO_ENTRIES", 5), ("BATCH_FRAMES", 64), ("MIN_BATCH", 8)]:
         monkeypatch.setattr(harness, name, value)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: workers)
-    monkeypatch.setattr(harness, "_decode_frames", recording)
+    monkeypatch.setattr(harness, "_outcomes", recording)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -470,9 +510,9 @@ def test_memo_past_its_cap_stops_growing(small_graph, monkeypatch):
     memo = {f"filler {i}": 0 for i in range(7)}
     ch = DepolarizingChannel(epsilon=0.1, rng_seed=cfg.seed)
     spread = partial(harness._spread, None, 1)
-    fails, _, decoded = _decode_frames(
-        small_graph, cfg.decoder, ch, prior_llr(0.1), memo, spread, 0, 512
-    )
+    syndromes = _syndromes(small_graph, ch, spread, 0, 512)
+    prior = prior_llr(0.1)
+    fails, _, decoded = _outcomes(small_graph, cfg.decoder, prior, memo, spread, syndromes)
     assert decoded > 2 and fails.any()
     assert list(memo) == [f"filler {i}" for i in range(7)]
 
@@ -499,11 +539,11 @@ def test_memo_and_point_line_do_not_depend_on_workers(
     memos, lines = [], []
 
     def recording(*args):
-        if not memos or memos[-1] is not args[4]:
-            memos.append(args[4])  # the point's memo, filled as its batches run
-        return _decode_frames(*args)
+        if not memos or memos[-1] is not args[3]:
+            memos.append(args[3])  # the point's memo, filled as its batches run
+        return _outcomes(*args)
 
-    monkeypatch.setattr(harness, "_decode_frames", recording)
+    monkeypatch.setattr(harness, "_outcomes", recording)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)  # two threads on any host
     for workers in (1, 2):
         caplog.clear()

@@ -11,14 +11,18 @@ from qsagms.pauli import (
     PAULI_Y,
     PAULI_Z,
     check_orthogonality,
-    from_bits,
-    pauli_compose,
     trace_inner,
     x_bit,
     z_bit,
 )
 
-from .oracles import orthogonal_dense, orthogonal_pairs, syndrome_dense
+from .oracles import (
+    from_bits,
+    orthogonal_dense,
+    orthogonal_pairs,
+    pauli_compose,
+    syndrome_dense,
+)
 
 paulis = st.integers(min_value=0, max_value=3)
 
