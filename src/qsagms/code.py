@@ -16,7 +16,7 @@ rank is below m.
 On-disk format ("QPC 1", UTF-8, LF, '#' starts a comment):
 
     QPC 1
-    n=<int> m=<int>
+    n=<int> m=<int>                           (n at most MAX_QUBITS)
     gb ell=<int> a=<e0,e1,...> b=<e0,...>     (optional provenance line)
     <i>: <j>:<S> <j>:<S> ...                  (one line per row, i = 0..m-1)
 
@@ -40,6 +40,11 @@ from .pauli import (
     symplectic_rows,
     trace_inner,
 )
+
+
+#: Most qubits a code file may declare: larger blocks are refused where the
+#: file is parsed, before any per-qubit work.
+MAX_QUBITS = 1 << 20
 
 
 class CodeFormatError(ValueError):
@@ -141,13 +146,13 @@ class CodeParams:
 
 @dataclass
 class TannerGraph:
-    """Dense check-major adjacency of a check matrix, decoder-ready.
+    """Dense slot-major adjacency of a check matrix, in the kernel's layout.
 
-    Check i's edges fill row i of the (m, d_c) arrays in the order of row i
-    of the matrix (column order, once it is validated); qubit j's edges fill
-    row j of the (n, d_v) arrays in check order.  Rows shorter than the
-    maximum degree are padded: padding slots carry symbol 0 (identity),
-    which is how kernels tell them apart, and gather index 0.
+    Arrays hold one plane per slot: check i's edges fill column i of the
+    (d_c, m) arrays in the order of row i of the matrix (column order, once
+    validated), and qubit j's edges column j of the (d_v, n) arrays in
+    check order.  Lower-degree nodes are padded with slots of symbol 0
+    (identity), which is how kernels tell them apart, and qubit 0.
 
     A generalized bicycle matrix instead orders its slots by circulant
     offset, and ``ell`` records its circulant size (None otherwise): check
@@ -157,9 +162,10 @@ class TannerGraph:
     in the same order, so a kernel that sums a node's slots in slot order
     decodes a jointly rotated syndrome to the rotated messages, bit for bit.
 
-    ``cn_gather`` maps each check slot to its slot in the flattened qubit
-    layout and ``vn_gather`` maps each qubit slot back, so one ``np.take``
-    turns messages held in one layout into the other.
+    ``to_check`` maps slot k of check i to row t * n + j of the stacked
+    qubit planes, where it is slot t of qubit j, and ``to_qubit`` back to
+    row k * m + i: the rows one ``np.take`` reads to change layout, and for
+    padding the row after the planes.
     """
 
     n: int
@@ -168,9 +174,9 @@ class TannerGraph:
     vn_degrees: np.ndarray
     cn_vn: np.ndarray = field(repr=False)
     cn_sym: np.ndarray = field(repr=False)
-    cn_gather: np.ndarray = field(repr=False)
+    to_check: np.ndarray = field(repr=False)
     vn_sym: np.ndarray = field(repr=False)
-    vn_gather: np.ndarray = field(repr=False)
+    to_qubit: np.ndarray = field(repr=False)
     ell: int | None = None
 
     @property
@@ -182,7 +188,7 @@ class TannerGraph:
         """(d_c, m) masks: bit p of [k, i] is the trace inner product of the
         symbol in slot k of check i with Pauli p."""
         paulis = np.arange(4, dtype=np.uint8)
-        products = trace_inner(np.ascontiguousarray(self.cn_sym.T)[..., None], paulis)
+        products = trace_inner(self.cn_sym[..., None], paulis)
         return np.bitwise_or.reduce(products << paulis, axis=-1)
 
     def syndromes(self, e) -> np.ndarray:
@@ -199,7 +205,7 @@ class TannerGraph:
         e = np.asarray(e)
         if e.shape[-1:] != (self.n,):
             raise ValueError(f"error patterns of shape {e.shape} need {self.n} qubits")
-        t = np.take(np.moveaxis(e, -1, 0), self.cn_vn.T, axis=0)
+        t = np.take(np.moveaxis(e, -1, 0), self.cn_vn, axis=0)
         anti = self._anti.reshape(self._anti.shape + (1,) * (e.ndim - 1))
         np.bitwise_and(np.right_shift(anti, t, out=t), 1, out=t)
         return np.ascontiguousarray(np.moveaxis(np.bitwise_xor.reduce(t, axis=0), 0, -1))
@@ -215,24 +221,24 @@ def check_decodable(graph: TannerGraph) -> None:
 
 
 def tanner_graph(H: SparseCheckMatrix) -> TannerGraph:
-    """Build the dense check-major and qubit-major layouts of ``H``.
+    """Build the dense slot-major check and qubit layouts of ``H``.
 
     Raises ValueError if ``H.gb`` is set but does not build the rows: the
     circulant-offset layout and the orbits it makes exact are the spec's.
     """
     ell = None
     if H.gb is not None:
-        if (2 * H.gb.ell, _gb_rows(H.gb)) != (H.n, H.rows):
+        if not _gb_builds(H):
             raise ValueError("gb line does not match the rows")
         ell = H.gb.ell
     cn_degrees = np.array([len(row) for row in H.rows], dtype=np.int64)
     vn_degrees = np.bincount([j for row in H.rows for j, _ in row], minlength=H.n)
     d_c, d_v = int(cn_degrees.max(initial=0)), int(vn_degrees.max(initial=0))
-    cn_vn = np.zeros((H.m, d_c), dtype=np.int64)
-    cn_sym = np.zeros((H.m, d_c), dtype=np.uint8)
-    cn_gather = np.zeros((H.m, d_c), dtype=np.int64)
-    vn_sym = np.zeros((H.n, d_v), dtype=np.uint8)
-    vn_gather = np.zeros((H.n, d_v), dtype=np.int64)
+    cn_vn = np.zeros((d_c, H.m), dtype=np.int64)
+    cn_sym = np.zeros((d_c, H.m), dtype=np.uint8)
+    to_check = np.full((d_c, H.m), d_v * H.n, dtype=np.int64)
+    vn_sym = np.zeros((d_v, H.n), dtype=np.uint8)
+    to_qubit = np.full((d_v, H.n), d_c * H.m, dtype=np.int64)
     edges = []  # (check, slot, qubit, symbol), check slots in their final order
     for i, row in enumerate(H.rows):
         if ell is not None:
@@ -246,10 +252,10 @@ def tanner_graph(H: SparseCheckMatrix) -> TannerGraph:
     for i, k, j, sym in edges:
         t = filled[j]
         filled[j] += 1
-        cn_vn[i, k], cn_sym[i, k], cn_gather[i, k] = j, sym, j * d_v + t
-        vn_sym[j, t], vn_gather[j, t] = sym, i * d_c + k
+        cn_vn[k, i], cn_sym[k, i], to_check[k, i] = j, sym, t * H.n + j
+        vn_sym[t, j], to_qubit[t, j] = sym, k * H.m + i
     return TannerGraph(
-        H.n, H.m, cn_degrees, vn_degrees, cn_vn, cn_sym, cn_gather, vn_sym, vn_gather, ell
+        H.n, H.m, cn_degrees, vn_degrees, cn_vn, cn_sym, to_check, vn_sym, to_qubit, ell
     )
 
 
@@ -271,6 +277,13 @@ def build_gb(spec: GbSpec) -> SparseCheckMatrix:
     H = SparseCheckMatrix(n=2 * spec.ell, rows=_gb_rows(spec), gb=spec)
     H.validate()
     return H
+
+
+def _gb_builds(H: SparseCheckMatrix) -> bool:
+    """Whether ``H.gb`` builds the rows of ``H``: the sizes are compared
+    first, so a gb line too large for its matrix builds no rows."""
+    size = 2 * H.gb.ell
+    return (size, size) == (H.n, H.m) and _gb_rows(H.gb) == H.rows
 
 
 def _gb_rows(spec: GbSpec) -> list[list[tuple[int, int]]]:
@@ -314,9 +327,8 @@ def compute_params(H: SparseCheckMatrix) -> CodeParams:
     rank = gf2_rank(symplectic_rows(H))
     k = H.n - rank
     g = tanner_graph(H)  # layout widths are the maximum degrees
-    d_c, d_v = g.cn_sym.shape[1], g.vn_sym.shape[1]
     return CodeParams(
-        n=H.n, k=k, m=H.m, d_c=d_c, d_v=d_v, overcomplete=H.m > H.n - k
+        n=H.n, k=k, m=H.m, d_c=len(g.cn_sym), d_v=len(g.vn_sym), overcomplete=H.m > H.n - k
     )
 
 
@@ -342,9 +354,9 @@ def parse_code(data: bytes, validate: bool = True) -> SparseCheckMatrix:
     """Parse the bytes of a QPC 1 file.
 
     Raises CodeFormatError (with line number) on malformed content or
-    non-UTF-8 bytes and OrthogonalityError if ``validate`` is set and rows
-    do not commute.  Rows with a ``gb`` line must equal ``build_gb``'s,
-    which it validates, whatever ``validate`` is.
+    non-UTF-8 bytes or n above MAX_QUBITS, and OrthogonalityError if
+    ``validate`` is set and rows do not commute.  Rows with a ``gb`` line
+    must equal ``build_gb``'s, and commute whatever ``validate`` is.
     """
     try:
         raw = data.decode("utf-8")
@@ -374,6 +386,8 @@ def parse_code(data: bytes, validate: bool = True) -> SparseCheckMatrix:
         raise CodeFormatError(f"expected 'n=<int> m=<int>', got {dims!r}", num) from None
     if n < 1 or m < 1:
         raise CodeFormatError("n and m must be positive", num)
+    if n > MAX_QUBITS:
+        raise CodeFormatError(f"n={n} is above the limit of {MAX_QUBITS} qubits", num)
 
     body = lines[2:]
     gb = gb_num = None
@@ -419,10 +433,8 @@ def parse_code(data: bytes, validate: bool = True) -> SparseCheckMatrix:
         rows.append(row)
 
     H = SparseCheckMatrix(n=n, rows=rows, gb=gb)
-    if gb is not None:
-        built = build_gb(gb)  # validated, so rows equal to it commute
-        if (built.n, built.rows) != (n, rows):
-            raise CodeFormatError("gb line does not match the rows", gb_num)
-    elif validate:
+    if gb is not None and not _gb_builds(H):
+        raise CodeFormatError("gb line does not match the rows", gb_num)
+    if validate or gb is not None:
         _check_commuting(H)
     return H

@@ -144,7 +144,7 @@ class IterationRecord:
     ``rows`` decoded in it and their syndrome ratios ``gamma``; then, for
     the rows still active after early exit (None when no row is left),
     copies of the messages after its update, ``vmsg`` (rows, m, d_c) and
-    ``cv`` (rows, n, d_v) in the graph's slots, and the hard decision
+    ``cv`` (rows, n, d_v), with each node's slots last, and the hard decision
     ``e_hat`` (rows, n) they give, which the next iteration tests (built
     for the record: untraced, ``vmsg`` is built only for rows that go on)."""
 
@@ -255,16 +255,17 @@ class _Kernel:
     """Vectorized batch decoder over the dense layouts of one Tanner graph,
     with a workspace for up to ``rows`` frames.
 
-    Messages are held batch-last: qubit-to-check as (d_c, m, r) and
-    check-to-qubit as (d_v, n, r), for r active frames.  Each slot of every
-    node is a contiguous (m, r) or (n, r) plane, so a reduction over a
-    node's slots is elementwise arithmetic on planes, one frame per column:
-    a frame's arithmetic is independent of the batch composition and of any
-    worker partitioning.  Padding slots hold the neutral element of every
-    reduction over them: magnitude +inf with sign + in the check view
-    (phi(inf) = 0 for bp4), 0 in the qubit view.  Layout gathers are row
-    takes of r-vectors, and a padding slot reads a sentinel row after the
-    source view; the per-Pauli products are gathers from the qubit view too.
+    Messages are held batch-last in the graph's slot planes: qubit-to-check
+    as (d_c, m, r) and check-to-qubit as (d_v, n, r), for r active frames.
+    Each slot of every node is a contiguous (m, r) or (n, r) plane, so a
+    reduction over a node's slots is elementwise arithmetic on planes, one
+    frame per column: a frame's arithmetic is independent of the batch
+    composition and of any worker partitioning.  Padding slots hold the
+    neutral element of every reduction over them: magnitude +inf with sign
+    + in the check view (phi(inf) = 0 for bp4), 0 in the qubit view.  Layout
+    gathers are row takes of r-vectors by the graph's tables, and a padding
+    slot reads a sentinel row after the source view; the per-Pauli products
+    are gathers from the qubit view too.
 
     The workspace is flat buffers allocated here once.  Every step writes
     into and returns contiguous views of them sized for the current r,
@@ -277,15 +278,14 @@ class _Kernel:
         check_decodable(graph)
         self.g = graph
         n, m = graph.n, graph.m
-        d_c, d_v = graph.cn_sym.shape[1], graph.vn_sym.shape[1]
-        self.check, self.qubit = (d_c, m), (d_v, n)
+        self.check, self.qubit = graph.cn_sym.shape, graph.vn_sym.shape
         self.cn_groups, self.vn_groups = map(_degree_groups, (graph.cn_degrees, graph.vn_degrees))
-        sym = graph.vn_sym.T.astype(np.intp)
+        sym = graph.vn_sym.astype(np.intp)
         # slot t of qubit j, row t * n + j of the qubit view, times the
         # candidate errors X, Z, Y: itself where they anticommute, else the
         # zero row after the view (padding slots, of symbol I, commute)
-        slots = np.arange(d_v * n).reshape(d_v, n)
-        self.product_at = [np.where(trace_inner(e, sym) == 1, slots, d_v * n) for e in (1, 2, 3)]
+        slots = np.arange(sym.size).reshape(sym.shape)
+        self.product_at = [np.where(trace_inner(e, sym) == 1, slots, sym.size) for e in (1, 2, 3)]
         # per edge of symbol s, the row of s in the (4n, r) metrics and of
         # the two Paulis anticommuting with s in the (3n, r) sums; padding
         # slots read rows never used
@@ -293,16 +293,11 @@ class _Kernel:
         self.own_at = sym * n + qubit
         self.sym_max = int(graph.vn_sym.max())  # own_at reads no metrics row above it
         self.other_at = ((sym == 1) * n + qubit, np.where(sym == 3, 1, 2) * n + qubit)
-        # slot k of check i reads row t * n + j of the qubit view, where it
-        # is slot t of qubit j, and back; padding slots read the sentinel
-        # row, and the qubit view's own zero row reads the check view's
-        at, back = graph.cn_gather.T, graph.vn_gather.T
-        self.to_check = np.where(graph.cn_sym.T == 0, d_v * n, at % d_v * n + at // d_v)
-        back = np.where(graph.vn_sym.T == 0, d_c * m, back % d_c * m + back // d_c)
-        self.to_qubit = np.append(back, d_c * m)
+        # the qubit view's own zero row reads the check view's sentinel row
+        self.to_qubit = np.append(graph.to_qubit, graph.cn_sym.size)
         # the workspace: message buffers in each view, with room for a
         # sentinel row, then planes
-        check, qubit_view = (d_c * m + 1) * rows, (d_v * n + 1) * rows
+        check, qubit_view = (graph.cn_sym.size + 1) * rows, (sym.size + 1) * rows
         self.vmsg, self.sign, self.cmsg = (np.empty(check) for _ in range(3))
         self.neg = np.empty(check, dtype=bool)
         self.cv, self.qmsg, self.b1, self.b2 = (np.empty(qubit_view) for _ in range(4))
@@ -427,7 +422,7 @@ class _Kernel:
         (d_c, m, r) check view; padding slots read a +inf sentinel row."""
         qmsg = _sentinel(self.qmsg, r, math.prod(self.qubit), np.inf)
         vmsg = _view(self.vmsg, r, *self.check)
-        return np.take(qmsg, self.to_check, axis=0, out=vmsg, mode="clip")
+        return np.take(qmsg, self.g.to_check, axis=0, out=vmsg, mode="clip")
 
 
 def decode_batch(

@@ -319,14 +319,14 @@ def run_point(
     Each batch is sized by ``_batch_size`` from the batches before it and
     counted only through the stopping frame; at N workers its sampling and
     decoding are split over a pool of at most N threads (fewer with fewer
-    usable CPUs), shut down when the point ends.  ``H`` is the matrix
-    ``graph`` was built from; the harness no longer reads it.
+    usable CPUs; none for one), shut down when the point ends.  ``H`` is
+    the matrix ``graph`` was built from; the harness no longer reads it.
     """
     epsilon0 = epsilon if cfg.epsilon0_mode == "matched" else float(cfg.epsilon0)
     ch = DepolarizingChannel(epsilon=epsilon, rng_seed=cfg.seed)
     prior, memo = prior_llr(epsilon0), {}
     threads = min(cfg.workers, _usable_cpus())
-    pool = None if cfg.workers == 1 else ThreadPoolExecutor(threads)
+    pool = None if threads == 1 else ThreadPoolExecutor(threads)
     spread = partial(_spread, pool, threads)
     frames = failures = iter_sum = sampled = decoded = 0
     try:

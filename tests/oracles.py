@@ -339,13 +339,12 @@ def reference_decode(
     appended after each iteration's updates.
     """
     graph = tanner_graph(H)
-    d_c = graph.cn_sym.shape[1]
     symbol = {(i, j): sym for i, row in enumerate(H.rows) for j, sym in row}
     cn_members = [
-        [(i, int(graph.cn_vn[i, k])) for k in range(graph.cn_degrees[i])] for i in range(H.m)
+        [(i, int(graph.cn_vn[k, i])) for k in range(graph.cn_degrees[i])] for i in range(H.m)
     ]
     vn_members = [
-        [(int(graph.vn_gather[j, t]) // d_c, j) for t in range(graph.vn_degrees[j])]
+        [(int(graph.to_qubit[t, j]) % H.m, j) for t in range(graph.vn_degrees[j])]
         for j in range(H.n)
     ]
     # the graph gives only the order; the edges themselves come from H
@@ -411,16 +410,15 @@ def edge_messages(graph, record, row: int = 0):
     """(vn_to_cn, cn_to_vn) messages of one row of a traced
     ``IterationRecord``, as dictionaries keyed by (check, qubit) like those
     of ``reference_decode``'s record.  The graph's own slot maps name the
-    edges: slot k of check i reaches qubit ``cn_vn[i, k]``, and slot t of
-    qubit j comes from check ``vn_gather[j, t] // d_c``; padding slots
-    (symbol 0) are left out."""
-    d_c = graph.cn_sym.shape[1]
+    edges: slot k of check i reaches qubit ``cn_vn[k, i]``, and slot t of
+    qubit j comes from check ``to_qubit[t, j] % m``, the check of row
+    k * m + i of the check planes; padding slots (symbol 0) are left out."""
     vn_to_cn = {
-        (int(i), int(graph.cn_vn[i, k])): float(record.vmsg[row, i, k])
-        for i, k in zip(*np.nonzero(graph.cn_sym))
+        (int(i), int(graph.cn_vn[k, i])): float(record.vmsg[row, i, k])
+        for i, k in zip(*np.nonzero(graph.cn_sym.T))
     }
     cn_to_vn = {
-        (int(graph.vn_gather[j, t]) // d_c, int(j)): float(record.cv[row, j, t])
-        for j, t in zip(*np.nonzero(graph.vn_sym))
+        (int(graph.to_qubit[t, j]) % graph.m, int(j)): float(record.cv[row, j, t])
+        for j, t in zip(*np.nonzero(graph.vn_sym.T))
     }
     return vn_to_cn, cn_to_vn

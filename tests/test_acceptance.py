@@ -316,7 +316,7 @@ def test_criterion_9_safety_under_fuzzing():
             if not (np.isfinite(g).all() and (g >= 0).all() and (g <= 1).all()):
                 gamma_ok = False
             if rec.vmsg is not None and not (
-                np.isfinite(rec.vmsg[:, graph.cn_sym != 0]).all()
+                np.isfinite(rec.vmsg[:, graph.cn_sym.T != 0]).all()
                 and np.isfinite(rec.cv).all()
             ):
                 finite_ok = False

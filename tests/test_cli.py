@@ -8,6 +8,7 @@ import pytest
 
 from qsagms import __version__
 from qsagms.cli import main
+from qsagms.code import MAX_QUBITS
 
 from .conftest import CODES_DIR, GB_LINE_MISMATCH, toy_with_gb_line
 
@@ -71,6 +72,23 @@ def test_validate_anticommuting_rows(tmp_path, capsys):
     code, _, stderr = run_cli(capsys, "validate", str(bad))
     assert code == 1
     assert "commute" in stderr
+
+
+@pytest.mark.parametrize("n", [MAX_QUBITS + 1, 10**12])
+def test_validate_rejects_too_many_qubits(tmp_path, capsys, n):
+    bad = tmp_path / "huge.qpc"
+    bad.write_text(f"QPC 1\nn={n} m=1\n0: 0:X\n")
+    code, stdout, stderr = run_cli(capsys, "validate", str(bad))
+    assert (code, stdout) == (1, "")
+    assert stderr == f"invalid: line 2: n={n} is above the limit of {MAX_QUBITS} qubits\n"
+
+
+def test_validate_accepts_the_largest_block(tmp_path, capsys):
+    code_file = tmp_path / "largest.qpc"
+    code_file.write_text(f"QPC 1\nn={MAX_QUBITS} m=1\n0: {MAX_QUBITS - 1}:X\n")
+    code, stdout, _ = run_cli(capsys, "validate", str(code_file))
+    assert code == 0
+    assert stdout.startswith(f"[[{MAX_QUBITS},{MAX_QUBITS - 1}]] m=1 dc=1 dv=1")
 
 
 def _simulate(capsys, tmp_path, code_file):

@@ -15,6 +15,7 @@ from qsagms.code import (
     compute_params,
     gf2_rank,
     load_code,
+    parse_code,
     save_code,
     tanner_graph,
 )
@@ -97,15 +98,26 @@ def test_tanner_graph_single_entry():
     assert g.cn_degrees.tolist() == [1] and g.vn_degrees.tolist() == [1]
 
 
+def _assert_slot_maps_round_trip(g):
+    """Each edge appears once on each side: ``to_check`` sends every real
+    check slot to a real qubit slot of the same qubit and symbol,
+    ``to_qubit`` sends it back, and padding slots hold the sentinel rows."""
+    real_c, real_v = g.cn_sym != 0, g.vn_sym != 0
+    at, back = g.to_check[real_c], g.to_qubit[real_v]
+    assert sorted(at.tolist()) == np.flatnonzero(real_v).tolist()
+    assert sorted(back.tolist()) == np.flatnonzero(real_c).tolist()
+    assert (g.to_qubit.ravel()[at] == np.flatnonzero(real_c)).all()
+    assert (at % g.n == g.cn_vn[real_c]).all()
+    assert (g.vn_sym.ravel()[at] == g.cn_sym[real_c]).all()
+    assert (g.to_check[~real_c] == g.vn_sym.size).all()
+    assert (g.to_qubit[~real_v] == g.cn_sym.size).all()
+
+
 def test_tanner_graph_toy(toy_code, toy_graph):
     g = toy_graph
     assert g.edge_count == 24
     assert (g.cn_degrees == 4).all() and (g.vn_degrees == 4).all()
-    # adjacency is consistent: each edge appears once on each side
-    seen_cn = sorted(g.cn_gather.ravel().tolist())
-    seen_vn = sorted(g.vn_gather.ravel().tolist())
-    assert seen_cn == list(range(24)) and seen_vn == list(range(24))
-    assert (g.vn_gather.ravel()[g.cn_gather.ravel()] == np.arange(24)).all()
+    _assert_slot_maps_round_trip(g)
     nonzeros = sum(len(row) for row in toy_code.rows)
     assert g.edge_count == nonzeros
 
@@ -114,11 +126,12 @@ def test_tanner_graph_126_28(gb126_graph):
     g = gb126_graph
     assert g.edge_count == 1260  # 126 checks of degree 10
     assert g.ell == 63
+    _assert_slot_maps_round_trip(g)
     # every check of a block, and every qubit of a half, holds its slots at
     # the same circulant offsets, in the same order
     node = np.arange(126)[:, None]
-    cn_offsets = (g.cn_vn - node) % 63
-    vn_offsets = (g.vn_gather // g.cn_sym.shape[1] - node) % 63
+    cn_offsets = (g.cn_vn.T - node) % 63
+    vn_offsets = (g.to_qubit.T % 126 - node) % 63
     for offsets in (cn_offsets, vn_offsets):
         assert (offsets[:63] == offsets[0]).all() and (offsets[63:] == offsets[63]).all()
     assert cn_offsets[0].tolist() == [0, 1, 14, 16, 22, 0, 3, 13, 20, 42]  # (half, offset)
@@ -144,15 +157,18 @@ def test_tanner_graph_check_slots_follow_rows(tree_code, tree_graph):
     # irregular degrees: short rows are padded with qubit 0 and symbol I
     g = tree_graph
     assert (g.cn_vn.dtype, g.cn_sym.dtype, g.vn_sym.dtype) == (np.int64, np.uint8, np.uint8)
-    assert g.cn_gather.dtype == g.vn_gather.dtype == g.cn_degrees.dtype == np.int64
+    assert g.to_check.dtype == g.to_qubit.dtype == g.cn_degrees.dtype == np.int64
     d_c = max(len(row) for row in tree_code.rows)
-    assert g.cn_vn.shape == g.cn_sym.shape == (tree_code.m, d_c)
+    assert g.cn_vn.shape == g.cn_sym.shape == g.to_check.shape == (d_c, tree_code.m)
+    assert g.vn_sym.shape == g.to_qubit.shape == (g.vn_degrees.max(), tree_code.n)
     for i, row in enumerate(tree_code.rows):
         pad = [0] * (d_c - len(row))
-        assert g.cn_vn[i].tolist() == [j for j, _ in row] + pad
-        assert g.cn_sym[i].tolist() == [sym for _, sym in row] + pad
+        assert g.cn_vn[:, i].tolist() == [j for j, _ in row] + pad
+        assert g.cn_sym[:, i].tolist() == [sym for _, sym in row] + pad
     assert g.cn_degrees.tolist() == [len(row) for row in tree_code.rows]
     assert g.vn_degrees.tolist() == np.bincount(g.cn_vn[g.cn_sym != 0]).tolist()
+    assert (g.vn_degrees < g.vn_degrees.max()).any()  # padded on both sides
+    _assert_slot_maps_round_trip(g)
 
 
 def test_save_load_round_trip(tmp_path, toy_code, gb126_code):
@@ -249,6 +265,22 @@ def test_load_rejects_gb_line_that_does_not_build_the_rows(tmp_path, gb_line):
         with pytest.raises(CodeFormatError) as err:
             load_code(path, validate=validate)
         assert str(err.value) == "line 3: gb line does not match the rows"
+
+
+def test_gb_line_sizes_are_compared_before_rows_are_built(monkeypatch, toy_code):
+    # a gb line of 2 * 10^8 qubits for 6: building its rows would take minutes
+    def no_rows(spec):
+        raise AssertionError(f"built the rows of ell={spec.ell}")
+
+    monkeypatch.setattr(code_module, "_gb_rows", no_rows)
+    text = toy_with_gb_line("gb ell=100000000 a=0 b=0").encode()
+    for validate in (True, False):
+        with pytest.raises(CodeFormatError) as err:
+            parse_code(text, validate=validate)
+        assert str(err.value) == "line 3: gb line does not match the rows"
+    H = SparseCheckMatrix(toy_code.n, toy_code.rows, gb=GbSpec(100_000_000, (0,), (0,)))
+    with pytest.raises(ValueError, match="^gb line does not match the rows$"):
+        tanner_graph(H)
 
 
 @pytest.mark.parametrize(

@@ -391,10 +391,22 @@ def test_pool_starts_at_most_one_thread_per_usable_cpu(
 
     cfg = _sweep(variant="sagms", l_max=4, target_failures=40, seed=31, workers=1)
     want = run_point(small_code, small_graph, cfg, epsilon=0.25)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
     got = run_point(small_code, small_graph, replace(cfg, workers=3), epsilon=0.25)
-    assert started == [1]
+    assert started == [2]
+    assert got == want
+
+
+def test_one_usable_cpu_starts_no_pool(small_code, small_graph, monkeypatch):
+    def no_pool(*args, **kw):
+        raise AssertionError("a pool of one thread")
+
+    cfg = _sweep(variant="sagms", l_max=4, target_failures=40, seed=31, workers=1)
+    want = run_point(small_code, small_graph, cfg, epsilon=0.25)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+    got = run_point(small_code, small_graph, replace(cfg, workers=3), epsilon=0.25)
     assert got == want
 
 
