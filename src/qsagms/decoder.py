@@ -175,54 +175,14 @@ def _sentinel(flat: np.ndarray, r: int, rows: int, value: float) -> np.ndarray:
     return x
 
 
-def _degree_groups(degrees: np.ndarray):
-    """(degree, nodes mask) pairs of a padded layout, each mask shaped
-    (nodes, 1) to select rows of a (nodes, r) plane; None when unpadded."""
-    if (degrees == degrees.max()).all():
-        return None
-    return [(int(d), (degrees == d)[:, None]) for d in np.unique(degrees)]
-
-
-def _pairwise(x, out, tmp):
-    """np.sum(x, axis=0) of the planes ``x`` into ``out``, bit for bit as
-    numpy sums the same terms along a contiguous axis: from +0.0, fewer than
-    8 terms one after another; up to 128 in 8 running accumulators combined
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest; more as two such
-    halves.  ``tmp`` holds len(x) - 1 scratch planes."""
-    k = len(x)
-    if k > 128:
-        half = k // 2 - k // 2 % 8
-        _pairwise(x[half:], tmp[0], tmp[1:])
-        return np.add(_pairwise(x[:half], out, tmp[1:]), tmp[0], out=out)
-    out.fill(0.0)
-    if k >= 8:
-        r, a, b = (x, tmp[0], tmp[1]) if k < 16 else (tmp[:8], tmp[8], tmp[9])
-        if k >= 16:
-            np.add(x[:8], x[8:16], out=r)
-            for i in range(16, k - k % 8, 8):
-                np.add(r, x[i : i + 8], out=r)
-        for h in (0, 4):  # 0.0 + X + Y is X + Y, but never -0.0, as numpy's start
-            np.add(np.add(r[h], r[h + 1], out=a), np.add(r[h + 2], r[h + 3], out=b), out=a)
-            np.add(out, a, out=out)
-    for p in x[k - k % 8 :]:
+def _slot_sum(x, out):
+    """Each node's sum over its slots, the planes of ``x``, into the plane
+    ``out``: left to right, head first, in an explicit loop, since numpy
+    documents no order for ``np.add.reduce`` over an outer axis.  Padding
+    slots add exactly 0."""
+    np.copyto(out, x[0])
+    for p in x[1:]:
         np.add(out, p, out=out)
-    return out
-
-
-def _plane_sum(x, out, tmp):
-    """x[0] + np.sum(x[1:], axis=0): the head added last, the order of the
-    pinned results.  ``tmp`` holds len(x) - 2 scratch planes."""
-    return np.add(x[0], _pairwise(x[1:], out, tmp), out=out)
-
-
-def _segment_sum(x, groups, out, tmp):
-    """Each node's sum over its own slots (the planes of ``x``) into the
-    plane ``out``.  Padded layouts sum each degree's slots into ``tmp[-1]``
-    and keep its nodes: padding would regroup a pairwise sum of 9 terms."""
-    if groups is None:
-        return _plane_sum(x, out, tmp)
-    for d, nodes in groups:
-        np.copyto(out, _plane_sum(x[:d], tmp[-1], tmp[:-1]), where=nodes)
     return out
 
 
@@ -279,7 +239,6 @@ class _Kernel:
         self.g = graph
         n, m = graph.n, graph.m
         self.check, self.qubit = graph.cn_sym.shape, graph.vn_sym.shape
-        self.cn_groups, self.vn_groups = map(_degree_groups, (graph.cn_degrees, graph.vn_degrees))
         sym = graph.vn_sym.astype(np.intp)
         # slot t of qubit j, row t * n + j of the qubit view, times the
         # candidate errors X, Z, Y: itself where they anticommute, else the
@@ -366,7 +325,7 @@ class _Kernel:
         sign = _view(self.sign, r, *self.check)
         if cfg.variant == "bp4":
             phi_llr(np.maximum(mag, PHI_ARG_FLOOR, out=mag), out=mag)
-            total = _segment_sum(mag, self.cn_groups, sign[0], sign[1:])
+            total = _slot_sum(mag, sign[0])
             np.subtract(total, mag, out=out)
             np.clip(out, PHI_SUM_MIN, PHI_SUM_MAX, out=out)
             phi_llr(out, out=out)
@@ -382,11 +341,10 @@ class _Kernel:
         the qubit view ``to_qubits`` returned and their hard decision."""
         r, n = cv.shape[-1], self.g.n
         sums, out = _view(self.sums, r, 3, n), _view(self.qmsg, r, *self.qubit)
-        b1 = _view(self.b1, r, *self.qubit)
         products = _view(self.cv, r, self.to_qubit.size)  # cv and its zero row
         for e, at in enumerate(self.product_at):
             np.take(products, at, axis=0, out=out, mode="clip")
-            _segment_sum(out, self.vn_groups, sums[e], b1)
+            _slot_sum(out, sums[e])
         return sums, self.decide(sums, l0)
 
     def vn_messages(self, cv: np.ndarray, sums: np.ndarray, l0: float, cfg) -> np.ndarray:
@@ -401,7 +359,7 @@ class _Kernel:
         out = _view(self.qmsg, r, *self.qubit)
         b1, b2 = _view(self.b1, r, *self.qubit), _view(self.b2, r, *self.qubit)
         if cfg.vn_mode == "additive":
-            total = _segment_sum(cv, self.vn_groups, b2[0], b1)
+            total = _slot_sum(cv, b2[0])
             np.add(l0, np.subtract(total, cv, out=out), out=out)
         else:
             metrics = _view(self.metrics, r, 4, n)

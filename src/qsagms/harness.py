@@ -69,10 +69,11 @@ MIN_BATCH = 512
 MEMO_ENTRIES = 1 << 17
 
 #: Names the arithmetic behind a point file's estimate, here the slot
-#: layout of generalized bicycle graphs.  It stays out of the config digest;
-#: a sweep recomputes a point file whose tag is missing or differs, so a
-#: point decoded under other numerics never joins a sweep.
-NUMERICS = "gb-slots-by-circulant-offset"
+#: layout of generalized bicycle graphs and the left-to-right order of every
+#: sum over a node's slots.  It stays out of the config digest; a sweep
+#: recomputes a point file whose tag is missing or differs, so a point
+#: decoded under other numerics never joins a sweep.
+NUMERICS = "gb-slots-by-circulant-offset/slot-sums-left-to-right"
 
 
 @dataclass(frozen=True)
@@ -386,25 +387,26 @@ def run_sweep(
     H: SparseCheckMatrix,
     graph: TannerGraph,
     cfg: SweepConfig,
-    out_dir=None,
+    out_dir: str | os.PathLike,
 ) -> list[FerPoint]:
     """Run every noise point of ``cfg``, persisting and reusing results.
 
-    With ``out_dir`` set, each completed point is written to
-    ``points/point_<digest12>_<k>.json``; on rerun a point whose file exists
-    with a matching digest and ``NUMERICS`` tag is loaded instead of
-    recomputed.  The aggregate ``results.json`` (all points, config echo,
-    numerics tag, software version) and the plot-ready ``fer.tsv`` (epsilon
-    and FER, ascending epsilon) are rewritten at the end.  ``H`` is the
-    matrix ``graph`` was built from; the harness no longer reads it.
+    Each completed point is written to
+    ``out_dir/points/point_<digest12>_<k>.json``; on rerun a point whose
+    file exists with a matching digest and ``NUMERICS`` tag is loaded
+    instead of recomputed.  The aggregate ``results.json`` (all points,
+    config echo, numerics tag, software version) and the plot-ready
+    ``fer.tsv`` (epsilon and FER, ascending epsilon) are rewritten at the
+    end.  ``H`` is the matrix ``graph`` was built from; the harness no
+    longer reads it.
     """
     digest = config_digest(cfg)
-    out_path = Path(out_dir) if out_dir is not None else None
+    out_path = Path(out_dir)
     points: list[FerPoint] = []
     for k, epsilon in enumerate(cfg.epsilon_list):
-        pfile = _point_path(out_path, digest, k) if out_path is not None else None
+        pfile = _point_path(out_path, digest, k)
         point = None
-        if pfile is not None and pfile.exists():
+        if pfile.exists():
             try:
                 payload = json.loads(pfile.read_text(encoding="utf-8"))
                 if (
@@ -418,19 +420,16 @@ def run_sweep(
             log.info("point eps=%g loaded from %s", epsilon, pfile)
         else:
             point = run_point(H, graph, cfg, epsilon)
-            if pfile is not None:
-                pfile.parent.mkdir(parents=True, exist_ok=True)
-                _write_text(pfile, canonical_json(_point_payload(point, cfg)) + "\n")
+            pfile.parent.mkdir(parents=True, exist_ok=True)
+            _write_text(pfile, canonical_json(_point_payload(point, cfg)) + "\n")
         points.append(point)
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
-        results = [_point_payload(p, cfg) for p in points]
-        _write_text(out_path / "results.json", canonical_json(results) + "\n")
-        tsv = "".join(
-            f"{p.epsilon:.17g}\t{p.fer:.17g}\n"
-            for p in sorted(points, key=lambda p: p.epsilon)
-        )
-        _write_text(out_path / "fer.tsv", tsv)
+    out_path.mkdir(parents=True, exist_ok=True)
+    results = [_point_payload(p, cfg) for p in points]
+    _write_text(out_path / "results.json", canonical_json(results) + "\n")
+    tsv = "".join(
+        f"{p.epsilon:.17g}\t{p.fer:.17g}\n" for p in sorted(points, key=lambda p: p.epsilon)
+    )
+    _write_text(out_path / "fer.tsv", tsv)
     return points
 
 

@@ -75,14 +75,18 @@ def symplectic_rows(H: "SparseCheckMatrix") -> list[int]:
 def check_orthogonality(H: "SparseCheckMatrix") -> bool:
     """True iff every pair of rows of ``H`` commutes.
 
-    Rows r and r' commute iff their symplectic form, the parity of
-    (x & z') ^ (z & x'), is 0; with the halves of r' swapped, that is the
-    parity of one AND of packed rows.  Exact and exhaustive; intended to
-    run once per code load.
+    Only rows that share a column can anticommute.  Each column's rows are
+    bucketed by symbol; two distinct nonzero Paulis anticommute, so every
+    pair of rows from two buckets of a column is toggled, and the rows
+    commute iff no pair is left toggled an odd number of times.  Exact, and
+    the work grows with the anticommuting pairs of entries, not with m².
     """
-    rows = symplectic_rows(H)
-    low = (1 << H.n) - 1
-    swapped = [(r >> H.n) | ((r & low) << H.n) for r in rows]
-    return not any(
-        (r & s).bit_count() & 1 for i, r in enumerate(rows) for s in swapped[i + 1 :]
-    )
+    columns: dict[int, tuple[list, list, list]] = {}
+    for i, row in enumerate(H.rows):
+        for j, sym in row:
+            columns.setdefault(j, ([], [], []))[sym - 1].append(i)
+    odd: set[tuple[int, int]] = set()
+    for x, z, y in columns.values():
+        for a, b in ((x, z), (x, y), (z, y)):
+            odd.symmetric_difference_update((min(i, k), max(i, k)) for i in a for k in b)
+    return not odd

@@ -267,13 +267,14 @@ def cn_update(variant: str, incoming, s_bit: int, gain: float = 1.0) -> float:
 
 def _beliefs(prior_llr_value, incoming, incoming_symbols) -> list[float]:
     """Per-Pauli log-beliefs b(e) = [e != I]*L0 + sum of anticommuting
-    incoming messages, for e in (I, X, Z, Y)."""
-    b = [0.0, prior_llr_value, prior_llr_value, prior_llr_value]
+    incoming messages, for e in (I, X, Z, Y): L0 plus the messages summed
+    left to right, the association of the kernel's sums."""
+    sums = [0.0, 0.0, 0.0]
     for msg, sym in zip(incoming, incoming_symbols):
         for e in (1, 2, 3):
             if trace_inner(e, int(sym)):
-                b[e] += float(msg)
-    return b
+                sums[e - 1] += float(msg)
+    return [0.0] + [prior_llr_value + total for total in sums]
 
 
 def _marginal_message(prior_llr_value, incoming, incoming_symbols, out_symbol):

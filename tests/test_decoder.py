@@ -21,7 +21,7 @@ from qsagms.decoder import (
     GainParams,
     _extrinsic_min,
     _marginal_init,
-    _plane_sum,
+    _slot_sum,
     decode_batch,
 )
 from qsagms.pauli import PAULI_X, PAULI_Y, PAULI_Z
@@ -204,21 +204,24 @@ def test_extrinsic_min_matches_cn_update(incoming, padding, gain):
             assert np.clip(ext[k] * g, -LLR_CLIP, LLR_CLIP) == want, (variant, k)
 
 
-def test_plane_sum_is_numpy_sum_along_a_contiguous_axis():
+def test_slot_sum_adds_planes_left_to_right():
     # signed zeros, ties and magnitudes 1e-8..1e8, where summation order
-    # shows in the low bits; 2..130 terms cross the sequential, 8-way and
-    # halving regimes of numpy's pairwise sum
+    # shows in the low bits, over 1..130 planes
     rng = np.random.default_rng(15)
-    for d in range(2, 131):
+    for d in range(1, 131):
         x = rng.choice([0.0, -0.0, 1.0, -1.0, 1.0, -1.0], size=(d, 96))
         x[:, :48] *= rng.uniform(1.0, 10.0, size=(d, 48)) * 10.0 ** rng.integers(-8, 8, (d, 48))
         x[:, 48:64] *= 10.0 ** rng.integers(-8, 8, (d, 16))  # ties
         x[:, 64:72] = rng.choice([0.0, -0.0], size=(d, 8))
         x[:, 72] = -0.0
-        terms = np.ascontiguousarray(x.T)  # each column's terms on a contiguous axis
-        want = terms[:, 0] + np.sum(terms[:, 1:], axis=-1)
-        got = _plane_sum(x, np.empty(96), np.empty((d - 2, 96)))
-        assert got.tobytes() == want.tobytes(), d
+        want = []
+        for column in x.T:
+            total = column[0]
+            for term in column[1:]:
+                total = total + term
+            want.append(total)
+        got = _slot_sum(x, np.empty(96))
+        assert got.tobytes() == np.array(want).tobytes(), d
 
 
 # -- qubit-node update ----------------------------------------------------------
@@ -549,18 +552,18 @@ PINNED_IRREGULAR_HASHES = {
     "bp4-marginal": "e2a8c6ee7ef0eadc9da345f029c57868bc159dfc56b19372c31471e15f447f51",
     "ms-marginal": "520ef0ca990ef3f8e84c068f7402cd34dd0dbc011dce538302a11e07bb3f22ea",
     "sms-marginal": "3a061fe933b2c1f8916652e3e548946dcdd838d8c1ec9107b802835a9982878e",
-    "sagms-marginal": "df6fda54f2cf0625999214942f83104f3cead3f0276905b644f13502f7692e6a",
+    "sagms-marginal": "321ca67d12b1fa18cb178e5a5a6c781cc112081fc96ea97281e3e2ece6774d21",
     "bp4-additive": "b85a318c6940011ab129c7fde9b1de14465e3701fd2372599e75ba70bee330e5",
-    "ms-additive": "5b171742eeb01a13e78fb764765ad27fb570bc0bcc1a159dd800cb40ce131356",
-    "sms-additive": "c2a4fb4db4e84772d93bc37d58cdba0d4cf16ab89e9afbfa49683a0a392e44a8",
+    "ms-additive": "3a54929196117f3b9a4441799aa4ebfc93dd405c662255a37dbd3cac9acd9c7e",
+    "sms-additive": "13b06455369908b9be416135822039a474f33b274076bef75e02cc22a8418034",
     "sagms-additive": "861a5dd4f8531008eb8f9e00ec9b9446b34e9d4e09a9f0deb7db7edcee2416fb",
 }
 
 
 def _irregular_graph():
-    """A 60-qubit matrix with check degrees 2-14: padded rows are 9 or more
-    slots wide, where numpy's pairwise sums would regroup real terms if
-    padding entered them."""
+    """A 60-qubit matrix with check degrees 2-14: most checks are padded to
+    14 slots, and their padding slots enter every slot sum, where each must
+    add exactly 0."""
     rng = np.random.default_rng(5)
     while True:
         rows = [
@@ -600,16 +603,16 @@ def test_engine_output_pinned_on_irregular_graph():
 #: the [[126,28]] channel of PINNED_126_HASHES for sagms and bp4, whose
 #: messages are held and summed in the circulant-offset slot order.
 PINNED_MESSAGE_HASHES = {
-    "bp4-marginal": "8fe8ad7a8eb4b054bde89c59b018a322f33a79bedf0efcaa5fbc6d09ca5ab613",
-    "ms-marginal": "3270fc5e6d746649a9fa62c9984d143ef69a25a44c10caf4a675c0c55cf7044a",
-    "sms-marginal": "faad9a9d786a28f2ce98236f21ea5bf597ddafbd3db8a78a0d016c6ac9b45919",
-    "sagms-marginal": "257692711dbb66b6f7779da00e30ede3d5d902cc350af64add8fdfdc1639ebfb",
-    "bp4-additive": "e74ebc4584510f9cf383c1a0bb9e7c300405d30f1c4cc79eddbeca925e75d922",
-    "ms-additive": "6616fda045112fc84a8e06a8d3c3a7c7afdee89556b87ee975c7a454d15f57b0",
-    "sms-additive": "e7917b2be99309c8161ed457e7928d04799b24598dc4f93f982a83ff8b0ec2d1",
-    "sagms-additive": "b4e71048259df2e2f6263d52b317b207cc15770c2cca4e1c672575dcb2c6bf6b",
-    "126-sagms": "3d512a9c765b8d55f6e9e2c06ba7cf97636f8e46091fc7445a32edf25c8662a0",
-    "126-bp4": "72a4ee0aab778b4e2115524eba9a7903d6f4c2f2a8f730408e680ae1221ba0a3",
+    "bp4-marginal": "f6a3e1b206c18ae4aed9edb5eb6e7bdc2f8f9b0a4ee2c8baeb24f8ac9a723f21",
+    "ms-marginal": "12af86393fc46f76958da3039375eae03f9af573f3a38a6474d7df0335764739",
+    "sms-marginal": "d84c85b23fead95bc2323d417c6b8163a53c0af50699ad34deb285669acb71ef",
+    "sagms-marginal": "d7f63fa74a130adb571131b1fbf8ae08c62adebf3c654ce62f3d86070455f810",
+    "bp4-additive": "7be2175409ef1bcd388cd01f381ce26afc74d0e5d30ff16fb418e072c8387223",
+    "ms-additive": "c9f1ed3c7d7a84113847ad5bfcccc87135d628e396f4fe6f1d09b835a7b207b8",
+    "sms-additive": "9623e1042809a48a4058d47efac0f8fb870016148fb91c8e6fb61fab84428850",
+    "sagms-additive": "c427a6a52157752963a5d84ffa1e96ab4c7102792d1476012ab7b644a54add51",
+    "126-sagms": "644e34b6143fe4b28734884be3566be77be71c3af2c41f385b9c458bbafb83d6",
+    "126-bp4": "6e370e8df55021e54a43e41fbef7602d3b0b2bb2eae4c8237d08bd33ea3f0f7e",
 }
 
 
@@ -643,9 +646,9 @@ def test_engine_messages_pinned(gb126_code, gb126_graph):
 #: IterationRecord of decode_batch(..., trace=...) with early stop on, where
 #: converged rows leave the slab: the channels of PINNED_MESSAGE_HASHES.
 PINNED_EARLY_STOP_HASHES = {
-    "sagms-additive": "e37316acfd33cee5fbb414b7c0c12af71985764303904c41bdaafc1d45f72609",
-    "126-sagms": "072225dda574ac6d8a39f5526cde6cf7dbe34427bd193c30cfb4d3ef0d3b27b2",
-    "126-bp4": "a18fe2d1f72552303126b59dd74b35f37a947e96fd9d937ef539904fc5f5f7bc",
+    "sagms-additive": "d1684495802a5dd81bbb73690ae7c8b60adfff506fd4c1a55c068a9e67255587",
+    "126-sagms": "735ee1a61b60702b96aff491e4e64b6763d4ade77889d13cb105b4a84130fe29",
+    "126-bp4": "f942721b7e1ca6e2c0bfe8a09544f4339181f75d5d21ed383e8ba48b3590535e",
 }
 
 

@@ -719,7 +719,9 @@ def test_run_sweep_recomputes_a_point_of_other_numerics(tmp_path, small_code, sm
     pfile = sorted((out / "points").glob("*.json"))[0]
     good = pfile.read_bytes()
     assert json.loads(good)["numerics"] == harness.NUMERICS
-    for numerics in (None, "other"):  # a tagless file, and one of other numerics
+    # a tagless file, one of other numerics, and one of the pairwise slot
+    # sums that came before the left-to-right ones
+    for numerics in (None, "other", "gb-slots-by-circulant-offset"):
         payload = json.loads(good)
         payload["point"]["frames"] += 1  # what a stale file would claim
         if numerics is None:

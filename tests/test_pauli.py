@@ -131,6 +131,19 @@ def test_check_orthogonality_anticommuting_rows():
     assert not orthogonal_dense(H)
 
 
+def test_check_orthogonality_of_many_rows_compares_shared_columns_only():
+    # 32,768 single-Z rows share no column; comparing every pair of rows
+    # would take minutes
+    m = 1 << 15
+    assert check_orthogonality(SparseCheckMatrix(n=m, rows=[[(i, PAULI_Z)] for i in range(m)]))
+
+
+def test_check_orthogonality_finds_a_clash_between_first_and_last_row():
+    m = 1 << 15
+    rows = [[(i, PAULI_Z)] for i in range(m - 1)] + [[(0, PAULI_X)]]
+    assert not check_orthogonality(SparseCheckMatrix(n=m, rows=rows))
+
+
 @st.composite
 def symbol_matrices(draw):
     """Random small matrices, including empty rows and anticommuting pairs."""
