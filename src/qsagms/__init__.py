@@ -21,7 +21,7 @@ from .analysis import (
     phi,
     transfer,
 )
-from .channel import ChannelPrior, DepolarizingChannel, prior_llr, sample_error
+from .channel import DepolarizingChannel, prior_llr, sample_error
 from .code import (
     CodeFormatError,
     CodeParams,
@@ -58,7 +58,6 @@ __all__ = [
     "op_count",
     "phi",
     "transfer",
-    "ChannelPrior",
     "DepolarizingChannel",
     "prior_llr",
     "sample_error",

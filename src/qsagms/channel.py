@@ -11,8 +11,7 @@ sampled values are part of the regression-test contract.
 The Philox4x64-10 rounds are integer arithmetic on (key, counter), so they
 run in numpy over many frames at once: ``sample_error`` samples a range of
 consecutive stream ids in one call, word for word what numpy's
-``np.random.Philox`` gives for each key, and the one-frame call is the same
-evaluation on one row.
+``np.random.Philox`` gives for each key; one frame is a one-row range.
 """
 
 from __future__ import annotations
@@ -54,19 +53,17 @@ class DepolarizingChannel:
             raise ValueError(f"rng_seed must lie in [0, 2**64), got {self.rng_seed}")
 
 
-@dataclass(frozen=True)
-class ChannelPrior:
-    """Assumed depolarization rate and its prior LLR ln((1-e0)/(e0/3))."""
+def prior_llr(epsilon0: float) -> float:
+    """Prior LLR ln((1-e0)/(e0/3)) of an assumed rate; positive iff epsilon0 < 3/4.
 
-    epsilon0: float
-    llr: float
-
-
-def prior_llr(epsilon0: float) -> ChannelPrior:
-    """Channel prior for an assumed rate; positive iff epsilon0 < 3/4."""
+    Rejects a rate so small (below about 1.67e-308) that the LLR is +inf.
+    """
     if not 0.0 < epsilon0 < 1.0:
         raise ValueError(f"epsilon0 must lie in (0, 1), got {epsilon0}")
-    return ChannelPrior(epsilon0=epsilon0, llr=math.log(3.0 * (1.0 - epsilon0) / epsilon0))
+    llr = math.log(3.0 * (1.0 - epsilon0) / epsilon0)
+    if math.isinf(llr):
+        raise ValueError(f"epsilon0 {epsilon0} is so small that its prior LLR overflows")
+    return llr
 
 
 #: Frames per Philox evaluation in ``sample_error``: keeps each (2, frames,
@@ -89,43 +86,37 @@ _PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[
 _PAULI_OF_RANK = np.array([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z], dtype=np.uint8)
 
 
-def sample_error(
-    ch: DepolarizingChannel, n: int, stream_id: int, count: int | None = None
-) -> np.ndarray:
-    """Draw i.i.d. depolarizing error patterns: one frame, or ``count`` frames.
+def sample_error(ch: DepolarizingChannel, n: int, stream_id: int, count: int) -> np.ndarray:
+    """Draw ``count`` i.i.d. depolarizing error patterns as a ``(count, n)`` batch.
 
-    ``stream_id`` addresses the frame: the Philox key is (seed, stream_id)
-    and the draw index within the stream is the qubit index.  With ``count``
-    the result is ``(count, n)``, row i the frame ``stream_id + i``, equal to
-    what the one-frame call returns for that stream id; without, ``(n,)``.
+    ``stream_id`` addresses the first frame: row i is the frame ``stream_id +
+    i``, whose Philox key is (seed, stream_id + i), and the draw index
+    within a stream is the qubit index.  So a row equals the one-row batch
+    of its own stream id.
     """
-    check_int("stream_id", stream_id)
-    check_int("n", n)
-    if count is not None:
-        check_int("count", count)
+    for name, value in (("stream_id", stream_id), ("n", n), ("count", count)):
+        check_int(name, value)
     if n < 1:
         raise ValueError("n must be at least 1")
-    frames = 1 if count is None else count
-    if frames < 0:
+    if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    if not 0 <= stream_id < SEED_LIMIT or stream_id + frames > SEED_LIMIT:
+    if not 0 <= stream_id < SEED_LIMIT or stream_id + count > SEED_LIMIT:
         raise ValueError(
-            f"stream_id range [{stream_id}, {stream_id + frames}) must lie in [0, 2**64)"
+            f"stream_id range [{stream_id}, {stream_id + count}) must lie in [0, 2**64)"
         )
-    out = np.zeros((frames, n), dtype=np.uint8)
-    if ch.epsilon > 0.0:
-        # t_x <= t_y <= t_z (tested), so a draw's rank in (I, X, Y, Z) is the
-        # number of thresholds at or below it
-        t_x, t_y, t_z = (np.uint64(t) for t in _thresholds(ch.epsilon))
-        blocks = -(-n // 4)
-        for lo in range(0, frames, _CHUNK_FRAMES):
-            hi = min(lo + _CHUNK_FRAMES, frames)
-            draws = _philox(ch.rng_seed, stream_id + lo, hi - lo, blocks)[:, :n]
-            draws >>= np.uint64(11)  # the 53-bit integer m of u = m * 2**-53
-            rank = (draws >= t_x).view(np.uint8) + (draws >= t_y).view(np.uint8)
-            rank += (draws >= t_z).view(np.uint8)
-            out[lo:hi] = _PAULI_OF_RANK[rank]
-    return out[0] if count is None else out
+    out = np.empty((count, n), dtype=np.uint8)
+    # t_x <= t_y <= t_z (tested), so a draw's rank in (I, X, Y, Z) is the
+    # number of thresholds at or below it; at epsilon 0 all three are 2**53
+    t_x, t_y, t_z = (np.uint64(t) for t in _thresholds(ch.epsilon))
+    blocks = -(-n // 4)
+    for lo in range(0, count, _CHUNK_FRAMES):
+        hi = min(lo + _CHUNK_FRAMES, count)
+        draws = _philox(ch.rng_seed, stream_id + lo, hi - lo, blocks)[:, :n]
+        draws >>= np.uint64(11)  # the 53-bit integer m of u = m * 2**-53
+        rank = (draws >= t_x).view(np.uint8) + (draws >= t_y).view(np.uint8)
+        rank += (draws >= t_z).view(np.uint8)
+        out[lo:hi] = _PAULI_OF_RANK[rank]
+    return out
 
 
 def _thresholds(epsilon: float) -> tuple[int, int, int]:

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import linear_gain_fit, phi_llr
-from .channel import ChannelPrior, check_int
+from .channel import check_int
 from .code import TannerGraph, check_decodable
 from .pauli import trace_inner
 
@@ -386,7 +386,7 @@ class _Kernel:
 def decode_batch(
     graph: TannerGraph,
     syndromes: np.ndarray,
-    prior: ChannelPrior,
+    l0: float,
     cfg: DecoderConfig,
     *,
     early_stop: bool = True,
@@ -394,10 +394,11 @@ def decode_batch(
 ) -> BatchDecodeResult:
     """Decode a batch of syndromes against one shared graph.
 
-    Frames are mutually independent: results are bit-identical for any
-    partitioning of the same frames into batches.  The batch runs in slabs
-    of at most SLAB_ROWS rows through one workspace, allocated once per
-    call.  Qubit-to-check messages are built only for the frames whose
+    ``l0`` is the finite channel prior LLR, as ``prior_llr(epsilon0)``
+    returns it.  Frames are mutually independent: results are bit-identical
+    for any partitioning of the same frames into batches.  The batch runs in
+    slabs of at most SLAB_ROWS rows through one workspace, allocated once
+    per call.  Qubit-to-check messages are built only for the frames whose
     decision was tested and goes on.  ``early_stop=False`` keeps iterating
     converged frames to ``l_max`` (reported success, iteration count and
     estimate still reflect the first all-zero residual); it exists for
@@ -407,6 +408,8 @@ def decode_batch(
     and makes the otherwise-skipped final update run so that the last
     record of a slab holds its final messages; it never changes a result.
     """
+    if not math.isfinite(l0):
+        raise ValueError(f"l0 must be finite, got {l0}")
     syndromes = np.asarray(syndromes)
     if syndromes.ndim != 2 or syndromes.shape[1] != graph.m:
         raise ValueError(f"syndromes must have shape (B, {graph.m})")
@@ -414,7 +417,6 @@ def decode_batch(
         raise ValueError("syndrome bits must be 0 or 1")
     b_total = syndromes.shape[0]
     ker = _Kernel(graph, min(b_total, SLAB_ROWS))
-    l0 = prior.llr
     v0 = _marginal_init(l0) if cfg.vn_mode == "marginal" else l0
     v0 = float(np.clip(v0, -LLR_CLIP, LLR_CLIP))
 

@@ -2,8 +2,9 @@
 
 Frames are numbered 0, 1, 2, ...; frame f draws its error pattern from the
 channel stream keyed by (master seed, f), so the sequence of frames is a
-pure function of the configuration.  A batch of frames is sampled in one
-vectorized Philox call, bit-identical to sampling its frames one by one.
+pure function of the configuration.  N workers sample a batch as N frame
+ranges, one ``sample_error`` call each, which runs Philox in chunks of
+``channel._CHUNK_FRAMES`` frames; a frame's bits never depend on the split.
 A noise point stops at the smallest frame index at which the cumulative
 failure count reaches the target (or at the frame cap), and every started
 frame up to that index is counted exactly once.  One loop, ``run_point``,
@@ -109,6 +110,8 @@ class SweepConfig:
             raise ValueError("epsilon_list is empty")
         if any(not 0.0 < e < 1.0 for e in self.epsilon_list):
             raise ValueError("epsilon values must lie in (0, 1)")
+        for rate in self.epsilon_list if self.epsilon0_mode == "matched" else [self.epsilon0]:
+            prior_llr(rate)  # each decoding rate needs a finite prior LLR
         for name in ("seed", "target_failures", "max_frames", "workers"):
             check_int(name, getattr(self, name))
         if self.target_failures < 1:
@@ -238,9 +241,8 @@ def _syndromes(graph: TannerGraph, ch, spread, start, count) -> np.ndarray:
     """Syndromes of frames [start, start+count) of channel ``ch``, one row a frame.
 
     ``spread`` is ``_spread`` bound to the point's pool and thread count.
-    Each of its frame ranges is one ``sample_error`` call, row for row the
-    frames that one-frame calls would give, and the ranges' syndromes are
-    joined in frame order.
+    Each of its frame ranges is one ``sample_error`` call, and the ranges'
+    syndromes are joined in frame order.
     """
     def sample(lo, hi):
         return graph.syndromes(sample_error(ch, graph.n, start + lo, count=hi - lo))
@@ -249,8 +251,8 @@ def _syndromes(graph: TannerGraph, ch, spread, start, count) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _outcomes(graph: TannerGraph, decoder_cfg, prior, memo: dict, spread, syndromes):
-    """(fails, iterations, decoded) of decoding each row of ``syndromes``.
+def _outcomes(graph: TannerGraph, decoder_cfg, l0, memo: dict, spread, syndromes):
+    """(fails, iterations, decoded) of decoding each row of ``syndromes`` at prior ``l0``.
 
     The decoder is a deterministic function of the syndrome, so each
     distinct syndrome is decoded once, and only if ``memo`` (packed
@@ -275,7 +277,7 @@ def _outcomes(graph: TannerGraph, decoder_cfg, prior, memo: dict, spread, syndro
     miss = np.flatnonzero(outcome < 0)
 
     def decode(lo, hi):
-        res = decode_batch(graph, syndromes[first[miss[lo:hi]]], prior, decoder_cfg)
+        res = decode_batch(graph, syndromes[first[miss[lo:hi]]], l0, decoder_cfg)
         outcome[miss[lo:hi]] = 2 * res.iterations + ~res.success
 
     spread(decode, miss.size)
@@ -325,7 +327,7 @@ def run_point(
     """
     epsilon0 = epsilon if cfg.epsilon0_mode == "matched" else float(cfg.epsilon0)
     ch = DepolarizingChannel(epsilon=epsilon, rng_seed=cfg.seed)
-    prior, memo = prior_llr(epsilon0), {}
+    l0, memo = prior_llr(epsilon0), {}
     threads = min(cfg.workers, _usable_cpus())
     pool = None if threads == 1 else ThreadPoolExecutor(threads)
     spread = partial(_spread, pool, threads)
@@ -334,7 +336,7 @@ def run_point(
         while frames < cfg.max_frames and failures < cfg.target_failures:
             size = _batch_size(cfg, frames, failures)
             syndromes = _syndromes(graph, ch, spread, frames, size)
-            fails, iters, rows = _outcomes(graph, cfg.decoder, prior, memo, spread, syndromes)
+            fails, iters, rows = _outcomes(graph, cfg.decoder, l0, memo, spread, syndromes)
             del syndromes  # not held while the next batch is sampled (peak RSS)
             # count through the stopping frame, if this batch holds it
             stop = np.searchsorted(np.cumsum(fails), cfg.target_failures - failures) + 1

@@ -18,7 +18,6 @@ import itertools
 import numpy as np
 
 from qsagms.analysis import phi_llr
-from qsagms.channel import ChannelPrior
 from qsagms.code import tanner_graph
 from qsagms.decoder import (
     LLR_CLIP,
@@ -290,42 +289,43 @@ def _marginal_message(prior_llr_value, incoming, incoming_symbols, out_symbol):
 
 def vn_update(
     mode: str,
-    prior: ChannelPrior,
+    l0: float,
     incoming,
     incoming_symbols=None,
     out_symbol: int | None = None,
 ) -> float:
     """One qubit-node output toward an edge, from the extrinsic incoming set.
 
-    ``additive`` sums scalar messages onto the prior.  ``marginal`` needs the
-    symbols of the incoming edges and of the outgoing edge.
+    ``additive`` sums scalar messages onto the prior LLR ``l0``.
+    ``marginal`` needs the symbols of the incoming edges and of the outgoing
+    edge.
     """
     if mode not in VN_MODES:
         raise ValueError(f"unknown vn mode {mode!r}")
     incoming = np.asarray(incoming, dtype=np.float64)
     if mode == "additive":
-        out = prior.llr + float(np.sum(incoming))
+        out = l0 + float(np.sum(incoming))
     else:
         if incoming_symbols is None or out_symbol is None:
             raise ValueError("marginal mode needs incoming and outgoing symbols")
-        out = _marginal_message(prior.llr, incoming, incoming_symbols, out_symbol)
+        out = _marginal_message(l0, incoming, incoming_symbols, out_symbol)
     return float(np.clip(out, -LLR_CLIP, LLR_CLIP))
 
 
-def hard_decision(prior: ChannelPrior, incoming, incoming_symbols) -> int:
+def hard_decision(l0: float, incoming, incoming_symbols) -> int:
     """Most plausible Pauli at one qubit from all its incoming messages.
 
     Minimizes m(e) = [e != I]*L0 + sum of anticommuting messages over
     e in {I, X, Z, Y}; ties break toward the smaller code (I < X < Z < Y).
     """
-    return int(np.argmin(_beliefs(prior.llr, incoming, incoming_symbols)))
+    return int(np.argmin(_beliefs(l0, incoming, incoming_symbols)))
 
 
 # -- scalar reference decoder --------------------------------------------------
 
 
 def reference_decode(
-    H, s, prior: ChannelPrior, cfg: DecoderConfig, record=None, early_stop: bool = True
+    H, s, l0: float, cfg: DecoderConfig, record=None, early_stop: bool = True
 ):
     """Flooding decoder written as plain loops over the spec's node updates.
 
@@ -353,10 +353,7 @@ def reference_decode(
     assert sorted(e for members in cn_members for e in members) == pairs
     assert sorted(e for members in vn_members for e in members) == pairs
 
-    if cfg.vn_mode == "marginal":
-        v0 = _marginal_init(prior.llr)
-    else:
-        v0 = prior.llr
+    v0 = _marginal_init(l0) if cfg.vn_mode == "marginal" else l0
     vmsg = {edge: v0 for edge in symbol}
     cmsg = {edge: 0.0 for edge in symbol}
     s = np.asarray(s, dtype=np.uint8)
@@ -365,7 +362,7 @@ def reference_decode(
     converged = None
     for ell in range(1, cfg.l_max + 1):
         e_hat = np.array([
-            hard_decision(prior, [cmsg[edge] for edge in vn_members[j]],
+            hard_decision(l0, [cmsg[edge] for edge in vn_members[j]],
                           [symbol[edge] for edge in vn_members[j]])
             for j in range(H.n)
         ], dtype=np.uint8)
@@ -395,7 +392,7 @@ def reference_decode(
             for edge in vn_members[j]:
                 others = [other for other in vn_members[j] if other != edge]
                 new_vmsg[edge] = vn_update(
-                    cfg.vn_mode, prior, [cmsg[other] for other in others],
+                    cfg.vn_mode, l0, [cmsg[other] for other in others],
                     [symbol[other] for other in others], symbol[edge],
                 )
         vmsg = new_vmsg

@@ -25,27 +25,33 @@ def _ln_hp(x: str) -> float:
 
 
 def test_prior_llr_examples():
-    assert prior_llr(0.10).llr == pytest.approx(_ln_hp("27"), abs=1e-15)
-    assert prior_llr(0.10).llr == pytest.approx(3.2958, abs=5e-4)
-    assert prior_llr(0.75).llr == pytest.approx(0.0, abs=1e-15)
-    assert prior_llr(0.01).llr == pytest.approx(_ln_hp("297"), abs=1e-15)
-    assert prior_llr(0.01).llr == pytest.approx(5.6937, abs=5e-4)
+    assert prior_llr(0.10) == pytest.approx(_ln_hp("27"), abs=1e-15)
+    assert prior_llr(0.10) == pytest.approx(3.2958, abs=5e-4)
+    assert prior_llr(0.75) == pytest.approx(0.0, abs=1e-15)
+    assert prior_llr(0.01) == pytest.approx(_ln_hp("297"), abs=1e-15)
+    assert prior_llr(0.01) == pytest.approx(5.6937, abs=5e-4)
 
 
 def test_prior_llr_domain():
-    for bad in (0.0, 1.0, -0.1, 1.5):
+    for bad in (0.0, 1.0, -0.1, 1.5, float("nan")):
         with pytest.raises(ValueError):
             prior_llr(bad)
+    # below about 1.67e-308, 3 (1 - e0) / e0 overflows and the LLR is +inf
+    for tiny in (1e-310, 5e-324, 1.6e-308):
+        with pytest.raises(ValueError, match="overflows"):
+            prior_llr(tiny)
+    assert type(prior_llr(1.7e-308)) is float
+    assert math.isfinite(prior_llr(1.7e-308))
 
 
 def test_prior_llr_strictly_decreasing():
-    values = [prior_llr(e).llr for e in np.linspace(0.001, 0.999, 200)]
+    values = [prior_llr(e) for e in np.linspace(0.001, 0.999, 200)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_prior_sign_flips_at_three_quarters():
-    assert prior_llr(0.74).llr > 0
-    assert prior_llr(0.76).llr < 0
+    assert prior_llr(0.74) > 0
+    assert prior_llr(0.76) < 0
 
 
 def test_channel_epsilon_range():
@@ -64,8 +70,8 @@ def test_channel_rejects_aliasing_seeds():
     ch = DepolarizingChannel(0.1, 2**64 - 1)
     for stream_id in (-1, 2**64):
         with pytest.raises(ValueError, match="stream_id"):
-            sample_error(ch, 8, stream_id=stream_id)
-    assert sample_error(ch, 8, stream_id=2**64 - 1).shape == (8,)
+            sample_error(ch, 8, stream_id=stream_id, count=1)
+    assert sample_error(ch, 8, stream_id=2**64 - 1, count=1).shape == (1, 8)
     # a batch of frames stream_id .. stream_id + count - 1 must not wrap
     for stream_id, count in ((2**64 - 3, 4), (2**64 - 1, 2), (0, 2**64 + 1), (2**64, 0)):
         with pytest.raises(ValueError, match="stream_id"):
@@ -81,12 +87,12 @@ def test_channel_rejects_aliasing_seeds():
 
 def test_sample_error_noiseless_limit():
     ch = DepolarizingChannel(0.0, 99)
-    assert not sample_error(ch, 1000, stream_id=0).any()
+    assert not sample_error(ch, 1000, stream_id=0, count=1).any()
 
 
 def test_sample_error_uniform_at_three_quarters():
     ch = DepolarizingChannel(0.75, 7)
-    draws = sample_error(ch, 1_000_000, stream_id=0)
+    draws = sample_error(ch, 1_000_000, stream_id=0, count=1)[0]
     counts = np.bincount(draws, minlength=4)
     # each symbol has p = 1/4; 3 sigma of Binomial(1e6, 1/4)
     sigma = math.sqrt(1_000_000 * 0.25 * 0.75)
@@ -96,7 +102,7 @@ def test_sample_error_uniform_at_three_quarters():
 
 def test_sample_error_marginal_rate():
     ch = DepolarizingChannel(0.1, 7)
-    draws = sample_error(ch, 1_000_000, stream_id=3)
+    draws = sample_error(ch, 1_000_000, stream_id=3, count=1)[0]
     flips = int((draws != 0).sum())
     sigma = math.sqrt(1_000_000 * 0.1 * 0.9)  # binomial concentration
     assert abs(flips - 100_000) <= 3 * sigma
@@ -104,24 +110,24 @@ def test_sample_error_marginal_rate():
 
 def test_sample_error_reproducible():
     ch = DepolarizingChannel(0.2, 1234)
-    a = sample_error(ch, 4096, stream_id=17)
-    b = sample_error(ch, 4096, stream_id=17)
+    a = sample_error(ch, 4096, stream_id=17, count=1)
+    b = sample_error(ch, 4096, stream_id=17, count=1)
     assert np.array_equal(a, b)
-    c = sample_error(ch, 4096, stream_id=18)
+    c = sample_error(ch, 4096, stream_id=18, count=1)
     assert not np.array_equal(a, c)
 
 
 def test_sample_error_regression_pin():
     # the sampled stream is part of the package's compatibility contract
     ch = DepolarizingChannel(0.2, 1234)
-    head = sample_error(ch, 16, stream_id=0).tolist()
+    head = sample_error(ch, 16, stream_id=0, count=1)[0].tolist()
     assert head == [0, 0, 0, 0, 0, 1, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0]
 
 
 def test_sample_error_streams_uncorrelated():
     ch = DepolarizingChannel(0.3, 55)
-    a = (sample_error(ch, 100_000, stream_id=0) != 0).astype(float)
-    b = (sample_error(ch, 100_000, stream_id=1) != 0).astype(float)
+    a = (sample_error(ch, 100_000, stream_id=0, count=1)[0] != 0).astype(float)
+    b = (sample_error(ch, 100_000, stream_id=1, count=1)[0] != 0).astype(float)
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 0.01
 
@@ -132,7 +138,7 @@ def test_seed_and_stream_id_must_be_ints(value):
     with pytest.raises(ValueError, match="rng_seed"):
         DepolarizingChannel(0.1, value)
     with pytest.raises(ValueError, match="stream_id"):
-        sample_error(DepolarizingChannel(0.1, 1), 8, value)
+        sample_error(DepolarizingChannel(0.1, 1), 8, value, count=1)
 
 
 @pytest.mark.parametrize(
@@ -142,14 +148,14 @@ def test_seed_and_stream_id_must_be_ints(value):
 )
 def test_sample_error_counts_must_be_ints(name, kw):
     # a float or bool count or n would otherwise reach np.zeros as a TypeError
-    args = {"n": 8, "stream_id": 0, **kw}
+    args = {"n": 8, "stream_id": 0, "count": 1, **kw}
     with pytest.raises(ValueError, match=f"{name} must be an int"):
         sample_error(DepolarizingChannel(0.1, 1), **args)
 
 
 def test_sample_error_rejects_bad_n():
     with pytest.raises(ValueError):
-        sample_error(DepolarizingChannel(0.1, 1), 0, stream_id=0)
+        sample_error(DepolarizingChannel(0.1, 1), 0, stream_id=0, count=1)
 
 
 #: SHA-256 of ``sample_error(..., count=4096)`` on n = 126, recorded from
@@ -202,7 +208,7 @@ def test_batch_matches_one_frame_calls(eps, seed, start, n, count):
     batch = sample_error(ch, n, start, count=count)
     assert batch.shape == (count, n) and batch.dtype == np.uint8
     for row, frame in enumerate(range(start, start + count)):
-        one = sample_error(ch, n, frame)
+        one = sample_error(ch, n, frame, count=1)[0]
         assert one.shape == (n,)
         assert np.array_equal(batch[row], one)
         assert np.array_equal(one, _float_rule(ch, n, frame))

@@ -160,6 +160,20 @@ def test_simulate_rejects_bad_fixed_eps0(tmp_path, capsys, eps0):
     assert not out.exists()
 
 
+def test_simulate_rejects_an_overflowing_prior(tmp_path, capsys):
+    out = tmp_path / "r"
+    code, stdout, stderr = run_cli(
+        capsys, "simulate", "--code", str(CODES_DIR / "gb-6-2.qpc"),
+        "--decoder", "sagms", "--eps", "0.05", "--eps0", "1e-310", "--seed", "1",
+        "--out", str(out),
+    )
+    assert code == 2
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert "overflows" in stderr
+    assert stdout == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_simulate_rejects_aliasing_seed(tmp_path, capsys, seed):
     out = tmp_path / "r"

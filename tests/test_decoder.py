@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsagms.channel import ChannelPrior, DepolarizingChannel, prior_llr, sample_error
+from qsagms.channel import DepolarizingChannel, prior_llr, sample_error
 from qsagms.code import GbSpec, SparseCheckMatrix, build_gb, tanner_graph
 from qsagms import decoder
 from qsagms.analysis import phi_llr
@@ -228,14 +228,12 @@ def test_slot_sum_adds_planes_left_to_right():
 
 
 def test_vn_update_additive_examples():
-    prior = ChannelPrior(epsilon0=0.01, llr=5.69)
-    assert vn_update("additive", prior, []) == pytest.approx(5.69)
-    assert vn_update("additive", prior, [-1.0, 0.5]) == pytest.approx(5.19)
+    assert vn_update("additive", 5.69, []) == pytest.approx(5.69)
+    assert vn_update("additive", 5.69, [-1.0, 0.5]) == pytest.approx(5.19)
 
 
 def test_vn_update_additive_clips():
-    prior = ChannelPrior(epsilon0=0.01, llr=5.69)
-    assert vn_update("additive", prior, [60.0, 60.0]) == 64.0
+    assert vn_update("additive", 5.69, [60.0, 60.0]) == 64.0
 
 
 def test_vn_update_marginal_empty_set_matches_prior_marginal():
@@ -250,9 +248,9 @@ def test_vn_update_marginal_empty_set_matches_prior_marginal():
 @pytest.mark.parametrize("symbol", [PAULI_X, PAULI_Z, PAULI_Y], ids=["X", "Z", "Y"])
 def test_marginal_init_is_the_marginal_rule_on_no_messages(epsilon0, symbol):
     prior = prior_llr(epsilon0)
-    assert (prior.llr > 0, prior.llr == 0) == (epsilon0 < 0.75, epsilon0 == 0.75)
+    assert (prior > 0, prior == 0) == (epsilon0 < 0.75, epsilon0 == 0.75)
     want = vn_update("marginal", prior, [], [], symbol)
-    assert _marginal_init(prior.llr) == pytest.approx(want, abs=1e-12)
+    assert _marginal_init(prior) == pytest.approx(want, abs=1e-12)
 
 
 def test_vn_update_marginal_needs_symbols():
@@ -265,26 +263,24 @@ def test_vn_update_marginal_needs_symbols():
 
 
 def test_hard_decision_prior_dominates():
-    prior = ChannelPrior(epsilon0=0.05, llr=4.0)
-    assert hard_decision(prior, [], []) == 0  # identity
+    assert hard_decision(4.0, [], []) == 0  # identity
 
 
 def test_hard_decision_single_edge_tie_break():
     # one X-symbol edge with message -10, prior 3.3:
     # m(I)=0, m(X)=3.3, m(Z)=m(Y)=-6.7 -> Z wins the tie (Z before Y)
-    prior = ChannelPrior(epsilon0=0.1, llr=3.3)
-    assert hard_decision(prior, [-10.0], [PAULI_X]) == PAULI_Z
+    assert hard_decision(3.3, [-10.0], [PAULI_X]) == PAULI_Z
 
 
 def test_hard_decision_metric_enumeration():
-    prior = ChannelPrior(epsilon0=0.1, llr=3.3)
+    prior = 3.3
     incoming = [-10.0, 2.0]
     syms = [PAULI_X, PAULI_Z]
     from qsagms.pauli import trace_inner
 
     metrics = []
     for e in range(4):
-        m = 0.0 if e == 0 else prior.llr
+        m = 0.0 if e == 0 else prior
         for msg, sym in zip(incoming, syms):
             if trace_inner(e, sym):
                 m += msg
@@ -313,6 +309,22 @@ def test_decode_batch_checks_bits_before_allocating(small_graph, monkeypatch):
     bad = np.full((2, small_graph.m), 2)
     with pytest.raises(ValueError, match="syndrome bits must be 0 or 1"):
         decode_batch(small_graph, bad, prior_llr(0.05), DecoderConfig("ms"))
+
+
+@pytest.mark.parametrize("l0", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("vn_mode", VN_MODES)
+@pytest.mark.parametrize("variant,kw", VARIANT_CASES)
+def test_decode_batch_checks_l0_before_allocating(
+    small_graph, monkeypatch, variant, kw, vn_mode, l0
+):
+    # a non-finite prior would otherwise decode every frame into garbage
+    def workspace(*args):
+        raise AssertionError("workspace allocated for a non-finite prior")
+
+    monkeypatch.setattr(decoder, "_Kernel", workspace)
+    good = np.zeros((2, small_graph.m), dtype=np.uint8)
+    with pytest.raises(ValueError, match="l0 must be finite"):
+        decode_batch(small_graph, good, l0, DecoderConfig(variant, vn_mode=vn_mode, **kw))
 
 
 # -- decode: trivial and structural cases ----------------------------------------
@@ -911,7 +923,7 @@ def test_message_steps_run_only_for_rows_that_go_on(gb126_graph, variant, kw, mo
 
 def test_decode_deterministic_across_runs(small_code, small_graph):
     prior = prior_llr(0.2)
-    e = sample_error(DepolarizingChannel(0.2, 9), small_code.n, 0)
+    e = sample_error(DepolarizingChannel(0.2, 9), small_code.n, 0, count=1)
     s = small_graph.syndromes(e)
     cfg = DecoderConfig("bp4", l_max=8)
     _assert_same_messages(
@@ -977,7 +989,7 @@ def test_marginal_bp4_beliefs_match_posteriors_on_tree():
         syms = [sym for _, sym in adjacent]
         metrics = []
         for e in range(4):
-            m = 0.0 if e == 0 else prior.llr
+            m = 0.0 if e == 0 else prior
             for msg, sym in zip(incoming, syms):
                 if trace_inner(e, sym):
                     m += msg

@@ -172,6 +172,16 @@ def test_sweep_config_validation():
     _sweep(seed=2**64 - 1)
 
 
+def test_sweep_config_rejects_a_decoding_rate_whose_prior_overflows():
+    # below about 1.67e-308 the prior LLR is +inf: the decoder would see it
+    with pytest.raises(ValueError, match="overflows"):
+        _sweep(epsilon0_mode="fixed", epsilon0=1e-310)
+    with pytest.raises(ValueError, match="overflows"):
+        _sweep(eps=(0.05, 1e-310))  # matched mode decodes at each true rate
+    # in fixed mode a true rate only drives the channel, which needs no LLR
+    _sweep(eps=(1e-310,), epsilon0_mode="fixed", epsilon0=0.1)
+
+
 @pytest.mark.parametrize("value", [1.5, 2.0, True, "3"])
 @pytest.mark.parametrize("field", ["seed", "target_failures", "max_frames", "workers"])
 def test_sweep_config_integer_fields_must_be_ints(field, value):
