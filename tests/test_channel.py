@@ -147,7 +147,7 @@ def test_seed_and_stream_id_must_be_ints(value):
      ("n", {"n": 8.0}), ("n", {"n": True})],
 )
 def test_sample_error_counts_must_be_ints(name, kw):
-    # a float or bool count or n would otherwise reach np.zeros as a TypeError
+    # a float or bool count or n would otherwise reach np.empty as a TypeError
     args = {"n": 8, "stream_id": 0, "count": 1, **kw}
     with pytest.raises(ValueError, match=f"{name} must be an int"):
         sample_error(DepolarizingChannel(0.1, 1), **args)
