@@ -200,26 +200,26 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    # every line is computed, so every input checked, before the first prints
     with _exits(EXIT_USAGE, ValueError):
         if args.mode == "transfer":
             _analyze_transfer(args)
-        elif args.mode == "alpha-star":
-            for d_c in _parse_exponents(args.dc):
-                print(
-                    f"dc={d_c} alpha_star_approx={alpha_star_approx(args.L0, d_c):.6g} "
-                    f"alpha_star_exact={alpha_star_exact(args.L0, d_c):.6g}"
-                )
+            return EXIT_OK
+        if args.mode == "alpha-star":
+            lines = [
+                f"dc={d_c} alpha_star_approx={alpha_star_approx(args.L0, d_c):.6g} "
+                f"alpha_star_exact={alpha_star_exact(args.L0, d_c):.6g}"
+                for d_c in _parse_exponents(args.dc)
+            ]
         elif args.mode == "delta-alpha":
-            value = delta_alpha(args.L0, args.dc_ref, args.dc_new)
-            print(f"delta_alpha={value:.6g}")
+            lines = [f"delta_alpha={delta_alpha(args.L0, args.dc_ref, args.dc_new):.6g}"]
         else:  # opcount
-            print("variant adds muls cmps trans weighted")
-            for variant in VARIANTS:
-                c = op_count(variant, args.dc)
-                print(
-                    f"{variant} {c.adds} {c.muls} {c.cmps} "
-                    f"{c.transcendentals} {c.weighted_total}"
-                )
+            counts = [(variant, op_count(variant, args.dc)) for variant in VARIANTS]
+            lines = ["variant adds muls cmps trans weighted"] + [
+                f"{v} {c.adds} {c.muls} {c.cmps} {c.transcendentals} {c.weighted_total}"
+                for v, c in counts
+            ]
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -8,14 +8,14 @@ ranges, one ``sample_error`` call each, which runs Philox in chunks of
 A noise point stops at the smallest frame index at which the cumulative
 failure count reaches the target (or at the frame cap), and every started
 frame up to that index is counted exactly once.  One loop, ``run_point``,
-owns that rule: it runs one batch of contiguous frames at a time, each
+applies that rule: it runs one batch of contiguous frames at a time, each
 sized from the stop rule (it ends where the failure rate seen so far
 predicts the target), sampled by ``_syndromes`` and scored by
-``_outcomes``, and cuts the last batch at the stopping frame.  The batch
-plan is the same for any worker count: N workers split each batch into N
-frame ranges to sample and N row ranges to decode, on a pool of threads
-and on the caller's Tanner graph, so the estimate is bit-identical for any
-worker count.
+``_outcomes``; one value, ``_Tally``, owns the counts and counts each
+batch through the stopping frame.  The batch plan is the same for any
+worker count: N workers split each batch into N frame ranges to sample and
+deal its rows to decode into N parts, on a pool of threads and on the
+caller's Tanner graph, so the estimate is bit-identical for any worker count.
 
 The decoder is a deterministic function of (syndrome, prior, config), and
 the harness needs only its (fail, iterations) per frame.  So each point
@@ -229,12 +229,16 @@ def _orbit_keys(syndromes: np.ndarray, ell: int) -> np.ndarray:
     return best.view(f"V{16 * width}").ravel()
 
 
-def _spread(pool, parts: int, fn, total: int) -> list:
-    """[fn(lo, hi)] for at most ``parts`` non-empty ranges in order over [0, total),
-    on ``pool`` (numpy releases the GIL in array work), else in this thread."""
+def _spread(pool, parts: int, fn, total: int, dealt: bool = False) -> list:
+    """[fn(part)] for at most ``parts`` non-empty slices of range(total) in order,
+    on ``pool`` (numpy releases the GIL in array work), else in this thread.
+    Slice k is the k-th range in a row or, ``dealt``, every parts-th index from k."""
     parts = min(parts, total)
-    bounds = [0] + [total * k // parts for k in range(1, parts + 1)]
-    return list((pool.map if pool else map)(fn, bounds[:-1], bounds[1:]))
+    split = [
+        slice(k, total, parts) if dealt else slice(total * k // parts, total * (k + 1) // parts)
+        for k in range(parts)
+    ]
+    return list((pool.map if pool else map)(fn, split))
 
 
 def _syndromes(graph: TannerGraph, ch, spread, start, count) -> np.ndarray:
@@ -244,8 +248,9 @@ def _syndromes(graph: TannerGraph, ch, spread, start, count) -> np.ndarray:
     Each of its frame ranges is one ``sample_error`` call, and the ranges'
     syndromes are joined in frame order.
     """
-    def sample(lo, hi):
-        return graph.syndromes(sample_error(ch, graph.n, start + lo, count=hi - lo))
+    def sample(part):
+        lo, hi = start + part.start, start + part.stop
+        return graph.syndromes(sample_error(ch, graph.n, lo, count=hi - lo))
 
     parts = spread(sample, count)
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -257,11 +262,12 @@ def _outcomes(graph: TannerGraph, decoder_cfg, l0, memo: dict, spread, syndromes
     The decoder is a deterministic function of the syndrome, so each
     distinct syndrome is decoded once, and only if ``memo`` (packed
     syndrome -> ``2 * iterations + fail``) lacks it, in one ``decode_batch``
-    call per row range of ``spread``.  On a graph with ``ell`` the distinct
+    call per part of ``spread``, each dealt every N-th miss (later keys
+    carry more decoder work).  On a graph with ``ell`` the distinct
     syndromes are grouped by orbit (``_orbit_keys``), the memo is keyed by
-    orbit and one syndrome of each orbit is decoded.  ``decoded`` counts
-    the rows decoded.  Only the calling thread touches ``memo``, and it
-    stores at most the room left below MEMO_ENTRIES.
+    orbit and one syndrome of each orbit is decoded.  ``decoded`` counts the
+    rows decoded.  Only the calling thread touches ``memo``, and it stores
+    at most the room left below MEMO_ENTRIES.
     """
     packed = np.packbits(syndromes, axis=1)
     rows, first, inverse = np.unique(
@@ -276,32 +282,50 @@ def _outcomes(graph: TannerGraph, decoder_cfg, l0, memo: dict, spread, syndromes
     outcome = np.array([memo.get(key, -1) for key in keys], dtype=np.int64)
     miss = np.flatnonzero(outcome < 0)
 
-    def decode(lo, hi):
-        res = decode_batch(graph, syndromes[first[miss[lo:hi]]], l0, decoder_cfg)
-        outcome[miss[lo:hi]] = 2 * res.iterations + ~res.success
+    def decode(part):
+        res = decode_batch(graph, syndromes[first[miss[part]]], l0, decoder_cfg)
+        outcome[miss[part]] = 2 * res.iterations + ~res.success
 
-    spread(decode, miss.size)
+    spread(decode, miss.size, dealt=True)
     stored = miss[: max(MEMO_ENTRIES - len(memo), 0)]
     memo.update(zip([keys[i] for i in stored], outcome[stored].tolist()))
     outcome = outcome[inverse]
     return outcome % 2 == 1, outcome // 2, int(miss.size)
 
 
-def _batch_size(cfg: SweepConfig, frames, failures) -> int:
-    """Frames of the batch after frames [0, frames), which hold ``failures``.
+@dataclass(frozen=True)
+class _Tally:
+    """Frames counted, their failures and iterations, frames sampled, rows decoded."""
 
-    The batch runs to the frame where the observed failure rate predicts
-    the target, clamped to [MIN_BATCH, BATCH_FRAMES]; with no observation it
-    is MIN_BATCH, with no failure yet BATCH_FRAMES.
-    """
-    if frames == 0:
+    frames: int = 0
+    failures: int = 0
+    iterations: int = 0
+    sampled: int = 0
+    decoded: int = 0
+
+    def add(self, cfg: SweepConfig, fails, iters, decoded: int) -> _Tally:
+        """The tally after the next batch, whose frames count through the stopping frame."""
+        stop = np.searchsorted(np.cumsum(fails), cfg.target_failures - self.failures) + 1
+        return _Tally(
+            self.frames + len(fails[:stop]), self.failures + int(fails[:stop].sum()),
+            self.iterations + int(iters[:stop].sum()),
+            self.sampled + len(fails), self.decoded + decoded,
+        )
+
+
+def _batch_size(cfg: SweepConfig, tally: _Tally) -> int:
+    """Frames of the batch after the frames ``tally`` counted: it runs to the
+    frame where the observed failure rate predicts the target, clamped to
+    [MIN_BATCH, BATCH_FRAMES]; with no observation it is MIN_BATCH, with no
+    failure yet BATCH_FRAMES."""
+    if tally.frames == 0:
         size = MIN_BATCH
-    elif failures == 0:
+    elif tally.failures == 0:
         size = BATCH_FRAMES
     else:
-        predicted = -(-frames * cfg.target_failures // failures)
-        size = min(max(predicted - frames, MIN_BATCH), BATCH_FRAMES)
-    return min(size, cfg.max_frames - frames)
+        predicted = -(-tally.frames * cfg.target_failures // tally.failures)
+        size = min(max(predicted - tally.frames, MIN_BATCH), BATCH_FRAMES)
+    return min(size, cfg.max_frames - tally.frames)
 
 
 def _usable_cpus() -> int:
@@ -319,54 +343,44 @@ def run_point(
     Stops at the smallest frame index where cumulative failures reach
     ``cfg.target_failures``, else at ``cfg.max_frames`` (recorded as a cap
     hit so partial points are never mistaken for converged estimates).
-    Each batch is sized by ``_batch_size`` from the batches before it and
-    counted only through the stopping frame; at N workers its sampling and
+    Each batch is sized by ``_batch_size`` and counted by ``_Tally.add``
+    from the tally of the batches before it; at N workers its sampling and
     decoding are split over a pool of at most N threads (fewer with fewer
     usable CPUs; none for one), shut down when the point ends.  ``H`` is
     the matrix ``graph`` was built from; the harness no longer reads it.
     """
     epsilon0 = epsilon if cfg.epsilon0_mode == "matched" else float(cfg.epsilon0)
     ch = DepolarizingChannel(epsilon=epsilon, rng_seed=cfg.seed)
-    l0, memo = prior_llr(epsilon0), {}
+    l0, memo, tally = prior_llr(epsilon0), {}, _Tally()
     threads = min(cfg.workers, _usable_cpus())
     pool = None if threads == 1 else ThreadPoolExecutor(threads)
     spread = partial(_spread, pool, threads)
-    frames = failures = iter_sum = sampled = decoded = 0
     try:
-        while frames < cfg.max_frames and failures < cfg.target_failures:
-            size = _batch_size(cfg, frames, failures)
-            syndromes = _syndromes(graph, ch, spread, frames, size)
-            fails, iters, rows = _outcomes(graph, cfg.decoder, l0, memo, spread, syndromes)
+        while tally.frames < cfg.max_frames and tally.failures < cfg.target_failures:
+            syndromes = _syndromes(graph, ch, spread, tally.frames, _batch_size(cfg, tally))
+            tally = tally.add(cfg, *_outcomes(graph, cfg.decoder, l0, memo, spread, syndromes))
             del syndromes  # not held while the next batch is sampled (peak RSS)
-            # count through the stopping frame, if this batch holds it
-            stop = np.searchsorted(np.cumsum(fails), cfg.target_failures - failures) + 1
-            fails, iters = fails[:stop], iters[:stop]
-            sampled += size
-            decoded += rows
-            frames += len(fails)
-            failures += int(fails.sum())
-            iter_sum += int(iters.sum())
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
-    low, high = wilson_interval(failures, frames)
+    low, high = wilson_interval(tally.failures, tally.frames)
     point = FerPoint(
         epsilon=epsilon,
         epsilon0=epsilon0,
-        frames=frames,
-        failures=failures,
-        fer=failures / frames,
+        frames=tally.frames,
+        failures=tally.failures,
+        fer=tally.failures / tally.frames,
         wilson_low=low,
         wilson_high=high,
-        mean_iterations=iter_sum / frames,
-        cap_hit=failures < cfg.target_failures,
+        mean_iterations=tally.iterations / tally.frames,
+        cap_hit=tally.failures < cfg.target_failures,
         config_digest=config_digest(cfg),
         seed=cfg.seed,
     )
     log.info(
         "point eps=%g fer=%g (%d/%d frames) CI=[%g, %g], decoded %d %s of %d%s",
-        epsilon, point.fer, failures, frames, low, high, decoded,
-        "distinct" if graph.ell is None else "orbits", sampled,
+        epsilon, point.fer, tally.failures, tally.frames, low, high, tally.decoded,
+        "distinct" if graph.ell is None else "orbits", tally.sampled,
         " cap-hit" if point.cap_hit else "",
     )
     return point

@@ -5,10 +5,11 @@ brute-force enumeration, sharing no machinery with the package internals:
 single-Pauli composition and the symplectic pair -> code map,
 dense GF(2) bit-plane syndrome/orthogonality/rank, a pairwise
 row-intersection commutation check, polynomial-gcd dimension
-counting for generalized bicycle codes, exhaustive 4^n posterior
-enumeration for small codes, and a scalar reference decoder composed from
-the per-node update rules below (to cross-check the vectorized kernel; it
-takes only each node's slot order from the Tanner graph).
+counting for generalized bicycle codes, a frame-by-frame stop rule,
+exhaustive 4^n posterior enumeration for small codes, and a scalar
+reference decoder composed from the per-node update rules below (to
+cross-check the vectorized kernel; it takes only each node's slot order
+from the Tanner graph).
 """
 
 from __future__ import annotations
@@ -150,6 +151,26 @@ def orbit_key(syndrome, ell: int) -> tuple[int, ...]:
     rotations, each a tuple of bits."""
     halves = np.asarray(syndrome).reshape(2, ell)
     return min(tuple(np.roll(halves, t, axis=1).ravel().tolist()) for t in range(ell))
+
+
+def stop_rule_counts(target: int, max_frames: int, batches) -> tuple[int, ...]:
+    """(frames, failures, iterations, sampled, decoded) of a point fed
+    ``batches`` of (fails, iterations, decoded rows), frame by frame: a
+    frame is counted while fewer than ``target`` failures and ``max_frames``
+    frames are, and a batch is sampled and decoded whole if it is started."""
+    frames = failures = iterations = sampled = decoded = 0
+    for fails, iters, rows in batches:
+        if failures >= target or frames >= max_frames:
+            break
+        sampled += len(fails)
+        decoded += rows
+        for fail, its in zip(fails, iters):
+            if failures >= target or frames >= max_frames:
+                break
+            frames += 1
+            failures += int(fail)
+            iterations += int(its)
+    return frames, failures, iterations, sampled, decoded
 
 
 # -- exhaustive posterior enumeration (small n) -------------------------------

@@ -473,10 +473,12 @@ def test_failure_exits_with_one_stderr_line(tmp_path, capsys, argv, exit_code, p
     for name, gb_line in GB_LINE_MISMATCH.items():
         (tmp_path / f"gb-{name}.qpc").write_text(toy_with_gb_line(gb_line))
     argv = [arg.format(tmp=tmp_path, codes=CODES_DIR) for arg in argv]
-    code, _, stderr = run_cli(capsys, *argv)
+    code, stdout, stderr = run_cli(capsys, *argv)
     assert code == exit_code
     assert stderr.startswith(prefix) and stderr.count("\n") == 1
     assert "Traceback" not in stderr
+    if exit_code == 2:  # bad input is refused before anything is printed
+        assert stdout == ""
 
 
 def test_corrupted_point_file_exits_with_one_stderr_line(tmp_path, capsys):

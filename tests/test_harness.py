@@ -7,7 +7,7 @@ import math
 import os
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import astuple, replace
 from functools import partial
 
 import numpy as np
@@ -26,6 +26,7 @@ from qsagms.harness import (
     _batch_size,
     _outcomes,
     _syndromes,
+    _Tally,
     _write_text,
     canonical_json,
     config_digest,
@@ -35,7 +36,7 @@ from qsagms.harness import (
 )
 from qsagms.pauli import PAULI_Z
 
-from .oracles import orbit_key
+from .oracles import orbit_key, stop_rule_counts
 
 
 @pytest.fixture(autouse=True)
@@ -266,7 +267,7 @@ BATCH_SIZE_CASES = [
 )
 def test_batch_size_rule(max_frames, frames, failures, size):
     cfg = _sweep(target_failures=50, max_frames=max_frames)
-    assert _batch_size(cfg, frames, failures) == size
+    assert _batch_size(cfg, _Tally(frames, failures)) == size
 
 
 def _batch_rows(monkeypatch) -> tuple[list[int], list[int]]:
@@ -345,9 +346,9 @@ def test_batch_plan_pins(small_code, small_graph, monkeypatch, point, workers):
     monkeypatch.setattr(harness, "_usable_cpus", lambda: workers)  # N threads on any host
     plan = []
 
-    def recording(cfg, frames, failures):
-        size = _batch_size(cfg, frames, failures)
-        plan.append((frames, size))
+    def recording(cfg, tally):
+        size = _batch_size(cfg, tally)
+        plan.append((tally.frames, size))
         return size
 
     monkeypatch.setattr(harness, "_batch_size", recording)
@@ -359,11 +360,60 @@ def test_batch_plan_pins(small_code, small_graph, monkeypatch, point, workers):
 
 @pytest.mark.parametrize("parts, total", [(1, 5), (2, 5), (3, 2), (2, 0), (3, 4096)])
 def test_spread_makes_ordered_non_empty_ranges(parts, total):
-    ranges = harness._spread(None, parts, lambda lo, hi: (lo, hi), total)
+    ranges = harness._spread(None, parts, lambda part: (part.start, part.stop), total)
     assert len(ranges) == min(parts, total)  # no call at all for no rows
     assert all(lo < hi for lo, hi in ranges)
     assert [hi for _, hi in ranges[:-1]] == [lo for lo, _ in ranges[1:]]  # contiguous
     assert ranges == [] or (ranges[0][0], ranges[-1][1]) == (0, total)
+    dealt = harness._spread(None, parts, lambda part: list(range(total)[part]), total, dealt=True)
+    assert dealt == [list(range(k, total, len(ranges))) for k in range(len(ranges))]
+
+
+@pytest.mark.parametrize("point", ["memo", "converging"])
+def test_two_workers_deal_the_rows_to_decode(small_code, small_graph, monkeypatch, point):
+    # later memo keys carry more decoder work, so each of 2 workers takes
+    # every other row of the one call a batch makes at 1 worker, not a half
+    make, eps = {"memo": (_memo_sweep, 0.1), "converging": (_converging_sweep, 0.03)}[point]
+    batches = []
+
+    def scoring(*args):
+        batches.append([])  # the rows of each decode_batch call of this batch
+        return _outcomes(*args)
+
+    def decoding(graph, syndromes, *args):
+        batches[-1].append(syndromes)
+        return decode_batch(graph, syndromes, *args)
+
+    monkeypatch.setattr(harness, "_outcomes", scoring)
+    monkeypatch.setattr(harness, "decode_batch", decoding)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)  # two threads on any host
+    run_point(small_code, small_graph, make(workers=1), epsilon=eps)
+    one = batches[:]
+    batches.clear()
+    run_point(small_code, small_graph, make(workers=2), epsilon=eps)
+    assert len(batches) == len(one) >= 2
+    for (rows,), parts in zip(one, batches):
+        assert len(rows) >= 2
+        want = sorted([rows[0::2].tobytes(), rows[1::2].tobytes()])
+        assert sorted(part.tobytes() for part in parts) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_tally_matches_the_frame_by_frame_stop_rule(data):
+    target = data.draw(st.integers(1, 12), label="target_failures")
+    max_frames = data.draw(st.integers(1, 80), label="max_frames")
+    cap = data.draw(st.integers(1, 30), label="batch cap")
+    cfg = _sweep(target_failures=target, max_frames=max_frames)
+    tally, batches = _Tally(), []
+    while tally.frames < max_frames and tally.failures < target:
+        size = data.draw(st.integers(1, min(cap, max_frames - tally.frames)), label="size")
+        fails = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        iters = data.draw(st.lists(st.integers(0, 8), min_size=size, max_size=size))
+        batch = (np.array(fails), np.array(iters, dtype=np.int64), data.draw(st.integers(0, size)))
+        batches.append(batch)
+        tally = tally.add(cfg, *batch)
+    assert astuple(tally) == stop_rule_counts(target, max_frames, batches)
 
 
 def test_no_worker_outlives_an_early_stop(small_code, small_graph):
