@@ -1,12 +1,14 @@
 """Depolarizing channel sampling and channel-prior LLR.
 
-Each qubit independently suffers I with probability 1 - epsilon and each of
-X, Y, Z with probability epsilon/3.  Sampling is counter-based: a Philox
-generator keyed by ``(seed, stream_id)`` draws one uniform per qubit, mapped
-through the inverse CDF in the fixed order (I, X, Y, Z).  Identical
-``(seed, stream_id, n, epsilon)`` therefore reproduce the same error pattern
-on any platform, and distinct stream ids give independent streams; the
-sampled values are part of the regression-test contract.
+A channel is its rate epsilon and master seed, which ``sample_error`` takes
+and checks with its other arguments.  Each qubit independently suffers I
+with probability 1 - epsilon and each of X, Y, Z with probability
+epsilon/3.  Sampling is counter-based: a Philox generator keyed by
+``(seed, stream_id)`` draws one uniform per qubit, mapped through the
+inverse CDF in the fixed order (I, X, Y, Z).  Identical ``(seed,
+stream_id, n, epsilon)`` therefore reproduce the same error pattern on any
+platform, and distinct stream ids give independent streams; the sampled
+values are part of the regression-test contract.
 
 The Philox4x64-10 rounds are integer arithmetic on (key, counter), so they
 run in numpy over many frames at once: ``sample_error`` samples a range of
@@ -17,7 +19,6 @@ consecutive stream ids in one call, word for word what numpy's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,25 +33,6 @@ def check_int(name: str, value) -> None:
     """Reject a non-``int``, or a bool, where an integer field enters."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an int, got {value!r}")
-
-
-@dataclass(frozen=True)
-class DepolarizingChannel:
-    """True channel: depolarization probability and master seed.
-
-    ``epsilon = 0`` is accepted as the degenerate noiseless limit (useful in
-    tests); decoding priors require strictly positive rates.
-    """
-
-    epsilon: float
-    rng_seed: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
-        check_int("rng_seed", self.rng_seed)
-        if not 0 <= self.rng_seed < SEED_LIMIT:
-            raise ValueError(f"rng_seed must lie in [0, 2**64), got {self.rng_seed}")
 
 
 def prior_llr(epsilon0: float) -> float:
@@ -86,16 +68,24 @@ _PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[
 _PAULI_OF_RANK = np.array([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z], dtype=np.uint8)
 
 
-def sample_error(ch: DepolarizingChannel, n: int, stream_id: int, count: int) -> np.ndarray:
+def sample_error(epsilon: float, rng_seed: int, n: int, stream_id: int, count: int) -> np.ndarray:
     """Draw ``count`` i.i.d. depolarizing error patterns as a ``(count, n)`` batch.
 
-    ``stream_id`` addresses the first frame: row i is the frame ``stream_id +
-    i``, whose Philox key is (seed, stream_id + i), and the draw index
-    within a stream is the qubit index.  So a row equals the one-row batch
-    of its own stream id.
+    ``epsilon`` is the true rate; 0, the noiseless limit, is accepted (useful
+    in tests), although decoding priors need a positive rate.  ``stream_id``
+    addresses the first frame: row i is the frame ``stream_id + i``, whose
+    Philox key is (rng_seed, stream_id + i), and the draw index within a
+    stream is the qubit index.  So a row equals the one-row batch of its own
+    stream id.  Every argument is checked before any Philox work.
     """
-    for name, value in (("stream_id", stream_id), ("n", n), ("count", count)):
+    if not 0.0 <= epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
+    for name, value in (
+        ("rng_seed", rng_seed), ("stream_id", stream_id), ("n", n), ("count", count)
+    ):
         check_int(name, value)
+    if not 0 <= rng_seed < SEED_LIMIT:
+        raise ValueError(f"rng_seed must lie in [0, 2**64), got {rng_seed}")
     if n < 1:
         raise ValueError("n must be at least 1")
     if count < 0:
@@ -107,11 +97,11 @@ def sample_error(ch: DepolarizingChannel, n: int, stream_id: int, count: int) ->
     out = np.empty((count, n), dtype=np.uint8)
     # t_x <= t_y <= t_z (tested), so a draw's rank in (I, X, Y, Z) is the
     # number of thresholds at or below it; at epsilon 0 all three are 2**53
-    t_x, t_y, t_z = (np.uint64(t) for t in _thresholds(ch.epsilon))
+    t_x, t_y, t_z = (np.uint64(t) for t in _thresholds(epsilon))
     blocks = -(-n // 4)
     for lo in range(0, count, _CHUNK_FRAMES):
         hi = min(lo + _CHUNK_FRAMES, count)
-        draws = _philox(ch.rng_seed, stream_id + lo, hi - lo, blocks)[:, :n]
+        draws = _philox(rng_seed, stream_id + lo, hi - lo, blocks)[:, :n]
         draws >>= np.uint64(11)  # the 53-bit integer m of u = m * 2**-53
         rank = (draws >= t_x).view(np.uint8) + (draws >= t_y).view(np.uint8)
         rank += (draws >= t_z).view(np.uint8)

@@ -20,7 +20,7 @@ On-disk format ("QPC 1", UTF-8, LF, '#' starts a comment):
     gb ell=<int> a=<e0,e1,...> b=<e0,...>     (optional provenance line)
     <i>: <j>:<S> <j>:<S> ...                  (one line per row, i = 0..m-1)
 
-with S in {X, Y, Z} and columns strictly increasing within a row.
+with each key once, S in {X, Y, Z} and columns strictly increasing in a row.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ class TannerGraph:
     (d_c, m) arrays in the order of row i of the matrix (column order, once
     validated), and qubit j's edges column j of the (d_v, n) arrays in
     check order.  Lower-degree nodes are padded with slots of symbol 0
-    (identity), which is how kernels tell them apart, and qubit 0.
+    (identity), so a node's degree is its count of nonzero symbols.
 
     A generalized bicycle matrix instead orders its slots by circulant
     offset, and ``ell`` records its circulant size (None otherwise): check
@@ -163,16 +163,13 @@ class TannerGraph:
     decodes a jointly rotated syndrome to the rotated messages, bit for bit.
 
     ``to_check`` maps slot k of check i to row t * n + j of the stacked
-    qubit planes, where it is slot t of qubit j, and ``to_qubit`` back to
-    row k * m + i: the rows one ``np.take`` reads to change layout, and for
-    padding the row after the planes.
+    qubit planes, where it is slot t of qubit j (so j is that row mod n),
+    and ``to_qubit`` back to row k * m + i: the rows one ``np.take`` reads
+    to change layout, and for padding the row after the planes.
     """
 
     n: int
     m: int
-    cn_degrees: np.ndarray
-    vn_degrees: np.ndarray
-    cn_vn: np.ndarray = field(repr=False)
     cn_sym: np.ndarray = field(repr=False)
     to_check: np.ndarray = field(repr=False)
     vn_sym: np.ndarray = field(repr=False)
@@ -181,7 +178,12 @@ class TannerGraph:
 
     @property
     def edge_count(self) -> int:
-        return int(self.cn_degrees.sum())
+        return int(np.count_nonzero(self.cn_sym))
+
+    @cached_property
+    def _qubits(self) -> np.ndarray:
+        """(d_c, m) qubit of each check slot, qubit 0 for padding."""
+        return self.to_check % self.n
 
     @cached_property
     def _anti(self) -> np.ndarray:
@@ -205,7 +207,7 @@ class TannerGraph:
         e = np.asarray(e)
         if e.shape[-1:] != (self.n,):
             raise ValueError(f"error patterns of shape {e.shape} need {self.n} qubits")
-        t = np.take(np.moveaxis(e, -1, 0), self.cn_vn, axis=0)
+        t = np.take(np.moveaxis(e, -1, 0), self._qubits, axis=0)
         anti = self._anti.reshape(self._anti.shape + (1,) * (e.ndim - 1))
         np.bitwise_and(np.right_shift(anti, t, out=t), 1, out=t)
         return np.ascontiguousarray(np.moveaxis(np.bitwise_xor.reduce(t, axis=0), 0, -1))
@@ -214,9 +216,9 @@ class TannerGraph:
 def check_decodable(graph: TannerGraph) -> None:
     """Raise ValueError unless every check and every qubit has an edge, as
     message passing needs; a valid stabilizer matrix may lack one."""
-    for kind, degrees in (("check", graph.cn_degrees), ("qubit", graph.vn_degrees)):
-        if not degrees.all():
-            node = f"{kind} {degrees.argmin()}"
+    for kind, linked in (("check", graph.cn_sym.any(0)), ("qubit", graph.vn_sym.any(0))):
+        if not linked.all():
+            node = f"{kind} {linked.argmin()}"
             raise ValueError(f"graph has isolated checks or qubits ({node})")
 
 
@@ -231,10 +233,8 @@ def tanner_graph(H: SparseCheckMatrix) -> TannerGraph:
         if not _gb_builds(H):
             raise ValueError("gb line does not match the rows")
         ell = H.gb.ell
-    cn_degrees = np.array([len(row) for row in H.rows], dtype=np.int64)
     vn_degrees = np.bincount([j for row in H.rows for j, _ in row], minlength=H.n)
-    d_c, d_v = int(cn_degrees.max(initial=0)), int(vn_degrees.max(initial=0))
-    cn_vn = np.zeros((d_c, H.m), dtype=np.int64)
+    d_c, d_v = max(map(len, H.rows), default=0), int(vn_degrees.max(initial=0))
     cn_sym = np.zeros((d_c, H.m), dtype=np.uint8)
     to_check = np.full((d_c, H.m), d_v * H.n, dtype=np.int64)
     vn_sym = np.zeros((d_v, H.n), dtype=np.uint8)
@@ -252,11 +252,9 @@ def tanner_graph(H: SparseCheckMatrix) -> TannerGraph:
     for i, k, j, sym in edges:
         t = filled[j]
         filled[j] += 1
-        cn_vn[k, i], cn_sym[k, i], to_check[k, i] = j, sym, t * H.n + j
+        cn_sym[k, i], to_check[k, i] = sym, t * H.n + j
         vn_sym[t, j], to_qubit[t, j] = sym, k * H.m + i
-    return TannerGraph(
-        H.n, H.m, cn_degrees, vn_degrees, cn_vn, cn_sym, to_check, vn_sym, to_qubit, ell
-    )
+    return TannerGraph(H.n, H.m, cn_sym, to_check, vn_sym, to_qubit, ell)
 
 
 def _circulant_columns(ell: int, exponents, shift_sign: int = 1):
@@ -379,10 +377,8 @@ def parse_code(data: bytes, validate: bool = True) -> SparseCheckMatrix:
 
     num, dims = lines[1]
     try:
-        fields = dict(part.split("=", 1) for part in dims.split())
-        n = int(fields["n"])
-        m = int(fields["m"])
-    except (ValueError, KeyError):
+        (n,), (m,) = _int_fields(dims, "n", "m")
+    except ValueError:
         raise CodeFormatError(f"expected 'n=<int> m=<int>', got {dims!r}", num) from None
     if n < 1 or m < 1:
         raise CodeFormatError("n and m must be positive", num)
@@ -394,13 +390,9 @@ def parse_code(data: bytes, validate: bool = True) -> SparseCheckMatrix:
     if body and body[0][1].startswith("gb "):
         gb_num, text = body[0]
         try:
-            fields = dict(part.split("=", 1) for part in text[3:].split())
-            gb = GbSpec(
-                ell=int(fields["ell"]),
-                a_exponents=tuple(int(e) for e in fields["a"].split(",")),
-                b_exponents=tuple(int(e) for e in fields["b"].split(",")),
-            )
-        except (ValueError, KeyError) as exc:
+            (ell,), a, b = _int_fields(text[3:], "ell", "a", "b")
+            gb = GbSpec(ell, a, b)
+        except ValueError as exc:
             raise CodeFormatError(f"bad gb line: {exc}", gb_num) from None
         body = body[1:]
 
@@ -438,3 +430,11 @@ def parse_code(data: bytes, validate: bool = True) -> SparseCheckMatrix:
     if validate or gb is not None:
         _check_commuting(H)
     return H
+
+
+def _int_fields(text: str, *keys: str) -> list[tuple[int, ...]]:
+    """The comma-separated ints of each of ``keys``, each once in ``text``'s key=value parts."""
+    pairs = [part.split("=", 1) for part in text.split()]
+    if sorted(key for key, *_ in pairs) != sorted(keys):
+        raise ValueError(f"expected the keys {', '.join(keys)} once each, got {text!r}")
+    return [tuple(map(int, dict(pairs)[key].split(","))) for key in keys]

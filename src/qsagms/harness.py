@@ -53,7 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import SEED_LIMIT, DepolarizingChannel, check_int, prior_llr, sample_error
+from .channel import SEED_LIMIT, check_int, prior_llr, sample_error
 from .code import SparseCheckMatrix, TannerGraph
 from .decoder import DecoderConfig, decode_batch
 
@@ -241,8 +241,8 @@ def _spread(pool, parts: int, fn, total: int, dealt: bool = False) -> list:
     return list((pool.map if pool else map)(fn, split))
 
 
-def _syndromes(graph: TannerGraph, ch, spread, start, count) -> np.ndarray:
-    """Syndromes of frames [start, start+count) of channel ``ch``, one row a frame.
+def _syndromes(graph: TannerGraph, epsilon, seed, spread, start, count) -> np.ndarray:
+    """Syndromes of frames [start, start+count) at ``epsilon`` and ``seed``, one row a frame.
 
     ``spread`` is ``_spread`` bound to the point's pool and thread count.
     Each of its frame ranges is one ``sample_error`` call, and the ranges'
@@ -250,7 +250,7 @@ def _syndromes(graph: TannerGraph, ch, spread, start, count) -> np.ndarray:
     """
     def sample(part):
         lo, hi = start + part.start, start + part.stop
-        return graph.syndromes(sample_error(ch, graph.n, lo, count=hi - lo))
+        return graph.syndromes(sample_error(epsilon, seed, graph.n, lo, count=hi - lo))
 
     parts = spread(sample, count)
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -350,14 +350,14 @@ def run_point(
     the matrix ``graph`` was built from; the harness no longer reads it.
     """
     epsilon0 = epsilon if cfg.epsilon0_mode == "matched" else float(cfg.epsilon0)
-    ch = DepolarizingChannel(epsilon=epsilon, rng_seed=cfg.seed)
     l0, memo, tally = prior_llr(epsilon0), {}, _Tally()
     threads = min(cfg.workers, _usable_cpus())
     pool = None if threads == 1 else ThreadPoolExecutor(threads)
     spread = partial(_spread, pool, threads)
     try:
         while tally.frames < cfg.max_frames and tally.failures < cfg.target_failures:
-            syndromes = _syndromes(graph, ch, spread, tally.frames, _batch_size(cfg, tally))
+            batch = _batch_size(cfg, tally)
+            syndromes = _syndromes(graph, epsilon, cfg.seed, spread, tally.frames, batch)
             tally = tally.add(cfg, *_outcomes(graph, cfg.decoder, l0, memo, spread, syndromes))
             del syndromes  # not held while the next batch is sampled (peak RSS)
     finally:

@@ -363,10 +363,11 @@ def reference_decode(
     graph = tanner_graph(H)
     symbol = {(i, j): sym for i, row in enumerate(H.rows) for j, sym in row}
     cn_members = [
-        [(i, int(graph.cn_vn[k, i])) for k in range(graph.cn_degrees[i])] for i in range(H.m)
+        [(i, int(graph.to_check[k, i]) % H.n) for k in np.flatnonzero(graph.cn_sym[:, i])]
+        for i in range(H.m)
     ]
     vn_members = [
-        [(int(graph.to_qubit[t, j]) % H.m, j) for t in range(graph.vn_degrees[j])]
+        [(int(graph.to_qubit[t, j]) % H.m, j) for t in np.flatnonzero(graph.vn_sym[:, j])]
         for j in range(H.n)
     ]
     # the graph gives only the order; the edges themselves come from H
@@ -429,11 +430,11 @@ def edge_messages(graph, record, row: int = 0):
     """(vn_to_cn, cn_to_vn) messages of one row of a traced
     ``IterationRecord``, as dictionaries keyed by (check, qubit) like those
     of ``reference_decode``'s record.  The graph's own slot maps name the
-    edges: slot k of check i reaches qubit ``cn_vn[k, i]``, and slot t of
-    qubit j comes from check ``to_qubit[t, j] % m``, the check of row
+    edges: slot k of check i reaches qubit ``to_check[k, i] % n``, and slot
+    t of qubit j comes from check ``to_qubit[t, j] % m``, the check of row
     k * m + i of the check planes; padding slots (symbol 0) are left out."""
     vn_to_cn = {
-        (int(i), int(graph.cn_vn[k, i])): float(record.vmsg[row, i, k])
+        (int(i), int(graph.to_check[k, i]) % graph.n): float(record.vmsg[row, i, k])
         for i, k in zip(*np.nonzero(graph.cn_sym.T))
     }
     cn_to_vn = {

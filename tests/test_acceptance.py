@@ -21,7 +21,7 @@ from qsagms.analysis import (
     op_count,
     transfer,
 )
-from qsagms.channel import DepolarizingChannel, prior_llr, sample_error
+from qsagms.channel import prior_llr, sample_error
 from qsagms.code import SparseCheckMatrix, GbSpec, build_gb, tanner_graph
 from qsagms.decoder import DecoderConfig, GainParams, decode_batch
 from qsagms.harness import SweepConfig, run_sweep, wilson_interval
@@ -48,12 +48,11 @@ def _fer(graph, variant, eps, n_frames, seed=20260810, l_max=8, **kw):
     """FER over a fixed frame count; matched prior; frames keyed by index."""
     cfg = DecoderConfig(variant, l_max=l_max, **kw)
     prior = prior_llr(eps)
-    ch = DepolarizingChannel(eps, seed)
     batch = 4096
     failures = 0
     for start in range(0, n_frames, batch):
         count = min(batch, n_frames - start)
-        syndromes = graph.syndromes(sample_error(ch, graph.n, start, count=count))
+        syndromes = graph.syndromes(sample_error(eps, seed, graph.n, start, count=count))
         res = decode_batch(graph, syndromes, prior, cfg)
         failures += int((~res.success).sum())
     lo, hi = wilson_interval(failures, n_frames)
@@ -96,8 +95,7 @@ def test_criterion_3_transfer_never_exceeds_input():
 
 def _equivalence_frames(H, graph, cfg_a, cfg_b, n_frames, eps, seed, n_traj):
     prior = prior_llr(eps)
-    ch = DepolarizingChannel(eps, seed)
-    syndromes = graph.syndromes(sample_error(ch, H.n, 0, count=n_frames))
+    syndromes = graph.syndromes(sample_error(eps, seed, H.n, 0, count=n_frames))
     ra = decode_batch(graph, syndromes, prior, cfg_a)
     rb = decode_batch(graph, syndromes, prior, cfg_b)
     results_equal = (

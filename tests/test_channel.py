@@ -8,13 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qsagms.channel import (
-    _CHUNK_FRAMES,
-    DepolarizingChannel,
-    _thresholds,
-    prior_llr,
-    sample_error,
-)
+from qsagms import channel
+from qsagms.channel import _CHUNK_FRAMES, _thresholds, prior_llr, sample_error
 from qsagms.pauli import PAULI_X, PAULI_Y, PAULI_Z
 
 
@@ -55,44 +50,57 @@ def test_prior_sign_flips_at_three_quarters():
 
 
 def test_channel_epsilon_range():
-    DepolarizingChannel(0.0, 1)  # degenerate noiseless limit allowed
-    with pytest.raises(ValueError):
-        DepolarizingChannel(1.0, 1)
-    with pytest.raises(ValueError):
-        DepolarizingChannel(-0.1, 1)
+    assert sample_error(0.0, 1, 8, 0, count=1).shape == (1, 8)  # noiseless limit allowed
+    for bad in (1.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="epsilon must lie in"):
+            sample_error(bad, 1, 8, 0, count=1)
 
 
 def test_channel_rejects_aliasing_seeds():
     # each is one 64-bit Philox key word; outside [0, 2**64) it would alias
     for seed in (-1, 2**64, 2**64 + 7):
         with pytest.raises(ValueError, match="rng_seed"):
-            DepolarizingChannel(0.1, seed)
-    ch = DepolarizingChannel(0.1, 2**64 - 1)
+            sample_error(0.1, seed, 8, 0, count=1)
+    seed = 2**64 - 1
     for stream_id in (-1, 2**64):
         with pytest.raises(ValueError, match="stream_id"):
-            sample_error(ch, 8, stream_id=stream_id, count=1)
-    assert sample_error(ch, 8, stream_id=2**64 - 1, count=1).shape == (1, 8)
+            sample_error(0.1, seed, 8, stream_id=stream_id, count=1)
+    assert sample_error(0.1, seed, 8, stream_id=2**64 - 1, count=1).shape == (1, 8)
     # a batch of frames stream_id .. stream_id + count - 1 must not wrap
     for stream_id, count in ((2**64 - 3, 4), (2**64 - 1, 2), (0, 2**64 + 1), (2**64, 0)):
         with pytest.raises(ValueError, match="stream_id"):
-            sample_error(ch, 8, stream_id, count=count)
+            sample_error(0.1, seed, 8, stream_id, count=count)
     with pytest.raises(ValueError, match="count"):
-        sample_error(ch, 8, 0, count=-1)
-    assert sample_error(ch, 8, 2**64 - 3, count=3).shape == (3, 8)
-    assert sample_error(ch, 8, 2**64 - 1, count=0).shape == (0, 8)
-    assert sample_error(ch, 8, 5, count=0).shape == (0, 8)
-    noiseless = sample_error(DepolarizingChannel(0.0, 3), 8, 2**64 - 9, count=9)
+        sample_error(0.1, seed, 8, 0, count=-1)
+    assert sample_error(0.1, seed, 8, 2**64 - 3, count=3).shape == (3, 8)
+    assert sample_error(0.1, seed, 8, 2**64 - 1, count=0).shape == (0, 8)
+    assert sample_error(0.1, seed, 8, 5, count=0).shape == (0, 8)
+    noiseless = sample_error(0.0, 3, 8, 2**64 - 9, count=9)
     assert noiseless.shape == (9, 8) and not noiseless.any()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [(float("nan"), 1, 8, 0, 1), (1.0, 1, 8, 0, 1), (0.1, 2**64, 8, 0, 1), (0.1, True, 8, 0, 1),
+     (0.1, 1.0, 8, 0, 1), (0.1, 1, 0, 0, 1), (0.1, 1, 8, 2**64 - 1, 2), (0.1, 1, 8, 0, -1)],
+    ids=["nan-rate", "rate-1", "seed-2**64", "bool-seed", "float-seed", "n-0", "wrapping-range",
+         "negative-count"],
+)
+def test_sample_error_checks_before_philox(monkeypatch, args):
+    def philox(*_):
+        raise AssertionError("Philox ran on arguments that sample_error rejects")
+
+    monkeypatch.setattr(channel, "_philox", philox)
+    with pytest.raises(ValueError):
+        sample_error(*args)
+
+
 def test_sample_error_noiseless_limit():
-    ch = DepolarizingChannel(0.0, 99)
-    assert not sample_error(ch, 1000, stream_id=0, count=1).any()
+    assert not sample_error(0.0, 99, 1000, stream_id=0, count=1).any()
 
 
 def test_sample_error_uniform_at_three_quarters():
-    ch = DepolarizingChannel(0.75, 7)
-    draws = sample_error(ch, 1_000_000, stream_id=0, count=1)[0]
+    draws = sample_error(0.75, 7, 1_000_000, stream_id=0, count=1)[0]
     counts = np.bincount(draws, minlength=4)
     # each symbol has p = 1/4; 3 sigma of Binomial(1e6, 1/4)
     sigma = math.sqrt(1_000_000 * 0.25 * 0.75)
@@ -101,33 +109,29 @@ def test_sample_error_uniform_at_three_quarters():
 
 
 def test_sample_error_marginal_rate():
-    ch = DepolarizingChannel(0.1, 7)
-    draws = sample_error(ch, 1_000_000, stream_id=3, count=1)[0]
+    draws = sample_error(0.1, 7, 1_000_000, stream_id=3, count=1)[0]
     flips = int((draws != 0).sum())
     sigma = math.sqrt(1_000_000 * 0.1 * 0.9)  # binomial concentration
     assert abs(flips - 100_000) <= 3 * sigma
 
 
 def test_sample_error_reproducible():
-    ch = DepolarizingChannel(0.2, 1234)
-    a = sample_error(ch, 4096, stream_id=17, count=1)
-    b = sample_error(ch, 4096, stream_id=17, count=1)
+    a = sample_error(0.2, 1234, 4096, stream_id=17, count=1)
+    b = sample_error(0.2, 1234, 4096, stream_id=17, count=1)
     assert np.array_equal(a, b)
-    c = sample_error(ch, 4096, stream_id=18, count=1)
+    c = sample_error(0.2, 1234, 4096, stream_id=18, count=1)
     assert not np.array_equal(a, c)
 
 
 def test_sample_error_regression_pin():
     # the sampled stream is part of the package's compatibility contract
-    ch = DepolarizingChannel(0.2, 1234)
-    head = sample_error(ch, 16, stream_id=0, count=1)[0].tolist()
+    head = sample_error(0.2, 1234, 16, stream_id=0, count=1)[0].tolist()
     assert head == [0, 0, 0, 0, 0, 1, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0]
 
 
 def test_sample_error_streams_uncorrelated():
-    ch = DepolarizingChannel(0.3, 55)
-    a = (sample_error(ch, 100_000, stream_id=0, count=1)[0] != 0).astype(float)
-    b = (sample_error(ch, 100_000, stream_id=1, count=1)[0] != 0).astype(float)
+    a = (sample_error(0.3, 55, 100_000, stream_id=0, count=1)[0] != 0).astype(float)
+    b = (sample_error(0.3, 55, 100_000, stream_id=1, count=1)[0] != 0).astype(float)
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 0.01
 
@@ -136,9 +140,9 @@ def test_sample_error_streams_uncorrelated():
 def test_seed_and_stream_id_must_be_ints(value):
     # each is truncated into a Philox key word: seed 1.5 would draw seed 1's frames
     with pytest.raises(ValueError, match="rng_seed"):
-        DepolarizingChannel(0.1, value)
+        sample_error(0.1, value, 8, 0, count=1)
     with pytest.raises(ValueError, match="stream_id"):
-        sample_error(DepolarizingChannel(0.1, 1), 8, value, count=1)
+        sample_error(0.1, 1, 8, value, count=1)
 
 
 @pytest.mark.parametrize(
@@ -150,12 +154,12 @@ def test_sample_error_counts_must_be_ints(name, kw):
     # a float or bool count or n would otherwise reach np.empty as a TypeError
     args = {"n": 8, "stream_id": 0, "count": 1, **kw}
     with pytest.raises(ValueError, match=f"{name} must be an int"):
-        sample_error(DepolarizingChannel(0.1, 1), **args)
+        sample_error(0.1, 1, **args)
 
 
 def test_sample_error_rejects_bad_n():
     with pytest.raises(ValueError):
-        sample_error(DepolarizingChannel(0.1, 1), 0, stream_id=0, count=1)
+        sample_error(0.1, 1, 0, stream_id=0, count=1)
 
 
 #: SHA-256 of ``sample_error(..., count=4096)`` on n = 126, recorded from
@@ -171,16 +175,15 @@ BATCH_PINS = {
 
 @pytest.mark.parametrize("eps,seed,start", list(BATCH_PINS), ids=str)
 def test_sample_error_batch_pins(eps, seed, start):
-    errors = sample_error(DepolarizingChannel(eps, seed), 126, start, count=4096)
+    errors = sample_error(eps, seed, 126, start, count=4096)
     assert errors.shape == (4096, 126) and errors.dtype == np.uint8
     assert hashlib.sha256(errors.tobytes()).hexdigest() == BATCH_PINS[eps, seed, start]
 
 
-def _float_rule(ch: DepolarizingChannel, n: int, stream_id: int) -> np.ndarray:
+def _float_rule(eps: float, seed: int, n: int, stream_id: int) -> np.ndarray:
     """One frame from numpy's own Philox generator and the float inverse CDF."""
-    key = np.array([ch.rng_seed, stream_id], dtype=np.uint64)
+    key = np.array([seed, stream_id], dtype=np.uint64)
     u = np.random.Generator(np.random.Philox(key=key)).random(n)
-    eps = ch.epsilon
     out = np.zeros(n, dtype=np.uint8)
     if eps == 0.0:
         return out
@@ -204,14 +207,13 @@ def _float_rule(ch: DepolarizingChannel, n: int, stream_id: int) -> np.ndarray:
 @example(eps=0.01, seed=2**63 + 5, start=2**64, n=126, count=_CHUNK_FRAMES - 1)
 def test_batch_matches_one_frame_calls(eps, seed, start, n, count):
     start = min(start, 2**64 - count)  # the last frame is at most 2**64 - 1
-    ch = DepolarizingChannel(eps, seed)
-    batch = sample_error(ch, n, start, count=count)
+    batch = sample_error(eps, seed, n, start, count=count)
     assert batch.shape == (count, n) and batch.dtype == np.uint8
     for row, frame in enumerate(range(start, start + count)):
-        one = sample_error(ch, n, frame, count=1)[0]
+        one = sample_error(eps, seed, n, frame, count=1)[0]
         assert one.shape == (n,)
         assert np.array_equal(batch[row], one)
-        assert np.array_equal(one, _float_rule(ch, n, frame))
+        assert np.array_equal(one, _float_rule(eps, seed, n, frame))
 
 
 #: Rates whose thresholds t * 2**53 are exact integers, rates at and beside

@@ -95,19 +95,28 @@ def test_tanner_graph_single_entry():
     H = SparseCheckMatrix(n=1, rows=[[(0, PAULI_X)]])
     g = tanner_graph(H)
     assert g.edge_count == 1
-    assert g.cn_degrees.tolist() == [1] and g.vn_degrees.tolist() == [1]
+    assert [d.tolist() for d in _degrees(g)] == [[1], [1]]
 
 
-def _assert_slot_maps_round_trip(g):
-    """Each edge appears once on each side: ``to_check`` sends every real
-    check slot to a real qubit slot of the same qubit and symbol,
-    ``to_qubit`` sends it back, and padding slots hold the sentinel rows."""
+def _degrees(g):
+    """(check degrees, qubit degrees): each node's count of nonzero symbols."""
+    return np.count_nonzero(g.cn_sym, axis=0), np.count_nonzero(g.vn_sym, axis=0)
+
+
+def _assert_slot_maps_round_trip(g, H):
+    """Each edge appears once on each side: the real slots of check i hold
+    the (qubit ``to_check % n``, symbol) pairs of row i of ``H``,
+    ``to_check`` sends every real check slot to a real qubit slot of the
+    same qubit and symbol, ``to_qubit`` sends it back, and padding slots
+    hold the sentinel rows."""
     real_c, real_v = g.cn_sym != 0, g.vn_sym != 0
     at, back = g.to_check[real_c], g.to_qubit[real_v]
+    for i, row in enumerate(H.rows):
+        k = np.flatnonzero(real_c[:, i])
+        assert sorted(zip((g.to_check[k, i] % g.n).tolist(), g.cn_sym[k, i].tolist())) == row
     assert sorted(at.tolist()) == np.flatnonzero(real_v).tolist()
     assert sorted(back.tolist()) == np.flatnonzero(real_c).tolist()
     assert (g.to_qubit.ravel()[at] == np.flatnonzero(real_c)).all()
-    assert (at % g.n == g.cn_vn[real_c]).all()
     assert (g.vn_sym.ravel()[at] == g.cn_sym[real_c]).all()
     assert (g.to_check[~real_c] == g.vn_sym.size).all()
     assert (g.to_qubit[~real_v] == g.cn_sym.size).all()
@@ -116,21 +125,21 @@ def _assert_slot_maps_round_trip(g):
 def test_tanner_graph_toy(toy_code, toy_graph):
     g = toy_graph
     assert g.edge_count == 24
-    assert (g.cn_degrees == 4).all() and (g.vn_degrees == 4).all()
-    _assert_slot_maps_round_trip(g)
+    assert all((d == 4).all() for d in _degrees(g))
+    _assert_slot_maps_round_trip(g, toy_code)
     nonzeros = sum(len(row) for row in toy_code.rows)
     assert g.edge_count == nonzeros
 
 
-def test_tanner_graph_126_28(gb126_graph):
+def test_tanner_graph_126_28(gb126_code, gb126_graph):
     g = gb126_graph
     assert g.edge_count == 1260  # 126 checks of degree 10
     assert g.ell == 63
-    _assert_slot_maps_round_trip(g)
+    _assert_slot_maps_round_trip(g, gb126_code)
     # every check of a block, and every qubit of a half, holds its slots at
     # the same circulant offsets, in the same order
     node = np.arange(126)[:, None]
-    cn_offsets = (g.cn_vn.T - node) % 63
+    cn_offsets = (g.to_check.T % 126 - node) % 63
     vn_offsets = (g.to_qubit.T % 126 - node) % 63
     for offsets in (cn_offsets, vn_offsets):
         assert (offsets[:63] == offsets[0]).all() and (offsets[63:] == offsets[63]).all()
@@ -156,19 +165,20 @@ def test_tanner_graph_rejects_gb_that_does_not_build_the_rows(toy_code, gb_line)
 def test_tanner_graph_check_slots_follow_rows(tree_code, tree_graph):
     # irregular degrees: short rows are padded with qubit 0 and symbol I
     g = tree_graph
-    assert (g.cn_vn.dtype, g.cn_sym.dtype, g.vn_sym.dtype) == (np.int64, np.uint8, np.uint8)
-    assert g.to_check.dtype == g.to_qubit.dtype == g.cn_degrees.dtype == np.int64
+    assert (g._qubits.dtype, g.cn_sym.dtype, g.vn_sym.dtype) == (np.int64, np.uint8, np.uint8)
+    assert g.to_check.dtype == g.to_qubit.dtype == np.int64
+    cn_degrees, vn_degrees = _degrees(g)
     d_c = max(len(row) for row in tree_code.rows)
-    assert g.cn_vn.shape == g.cn_sym.shape == g.to_check.shape == (d_c, tree_code.m)
-    assert g.vn_sym.shape == g.to_qubit.shape == (g.vn_degrees.max(), tree_code.n)
+    assert g._qubits.shape == g.cn_sym.shape == g.to_check.shape == (d_c, tree_code.m)
+    assert g.vn_sym.shape == g.to_qubit.shape == (vn_degrees.max(), tree_code.n)
     for i, row in enumerate(tree_code.rows):
         pad = [0] * (d_c - len(row))
-        assert g.cn_vn[:, i].tolist() == [j for j, _ in row] + pad
+        assert g._qubits[:, i].tolist() == [j for j, _ in row] + pad  # what syndromes reads
         assert g.cn_sym[:, i].tolist() == [sym for _, sym in row] + pad
-    assert g.cn_degrees.tolist() == [len(row) for row in tree_code.rows]
-    assert g.vn_degrees.tolist() == np.bincount(g.cn_vn[g.cn_sym != 0]).tolist()
-    assert (g.vn_degrees < g.vn_degrees.max()).any()  # padded on both sides
-    _assert_slot_maps_round_trip(g)
+    assert cn_degrees.tolist() == [len(row) for row in tree_code.rows]
+    assert vn_degrees.tolist() == np.bincount(g._qubits[g.cn_sym != 0]).tolist()
+    assert (vn_degrees < vn_degrees.max()).any()  # padded on both sides
+    _assert_slot_maps_round_trip(g, tree_code)
 
 
 def test_save_load_round_trip(tmp_path, toy_code, gb126_code):
@@ -206,6 +216,12 @@ def test_load_rejects_anticommuting_rows(tmp_path):
         ("QPC 1\nn=1 m=1\n0: 0:Q\n", 3),
         ("QPC 1\nn=2 m=1\n0: 1:X 0:Z\n", 3),
         ("QPC 1\nn=1 m=1\n0: 2:X\n", 3),
+        ("QPC 1\nn=1 m=1 k=99\n0: 0:X\n", 2),  # unknown key
+        ("QPC 1\nn=1 m=2 m=1\n0: 0:X\n", 2),  # repeated key
+        ("QPC 1\nn=1 n=1 m=1\n0: 0:X\n", 2),
+        ("QPC 1\nn=2 m=2\ngb ell=1 a=0 b=0 c=1\n0: 0:X 1:X\n1: 0:Z 1:Z\n", 3),
+        ("QPC 1\nn=2 m=2\ngb ell=1 a=0 b=5 b=0\n0: 0:X 1:X\n1: 0:Z 1:Z\n", 3),
+        ("QPC 1\nn=2 m=2\ngb ell=1 ell=1 a=0 b=0\n0: 0:X 1:X\n1: 0:Z 1:Z\n", 3),
     ],
 )
 def test_load_parse_errors_carry_line_numbers(tmp_path, content, line):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsagms.channel import DepolarizingChannel, prior_llr, sample_error
+from qsagms.channel import prior_llr, sample_error
 from qsagms.code import GbSpec, SparseCheckMatrix, build_gb, tanner_graph
 from qsagms import decoder
 from qsagms.analysis import phi_llr
@@ -380,7 +380,7 @@ def test_weight1_all_converge_on_twin_free_code(small_graph):
 
 def test_decode_success_implies_zero_residual(small_code, small_graph):
     prior = prior_llr(0.08)
-    errors = sample_error(DepolarizingChannel(0.08, 42), small_code.n, 0, count=200)
+    errors = sample_error(0.08, 42, small_code.n, 0, count=200)
     syndromes = small_graph.syndromes(errors)
     for vn_mode in VN_MODES:
         for variant, kw in VARIANT_CASES:
@@ -404,8 +404,7 @@ def test_decode_success_implies_zero_residual(small_code, small_graph):
 
 def _frame_outcomes(H, graph, cfg, epsilon, n_frames, seed):
     prior = prior_llr(epsilon)
-    ch = DepolarizingChannel(epsilon, seed)
-    errors = sample_error(ch, H.n, 0, count=n_frames)
+    errors = sample_error(epsilon, seed, H.n, 0, count=n_frames)
     return decode_batch(graph, graph.syndromes(errors), prior, cfg)
 
 
@@ -469,10 +468,9 @@ def test_engine_matches_reference_decoder(
 ):
     # the tree's irregular degrees exercise the padded slots of the kernel
     prior = prior_llr(0.12)
-    ch = DepolarizingChannel(0.12, 77)
     cfg = DecoderConfig(variant, l_max=6, vn_mode=vn_mode, **kw)
     for H, graph in ((small_code, small_graph), (tree_code, tree_graph)):
-        syndromes = graph.syndromes(sample_error(ch, H.n, 0, count=25))
+        syndromes = graph.syndromes(sample_error(0.12, 77, H.n, 0, count=25))
         trace = []
         got = decode_batch(graph, syndromes, prior, cfg, trace=trace)
         for row, gammas in enumerate(_row_gammas(trace, len(syndromes))):
@@ -488,9 +486,8 @@ def test_engine_ms_failures_match_reference_decoder(gb126_code, gb126_graph):
     # The frames of acceptance criterion 6: the min-sum failures there are
     # the stated rule's own, not an engine artifact.
     prior = prior_llr(0.01)
-    ch = DepolarizingChannel(0.01, 20260810)
     cfg = DecoderConfig("ms", l_max=8)
-    errors = sample_error(ch, gb126_code.n, 0, count=4096)
+    errors = sample_error(0.01, 20260810, gb126_code.n, 0, count=4096)
     syndromes = gb126_graph.syndromes(errors)
     got = decode_batch(gb126_graph, syndromes, prior, cfg)
     failed = np.flatnonzero(~got.success)[:16]
@@ -515,7 +512,7 @@ def test_engine_messages_match_reference(small_code, small_graph):
     # the check slots in descending column order
     reversed_rows = SparseCheckMatrix(small_code.n, [row[::-1] for row in small_code.rows])
     reversed_graph = tanner_graph(reversed_rows)
-    assert (np.diff(reversed_graph.cn_vn, axis=0) < 0).all()
+    assert (np.diff(reversed_graph.to_check % reversed_graph.n, axis=0) < 0).all()
     for graph in (small_graph, reversed_graph):
         trace = _traced(graph, s, prior, cfg, early_stop=False)
         assert len(record) == len(trace) == cfg.l_max
@@ -529,7 +526,7 @@ def test_engine_messages_match_reference(small_code, small_graph):
 
 
 #: SHA-256 over (success, iterations, e_hat) of frames 0-511 of
-#: DepolarizingChannel(0.05, 20260810) on [[126,28]], l_max 8.
+#: ``sample_error`` at rate 0.05 and seed 20260810 on [[126,28]], l_max 8.
 PINNED_126_HASHES = {
     "bp4": "f8e9050ece62c018e45ae2fc75742ed99eb18a8f50ff3559d0d86a9b7dbab421",
     "ms": "603792c9d85e565fa9a889fb30c30f4ed3c4af498fcbbc3d53eb03a9c9701ce1",
@@ -540,10 +537,8 @@ PINNED_126_HASHES = {
 
 
 def test_engine_output_pinned_on_126(gb126_code, gb126_graph):
-    ch = DepolarizingChannel(0.05, 20260810)
-    syndromes = np.stack([
-        syndrome_dense(gb126_code, e) for e in sample_error(ch, gb126_code.n, 0, count=512)
-    ])
+    errors = sample_error(0.05, 20260810, gb126_code.n, 0, count=512)
+    syndromes = np.stack([syndrome_dense(gb126_code, e) for e in errors])
     configs = {
         "bp4": DecoderConfig("bp4"),
         "ms": DecoderConfig("ms"),
@@ -558,7 +553,7 @@ def test_engine_output_pinned_on_126(gb126_code, gb126_graph):
     assert got == PINNED_126_HASHES
 
 
-#: As above for frames 0-511 of DepolarizingChannel(0.08, 20260810) on the
+#: As above for frames 0-511 at rate 0.08 and seed 20260810 on the
 #: irregular matrix below, every variant in both qubit-node modes.
 PINNED_IRREGULAR_HASHES = {
     "bp4-marginal": "e2a8c6ee7ef0eadc9da345f029c57868bc159dfc56b19372c31471e15f447f51",
@@ -587,7 +582,7 @@ def _irregular_graph():
             break
     H = SparseCheckMatrix(n=60, rows=rows)
     graph = tanner_graph(H)
-    assert len(graph.cn_sym) >= 10 and graph.cn_degrees.min() < 9
+    assert len(graph.cn_sym) >= 10 and np.count_nonzero(graph.cn_sym, axis=0).min() < 9
     return H, graph
 
 
@@ -600,8 +595,8 @@ def _irregular_cases():
 
 def test_engine_output_pinned_on_irregular_graph():
     H, graph = _irregular_graph()
-    ch = DepolarizingChannel(0.08, 20260810)
-    syndromes = np.stack([syndrome_dense(H, e) for e in sample_error(ch, H.n, 0, count=512)])
+    errors = sample_error(0.08, 20260810, H.n, 0, count=512)
+    syndromes = np.stack([syndrome_dense(H, e) for e in errors])
     got = {
         name: _outcome_hash(decode_batch(graph, syndromes, prior_llr(0.08), cfg))
         for name, cfg in _irregular_cases()
@@ -630,12 +625,10 @@ PINNED_MESSAGE_HASHES = {
 
 def test_engine_messages_pinned(gb126_code, gb126_graph):
     H, graph = _irregular_graph()
-    ch = DepolarizingChannel(0.08, 20260810)
-    irregular = np.stack([syndrome_dense(H, e) for e in sample_error(ch, H.n, 0, count=64)])
-    ch = DepolarizingChannel(0.05, 20260810)
-    gb126 = np.stack([
-        syndrome_dense(gb126_code, e) for e in sample_error(ch, gb126_code.n, 0, count=64)
-    ])
+    errors = sample_error(0.08, 20260810, H.n, 0, count=64)
+    irregular = np.stack([syndrome_dense(H, e) for e in errors])
+    errors = sample_error(0.05, 20260810, gb126_code.n, 0, count=64)
+    gb126 = np.stack([syndrome_dense(gb126_code, e) for e in errors])
     runs = [(name, graph, irregular, 0.08, cfg) for name, cfg in _irregular_cases()]
     runs += [
         ("126-sagms", gb126_graph, gb126, 0.05, DecoderConfig("sagms", gain=GAIN)),
@@ -666,12 +659,10 @@ PINNED_EARLY_STOP_HASHES = {
 
 def test_engine_messages_pinned_with_early_stop(gb126_code, gb126_graph):
     H, graph = _irregular_graph()
-    ch = DepolarizingChannel(0.08, 20260810)
-    irregular = np.stack([syndrome_dense(H, e) for e in sample_error(ch, H.n, 0, count=64)])
-    ch = DepolarizingChannel(0.05, 20260810)
-    gb126 = np.stack([
-        syndrome_dense(gb126_code, e) for e in sample_error(ch, gb126_code.n, 0, count=64)
-    ])
+    errors = sample_error(0.08, 20260810, H.n, 0, count=64)
+    irregular = np.stack([syndrome_dense(H, e) for e in errors])
+    errors = sample_error(0.05, 20260810, gb126_code.n, 0, count=64)
+    gb126 = np.stack([syndrome_dense(gb126_code, e) for e in errors])
     runs = [
         ("sagms-additive", graph, irregular, 0.08,
          DecoderConfig("sagms", gain=GAIN, vn_mode="additive")),
@@ -709,7 +700,7 @@ def test_decoder_is_shift_equivariant_on_gb_graphs(
     cfg = DecoderConfig(variant, vn_mode=vn_mode, **kw)
     for graph, eps, shifts in ((small_graph, 0.1, range(1, 5)), (gb126_graph, 0.06, (1, 17, 40))):
         prior = prior_llr(eps)
-        errors = sample_error(DepolarizingChannel(eps, 20260810), graph.n, 0, count=64)
+        errors = sample_error(eps, 20260810, graph.n, 0, count=64)
         syndromes = graph.syndromes(errors)
         want = _traced(graph, syndromes, prior, cfg, early_stop=False)
         assert len(want) == cfg.l_max
@@ -745,10 +736,9 @@ def test_batch_partition_invariance(
     small_code, small_graph, tree_code, tree_graph, variant, kw, vn_mode, monkeypatch
 ):
     prior = prior_llr(0.15)
-    ch = DepolarizingChannel(0.15, 5)
     cfg = DecoderConfig(variant, l_max=8, vn_mode=vn_mode, **kw)
     for H, graph in ((small_code, small_graph), (tree_code, tree_graph)):
-        errors = sample_error(ch, H.n, 0, count=64)
+        errors = sample_error(0.15, 5, H.n, 0, count=64)
         syndromes = graph.syndromes(errors)
         whole = decode_batch(graph, syndromes, prior, cfg)
         # 7-row slabs, the last one short, must agree bitwise with one slab
@@ -786,9 +776,8 @@ def test_trace_never_changes_a_result(tree_graph, variant, kw, vn_mode):
 
 def test_trace_gammas_match_single_frame_decodes(small_code, small_graph, monkeypatch):
     prior = prior_llr(0.1)
-    ch = DepolarizingChannel(0.1, 21)
     cfg = DecoderConfig("sagms", l_max=8, gain=GAIN)
-    errors = sample_error(ch, small_code.n, 0, count=48)
+    errors = sample_error(0.1, 21, small_code.n, 0, count=48)
     syndromes = small_graph.syndromes(errors)
     trace = []
     monkeypatch.setattr(decoder, "SLAB_ROWS", 7)
@@ -807,7 +796,7 @@ def test_trace_gammas_match_single_frame_decodes(small_code, small_graph, monkey
 def test_trace_records_copy_the_reused_workspace(small_code, small_graph, monkeypatch):
     prior = prior_llr(0.1)
     cfg = DecoderConfig("bp4", l_max=8)
-    errors = sample_error(DepolarizingChannel(0.1, 21), small_code.n, 0, count=48)
+    errors = sample_error(0.1, 21, small_code.n, 0, count=48)
     syndromes = small_graph.syndromes(errors)
     monkeypatch.setattr(decoder, "SLAB_ROWS", 7)
     trace = []
@@ -836,7 +825,7 @@ def test_trace_decision_is_the_one_the_next_iteration_tests(
 ):
     prior = prior_llr(0.1)
     cfg = DecoderConfig("sagms", l_max=8, gain=GAIN)
-    errors = sample_error(DepolarizingChannel(0.1, 21), small_code.n, 0, count=48)
+    errors = sample_error(0.1, 21, small_code.n, 0, count=48)
     syndromes = small_graph.syndromes(errors)
     monkeypatch.setattr(decoder, "SLAB_ROWS", 7)
     trace = []
@@ -863,7 +852,7 @@ def test_decode_batch_memory_does_not_grow_with_rows(gb126_code, gb126_graph):
     # one workspace of SLAB_ROWS rows serves every slab of a batch
     prior = prior_llr(0.05)
     cfg = DecoderConfig("sagms", l_max=8, gain=GAIN)
-    errors = sample_error(DepolarizingChannel(0.05, 3), gb126_code.n, 0, count=8 * SLAB_ROWS)
+    errors = sample_error(0.05, 3, gb126_code.n, 0, count=8 * SLAB_ROWS)
     syndromes = gb126_graph.syndromes(errors)
     peaks = []
     for rows in (SLAB_ROWS, 8 * SLAB_ROWS):
@@ -913,7 +902,7 @@ def test_message_steps_run_only_for_rows_that_go_on(gb126_graph, variant, kw, mo
     # a row tested at iterations 1..k (k = l_max on failure) is updated
     # k - 1 times; the first update sends v0, each later one runs the
     # message step: max(k - 2, 0) passes
-    errors = sample_error(DepolarizingChannel(0.05, 20260810), gb126_graph.n, 0, count=512)
+    errors = sample_error(0.05, 20260810, gb126_graph.n, 0, count=512)
     syndromes = gb126_graph.syndromes(errors)
     seen = _message_rows(monkeypatch)
     res = decode_batch(gb126_graph, syndromes, prior_llr(0.05), DecoderConfig(variant, **kw))
@@ -923,7 +912,7 @@ def test_message_steps_run_only_for_rows_that_go_on(gb126_graph, variant, kw, mo
 
 def test_decode_deterministic_across_runs(small_code, small_graph):
     prior = prior_llr(0.2)
-    e = sample_error(DepolarizingChannel(0.2, 9), small_code.n, 0, count=1)
+    e = sample_error(0.2, 9, small_code.n, 0, count=1)
     s = small_graph.syndromes(e)
     cfg = DecoderConfig("bp4", l_max=8)
     _assert_same_messages(

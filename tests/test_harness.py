@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsagms import decoder, harness
-from qsagms.channel import DepolarizingChannel, prior_llr, sample_error
+from qsagms.channel import prior_llr, sample_error
 from qsagms.code import SparseCheckMatrix, tanner_graph
 from qsagms.decoder import DecoderConfig, GainParams, decode_batch
 from qsagms.harness import (
@@ -517,8 +517,7 @@ def test_memoized_frames_match_plain_decode(
         iters = np.concatenate([i for _, i, _ in scored])
         decoded = sum(d for _, _, d in scored)
 
-        ch = DepolarizingChannel(epsilon=0.1, rng_seed=cfg.seed)
-        syndromes = graph.syndromes(sample_error(ch, graph.n, 0, count=3000))
+        syndromes = graph.syndromes(sample_error(0.1, cfg.seed, graph.n, 0, count=3000))
         plain = decode_batch(graph, syndromes, prior_llr(0.1), cfg.decoder)
         assert np.array_equal(fails, ~plain.success)
         assert np.array_equal(iters, plain.iterations)
@@ -580,9 +579,8 @@ def test_memo_past_its_cap_stops_growing(small_graph, monkeypatch):
     monkeypatch.setattr(harness, "MEMO_ENTRIES", 5)
     cfg = _memo_sweep()
     memo = {f"filler {i}": 0 for i in range(7)}
-    ch = DepolarizingChannel(epsilon=0.1, rng_seed=cfg.seed)
     spread = partial(harness._spread, None, 1)
-    syndromes = _syndromes(small_graph, ch, spread, 0, 512)
+    syndromes = _syndromes(small_graph, 0.1, cfg.seed, spread, 0, 512)
     prior = prior_llr(0.1)
     fails, _, decoded = _outcomes(small_graph, cfg.decoder, prior, memo, spread, syndromes)
     assert decoded > 2 and fails.any()
