@@ -31,14 +31,15 @@ arithmetic on (nodes, rows) planes: no masked or short-axis numpy call.
 
 Two qubit-node scalarizations are provided.  ``marginal`` (the default)
 keeps per-Pauli log-beliefs and emits the commute/anticommute LLR relative
-to each edge's own symbol; it is exact on cycle-free graphs, propagates
-joint beliefs over all four Paulis, and is the mode that reproduces the
-published frame-error-rate anchors.  ``additive`` adds scalar messages to
-the prior, ignoring per-edge symbol differences (the textbook shorthand;
-noticeably weaker on quantum codes).  In marginal mode the initial
-qubit-to-check message is the marginal of the bare prior (the same rule
-applied to an empty incoming set); in additive mode it is the prior LLR
-itself.
+to each edge's own symbol (the refined-BP message of Kuo and Lai, IEEE JSAIT
+1, 487 (2020)), taken as one term per qubit and symbol less the edge's own
+incoming message; it is exact on cycle-free graphs, propagates joint
+beliefs over all four Paulis, and reproduces the published FER anchors.
+``additive`` adds scalar messages to the prior, ignoring per-edge symbol
+differences (the textbook shorthand; noticeably weaker on quantum codes).
+In marginal mode the initial qubit-to-check message is the marginal of the
+bare prior (the same rule applied to an empty incoming set); in additive
+mode it is the prior LLR itself.
 
 Numerical policy (identical across variants): message magnitudes of exactly
 zero propagate zero with positive sign; phi is evaluated at max(|x|, 1e-12)
@@ -245,13 +246,10 @@ class _Kernel:
         # zero row after the view (padding slots, of symbol I, commute)
         slots = np.arange(sym.size).reshape(sym.shape)
         self.product_at = [np.where(trace_inner(e, sym) == 1, slots, sym.size) for e in (1, 2, 3)]
-        # per edge of symbol s, the row of s in the (4n, r) metrics and of
-        # the two Paulis anticommuting with s in the (3n, r) sums; padding
-        # slots read rows never used
-        qubit = np.arange(n)
-        self.own_at = sym * n + qubit
+        # per edge of symbol s, the row of s in the (4n, r) metrics; padding
+        # slots read a row never used
+        self.own_at = sym * n + np.arange(n)
         self.sym_max = int(graph.vn_sym.max())  # own_at reads no metrics row above it
-        self.other_at = ((sym == 1) * n + qubit, np.where(sym == 3, 1, 2) * n + qubit)
         # the qubit view's own zero row reads the check view's sentinel row
         self.to_qubit = np.append(graph.to_qubit, graph.cn_sym.size)
         # the workspace: message buffers in each view, with room for a
@@ -259,9 +257,10 @@ class _Kernel:
         check, qubit_view = (graph.cn_sym.size + 1) * rows, (sym.size + 1) * rows
         self.vmsg, self.sign, self.cmsg = (np.empty(check) for _ in range(3))
         self.neg = np.empty(check, dtype=bool)
-        self.cv, self.qmsg, self.b1, self.b2 = (np.empty(qubit_view) for _ in range(4))
+        self.cv, self.qmsg = np.empty(qubit_view), np.empty(qubit_view)
         self.parity = np.empty(m * rows, dtype=bool)
         self.sums, self.metrics = (np.empty(4 * n * rows) for _ in range(2))  # compact swaps them
+        self.planes = np.empty(3 * n * rows)
         self.best, self.later = np.empty(n * rows), np.empty(3 * n * rows, dtype=bool)
         self.e_hat = np.empty(n * rows, dtype=np.uint8)
 
@@ -351,27 +350,27 @@ class _Kernel:
         """The message step of the qubit-node update: check-view messages
         from the qubit view ``cv`` and the ``sums`` of its decision.
 
-        In marginal mode the belief in an edge's own symbol s leaves out no
-        message (the edge's own commutes with s), so it is its qubit's
-        decision metric for s, recomputed as ``decide`` does, and its
-        log-add-exp is taken once per qubit, for the symbols edges carry."""
+        In marginal mode an edge of symbol s with incoming message cv sends
+        ln(1 + exp(-(l0 + S_s))) - ln(exp(cv - l0 - S_a) + exp(cv - l0 - S_b)),
+        S_a and S_b its qubit's sums of the two Paulis anticommuting with s.
+        That is K[s] - cv, K[s] = (ln(1 + exp(-(l0 + S_s))) - ln(exp(-S_a) +
+        exp(-S_b))) + l0, whose log-add-exps run once per qubit and symbol."""
         r, n = cv.shape[-1], self.g.n
-        out = _view(self.qmsg, r, *self.qubit)
-        b1, b2 = _view(self.b1, r, *self.qubit), _view(self.b2, r, *self.qubit)
+        out, planes = _view(self.qmsg, r, *self.qubit), _view(self.planes, r, 3, n)
         if cfg.vn_mode == "additive":
-            total = _slot_sum(cv, b2[0])
+            total = _slot_sum(cv, planes[0])
             np.add(l0, np.subtract(total, cv, out=out), out=out)
         else:
             metrics = _view(self.metrics, r, 4, n)
-            beliefs = np.add(l0, sums[: self.sym_max], out=metrics[1 : self.sym_max + 1])
-            np.logaddexp(0.0, np.negative(beliefs, out=beliefs), out=beliefs)
+            k = metrics[1 : self.sym_max + 1]  # K of X, Z, Y at rows 1-3, as own_at reads
+            neg = np.negative(sums, out=planes)
+            for s in range(self.sym_max):
+                np.logaddexp(*(neg[e] for e in range(3) if e != s), out=k[s])
+            own = np.add(l0, sums[: self.sym_max], out=planes[: self.sym_max])
+            np.logaddexp(0.0, np.negative(own, out=own), out=own)
+            np.add(np.subtract(own, k, out=k), l0, out=k)
             np.take(metrics.reshape(-1, r), self.own_at, axis=0, out=out, mode="clip")
-            # -(l0 + (sum - cv)) of the other two Paulis, as (cv - sum) - l0
-            flat = sums.reshape(-1, r)
-            for b, at in zip((b1, b2), self.other_at):
-                np.take(flat, at, axis=0, out=b, mode="clip")
-                np.subtract(np.subtract(cv, b, out=b), l0, out=b)
-            np.subtract(out, np.logaddexp(b1, b2, out=b1), out=out)
+            np.subtract(out, cv, out=out)
         np.clip(out, -LLR_CLIP, LLR_CLIP, out=out)
         return self.to_checks(r)
 

@@ -70,11 +70,12 @@ MIN_BATCH = 512
 MEMO_ENTRIES = 1 << 17
 
 #: Names the arithmetic behind a point file's estimate, here the slot
-#: layout of generalized bicycle graphs and the left-to-right order of every
-#: sum over a node's slots.  It stays out of the config digest; a sweep
+#: layout of generalized bicycle graphs, the left-to-right order of every
+#: sum over a node's slots and the marginal message taken from one term per
+#: qubit and symbol.  It stays out of the config digest; a sweep
 #: recomputes a point file whose tag is missing or differs, so a point
 #: decoded under other numerics never joins a sweep.
-NUMERICS = "gb-slots-by-circulant-offset/slot-sums-left-to-right"
+NUMERICS = "gb-slots-by-circulant-offset/slot-sums-left-to-right/marginal-per-qubit-term"
 
 
 @dataclass(frozen=True)

@@ -499,21 +499,13 @@ def test_engine_ms_failures_match_reference_decoder(gb126_code, gb126_graph):
         assert np.array_equal(got.e_hat[frame], e_hat)
 
 
-def test_engine_messages_match_reference(small_code, small_graph):
-    prior = prior_llr(0.1)
-    e = np.zeros(small_code.n, dtype=np.uint8)
-    e[0] = PAULI_Y
-    s = small_graph.syndromes(e)
-    cfg = DecoderConfig("sagms", l_max=5, gain=GAIN)
+def _messages_match_reference(H, graphs, s, prior, cfg) -> list:
+    """Every traced message of ``decode_batch`` on each of ``graphs``, built
+    from ``H``, against ``reference_decode``'s at 1e-9, iterating on past
+    convergence; the traces of the last graph."""
     record = []
-    ok, _, iters, _ = reference_decode(small_code, s, prior, cfg, record=record, early_stop=False)
-    assert (ok, iters) == (True, 2)  # the records run on past the convergence
-    # with each row reversed, tanner_graph (which keeps a row's order) runs
-    # the check slots in descending column order
-    reversed_rows = SparseCheckMatrix(small_code.n, [row[::-1] for row in small_code.rows])
-    reversed_graph = tanner_graph(reversed_rows)
-    assert (np.diff(reversed_graph.to_check % reversed_graph.n, axis=0) < 0).all()
-    for graph in (small_graph, reversed_graph):
+    reference_decode(H, s, prior, cfg, record=record, early_stop=False)
+    for graph in graphs:
         trace = _traced(graph, s, prior, cfg, early_stop=False)
         assert len(record) == len(trace) == cfg.l_max
         for rec, (ref_v, ref_c) in zip(trace, record):
@@ -523,6 +515,36 @@ def test_engine_messages_match_reference(small_code, small_graph):
                 assert vn_to_cn[edge] == pytest.approx(value, abs=1e-9)
             for edge, value in ref_c.items():
                 assert cn_to_vn[edge] == pytest.approx(value, abs=1e-9)
+    return trace
+
+
+def test_engine_messages_match_reference(small_code, small_graph):
+    # the kernel's per-qubit marginal rule against the per-edge oracle
+    prior = prior_llr(0.1)
+    e = np.zeros(small_code.n, dtype=np.uint8)
+    e[0] = PAULI_Y
+    s = small_graph.syndromes(e)
+    cfg = DecoderConfig("sagms", l_max=5, gain=GAIN)
+    ok, _, iters, _ = reference_decode(small_code, s, prior, cfg)
+    assert (ok, iters) == (True, 2)  # the records run on past the convergence
+    # with each row reversed, tanner_graph (which keeps a row's order) runs
+    # the check slots in descending column order
+    reversed_rows = SparseCheckMatrix(small_code.n, [row[::-1] for row in small_code.rows])
+    reversed_graph = tanner_graph(reversed_rows)
+    assert (np.diff(reversed_graph.to_check % reversed_graph.n, axis=0) < 0).all()
+    _messages_match_reference(small_code, (small_graph, reversed_graph), s, prior, cfg)
+    # edges of symbol Y, whose anticommuting Paulis are X and Z, and a prior
+    # below zero (eps0 0.8), where the channel favours an error
+    H, graph = _irregular_graph()
+    assert graph.vn_sym.max() == PAULI_Y
+    s = graph.syndromes(sample_error(0.08, 20260810, H.n, 0, count=1))[0]
+    assert prior_llr(0.8) < 0
+    for eps0 in (0.08, 0.8):
+        _messages_match_reference(H, (graph,), s, prior_llr(eps0), cfg)
+    # a prior past the clip: messages both ways saturate at +-LLR_CLIP
+    trace = _messages_match_reference(H, (graph,), s, prior_llr(1e-29), DecoderConfig("ms"))
+    assert all((np.abs(rec.vmsg) == LLR_CLIP).any() for rec in trace)
+    assert (np.abs(trace[0].cv) == LLR_CLIP).any()
 
 
 #: SHA-256 over (success, iterations, e_hat) of frames 0-511 of
@@ -610,16 +632,16 @@ def test_engine_output_pinned_on_irregular_graph():
 #: the [[126,28]] channel of PINNED_126_HASHES for sagms and bp4, whose
 #: messages are held and summed in the circulant-offset slot order.
 PINNED_MESSAGE_HASHES = {
-    "bp4-marginal": "f6a3e1b206c18ae4aed9edb5eb6e7bdc2f8f9b0a4ee2c8baeb24f8ac9a723f21",
-    "ms-marginal": "12af86393fc46f76958da3039375eae03f9af573f3a38a6474d7df0335764739",
-    "sms-marginal": "d84c85b23fead95bc2323d417c6b8163a53c0af50699ad34deb285669acb71ef",
-    "sagms-marginal": "d7f63fa74a130adb571131b1fbf8ae08c62adebf3c654ce62f3d86070455f810",
+    "bp4-marginal": "156e6b79844bda0e4e8718121cdb95d9acd43f0a5f5767e211d09310c44f69a3",
+    "ms-marginal": "15db96a7b123d8d3732efb670e58ecc635727fc0b5041328faf07a38c0416452",
+    "sms-marginal": "afe5b2e9a935b8077bf6c01fc97f5f8955aeccbf1c6898d44b3b409c070ad82e",
+    "sagms-marginal": "178cc475090b32cb3518d16121ddc3ad87e2071d1c0dafe4f6c4bd4b3c4f845e",
     "bp4-additive": "7be2175409ef1bcd388cd01f381ce26afc74d0e5d30ff16fb418e072c8387223",
     "ms-additive": "c9f1ed3c7d7a84113847ad5bfcccc87135d628e396f4fe6f1d09b835a7b207b8",
     "sms-additive": "9623e1042809a48a4058d47efac0f8fb870016148fb91c8e6fb61fab84428850",
     "sagms-additive": "c427a6a52157752963a5d84ffa1e96ab4c7102792d1476012ab7b644a54add51",
-    "126-sagms": "644e34b6143fe4b28734884be3566be77be71c3af2c41f385b9c458bbafb83d6",
-    "126-bp4": "6e370e8df55021e54a43e41fbef7602d3b0b2bb2eae4c8237d08bd33ea3f0f7e",
+    "126-sagms": "169c92136a51d0310abe14e3f864f093bbed3749f1590385e1498ff29e2d2779",
+    "126-bp4": "ecd68e815e3b988bc26da2a8f6687bbb9863c0a47073c2f0a54ebcc0b711cfcc",
 }
 
 
@@ -652,8 +674,8 @@ def test_engine_messages_pinned(gb126_code, gb126_graph):
 #: converged rows leave the slab: the channels of PINNED_MESSAGE_HASHES.
 PINNED_EARLY_STOP_HASHES = {
     "sagms-additive": "d1684495802a5dd81bbb73690ae7c8b60adfff506fd4c1a55c068a9e67255587",
-    "126-sagms": "735ee1a61b60702b96aff491e4e64b6763d4ade77889d13cb105b4a84130fe29",
-    "126-bp4": "f942721b7e1ca6e2c0bfe8a09544f4339181f75d5d21ed383e8ba48b3590535e",
+    "126-sagms": "99e925790feadcd42845e540aa1ebd5bfa5983fc1877e54fdeafba9314a97149",
+    "126-bp4": "7241164159fec8edeb50dd37a10548a387845eb9f3ec185c68ecd8392a35f1d5",
 }
 
 

@@ -777,9 +777,11 @@ def test_run_sweep_recomputes_a_point_of_other_numerics(tmp_path, small_code, sm
     pfile = sorted((out / "points").glob("*.json"))[0]
     good = pfile.read_bytes()
     assert json.loads(good)["numerics"] == harness.NUMERICS
-    # a tagless file, one of other numerics, and one of the pairwise slot
-    # sums that came before the left-to-right ones
-    for numerics in (None, "other", "gb-slots-by-circulant-offset"):
+    # a tagless file, one of other numerics, one of the pairwise slot sums
+    # that came before the left-to-right ones, and one of the marginal
+    # message taken per edge
+    old = ("gb-slots-by-circulant-offset", "gb-slots-by-circulant-offset/slot-sums-left-to-right")
+    for numerics in (None, "other", *old):
         payload = json.loads(good)
         payload["point"]["frames"] += 1  # what a stale file would claim
         if numerics is None:
