@@ -22,8 +22,6 @@ import math
 
 import numpy as np
 
-from .pauli import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
-
 #: Seeds and stream ids lie in [0, SEED_LIMIT): each is one 64-bit word of
 #: the Philox key, so a value outside would alias one inside.
 SEED_LIMIT = 1 << 64
@@ -64,10 +62,6 @@ _PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[
 _PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _SHIFT32
 _PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
 
-#: Pauli of each inverse-CDF rank: I, X, Y, Z in that order.
-_PAULI_OF_RANK = np.array([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z], dtype=np.uint8)
-
-
 def sample_error(epsilon: float, rng_seed: int, n: int, stream_id: int, count: int) -> np.ndarray:
     """Draw ``count`` i.i.d. depolarizing error patterns as a ``(count, n)`` batch.
 
@@ -96,16 +90,21 @@ def sample_error(epsilon: float, rng_seed: int, n: int, stream_id: int, count: i
         )
     out = np.empty((count, n), dtype=np.uint8)
     # t_x <= t_y <= t_z (tested), so a draw's rank in (I, X, Y, Z) is the
-    # number of thresholds at or below it; at epsilon 0 all three are 2**53
-    t_x, t_y, t_z = (np.uint64(t) for t in _thresholds(epsilon))
+    # number of thresholds at or below it, and its Pauli code is x | z << 1
+    # (pauli.py): X and Y, the ranks with an x bit, lie in [t_x, t_z), and
+    # Y and Z, those with a z bit, at or above t_y.  A 64-bit word w holds
+    # the 53-bit draw w >> 11, which is at or above T exactly when
+    # w > T * 2**11 - 1; at T = 2**53 (epsilon 0) that bound is 2**64 - 1,
+    # which no word passes
+    a_x, a_y, a_z = (np.uint64((t << 11) - 1) for t in _thresholds(epsilon))
     blocks = -(-n // 4)
     for lo in range(0, count, _CHUNK_FRAMES):
         hi = min(lo + _CHUNK_FRAMES, count)
         draws = _philox(rng_seed, stream_id + lo, hi - lo, blocks)[:, :n]
-        draws >>= np.uint64(11)  # the 53-bit integer m of u = m * 2**-53
-        rank = (draws >= t_x).view(np.uint8) + (draws >= t_y).view(np.uint8)
-        rank += (draws >= t_z).view(np.uint8)
-        out[lo:hi] = _PAULI_OF_RANK[rank]
+        x = np.greater(draws, a_x)
+        x &= np.less_equal(draws, a_z)
+        code = np.left_shift(np.greater(draws, a_y).view(np.uint8), 1, out=out[lo:hi])
+        code |= x.view(np.uint8)
     return out
 
 

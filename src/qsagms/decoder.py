@@ -15,9 +15,12 @@ One scalar LLR flows per edge.  The sign of every check-node output is
 the *observed* syndrome bit; the residual bit enters only the sagms gain
 boost.  Each iteration runs: residual syndrome of the hard decision, early
 exit on all-zero, syndrome ratio, gains, then, for the frames that go on,
-the qubit-node messages of the last update (the prior's at the first), the
-check-node update and the per-Pauli sums that are the metrics of the next
-hard decision; the first decision is taken from zero sums.  An optional
+the qubit-node messages of the last update, the check-node update and the
+per-Pauli sums that are the metrics of the next hard decision.  The first
+iteration shares all but its syndrome bits between frames, so its shared
+part runs once per call: the decision of zero sums, which depends only on
+the prior, and the check-node rule on the prior's messages, whose signed
+outputs each frame scales by its gain and syndrome signs.  An optional
 trace records each iteration's syndrome ratios, messages and the decision
 they give, and is the one inspection path: ``decode_batch`` is the one
 entry point, and one syndrome is inspected as a one-row batch.
@@ -57,7 +60,7 @@ import numpy as np
 from .analysis import linear_gain_fit, phi_llr
 from .channel import check_int
 from .code import TannerGraph, check_decodable
-from .pauli import trace_inner
+from .pauli import PAULI_I, PAULI_X, trace_inner
 
 VARIANTS = ("bp4", "ms", "sms", "sagms")
 VN_MODES = ("marginal", "additive")
@@ -143,15 +146,17 @@ class BatchDecodeResult:
 class IterationRecord:
     """One executed iteration of one slab of ``decode_batch``: the batch
     ``rows`` decoded in it and their syndrome ratios ``gamma``; then, for
-    the rows still active after early exit (None when no row is left),
-    copies of the messages after its update, ``vmsg`` (rows, m, d_c) and
-    ``cv`` (rows, n, d_v), with each node's slots last, and the hard decision
-    ``e_hat`` (rows, n) they give, which the next iteration tests (built
-    for the record: untraced, ``vmsg`` is built only for rows that go on)."""
+    the rows still active after early exit, ``kept`` (None, like the rest,
+    when no row is left), copies of the messages after its update,
+    ``vmsg`` (kept, m, d_c) and ``cv`` (kept, n, d_v), with each node's
+    slots last, and the hard decision ``e_hat`` (kept, n) they give, which
+    the next iteration tests (built for the record: untraced, ``vmsg`` is
+    built only for rows that go on)."""
 
     iteration: int
     rows: np.ndarray
     gamma: np.ndarray
+    kept: np.ndarray | None = None
     vmsg: np.ndarray | None = None
     cv: np.ndarray | None = None
     e_hat: np.ndarray | None = None
@@ -201,6 +206,30 @@ def _extrinsic_min(mag, out):
     return out
 
 
+def _minus_signs(vmsg, syn, neg, parity):
+    """Into ``neg``, where each check-node output of the (d_c, m, r) messages
+    ``vmsg`` is negative: the observed syndrome bit (``syn``, (m, r)) and
+    the other slots' signs hold an odd number of minuses; ``parity`` (m, r)
+    is scratch."""
+    np.less(vmsg, 0.0, out=neg)
+    np.logical_xor.reduce(neg, axis=0, out=parity)
+    np.logical_xor(parity, syn, out=parity)
+    return np.not_equal(neg, parity, out=neg)
+
+
+def _cn_magnitudes(mag, out, variant: str, total):
+    """Into ``out``, the check-node output magnitudes of the incoming
+    magnitudes ``mag`` (d_c, m, r), which it overwrites: bp4's phi rule,
+    with ``total`` (m, r) as scratch, else the extrinsic minimum, before
+    any gain."""
+    if variant != "bp4":
+        return _extrinsic_min(mag, out)
+    phi_llr(np.maximum(mag, PHI_ARG_FLOOR, out=mag), out=mag)
+    np.subtract(_slot_sum(mag, total), mag, out=out)
+    np.clip(out, PHI_SUM_MIN, PHI_SUM_MAX, out=out)
+    return phi_llr(out, out=out)
+
+
 def _gain(cfg: DecoderConfig, gamma: np.ndarray, residual: np.ndarray):
     """Min-sum gain: 1 for ms (bp4 ignores it), alpha for sms; for sagms the
     ramp at each frame's ratio ``gamma`` (r,), times eta_unsat on the
@@ -225,8 +254,9 @@ class _Kernel:
     neutral element of every reduction over them: magnitude +inf with sign
     + in the check view (phi(inf) = 0 for bp4), 0 in the qubit view.  Layout
     gathers are row takes of r-vectors by the graph's tables, and a padding
-    slot reads a sentinel row after the source view; the per-Pauli products
-    are gathers from the qubit view too.
+    slot reads a sentinel row after the source view.  The per-Pauli sums
+    read the qubit view's slot planes as views where every slot of a plane
+    anticommutes with the Pauli, and gather only the mixed planes.
 
     The workspace is flat buffers allocated here once.  Every step writes
     into and returns contiguous views of them sized for the current r,
@@ -241,11 +271,19 @@ class _Kernel:
         n, m = graph.n, graph.m
         self.check, self.qubit = graph.cn_sym.shape, graph.vn_sym.shape
         sym = graph.vn_sym.astype(np.intp)
-        # slot t of qubit j, row t * n + j of the qubit view, times the
-        # candidate errors X, Z, Y: itself where they anticommute, else the
-        # zero row after the view (padding slots, of symbol I, commute)
+        # the slot planes each candidate error X, Z, Y sums, in slot order:
+        # (t, None) for a plane whose every slot anticommutes with it, read
+        # as a view, and (t, rows) for a mixed plane, gathered from the qubit
+        # view with the zero row after it where a slot commutes; a plane
+        # where no slot anticommutes adds only zeros and is left out
         slots = np.arange(sym.size).reshape(sym.shape)
-        self.product_at = [np.where(trace_inner(e, sym) == 1, slots, sym.size) for e in (1, 2, 3)]
+        self.terms = []
+        for e in (1, 2, 3):
+            anti = trace_inner(e, sym) == 1
+            self.terms.append([
+                (t, None if anti[t].all() else np.where(anti[t], slots[t], sym.size))
+                for t in range(len(sym)) if anti[t].any()
+            ])
         # per edge of symbol s, the row of s in the (4n, r) metrics; padding
         # slots read a row never used
         self.own_at = sym * n + np.arange(n)
@@ -264,12 +302,25 @@ class _Kernel:
         self.best, self.later = np.empty(n * rows), np.empty(3 * n * rows, dtype=bool)
         self.e_hat = np.empty(n * rows, dtype=np.uint8)
 
-    def start(self, rows: int, l0: float, v0: float) -> np.ndarray:
-        """The hard decision of zero sums, which the first iteration tests,
-        and ``v0`` in every column of qmsg, which ``to_checks`` then sends."""
-        self.sums.fill(0.0)
-        self.qmsg.fill(v0)
-        return self.decide(_view(self.sums, rows, 3, self.g.n), l0)
+    def start(self, l0: float, v0: float, variant: str) -> tuple[np.ndarray, np.ndarray]:
+        """The part of the first iteration every row shares, once per call.
+
+        Its decision is that of zero sums, X on every qubit where l0 < 0
+        and else I, as ``decide`` gives; returned as an (n, 1) column with
+        its (m,) syndrome.  Its update sends v0 on every real check slot
+        (+inf on padding), so ``cn_step``'s rules on that one column give
+        each check slot's output magnitude and its sign under syndrome bit
+        0, kept as their unsaturated product ``out0``, which ``first_cn``
+        scales by each row's gain and syndrome sign.
+        """
+        g = self.g
+        e0 = np.full(g.n, PAULI_X if l0 < 0 else PAULI_I, dtype=np.uint8)
+        vmsg = np.where(g.cn_sym > 0, v0, np.inf)[..., None]
+        neg = _minus_signs(vmsg, 0, np.empty(vmsg.shape, bool), np.empty((g.m, 1), bool))
+        mag = _cn_magnitudes(np.abs(vmsg), np.empty_like(vmsg), variant, np.empty((g.m, 1)))
+        self.out0 = np.multiply(mag, np.where(neg, -1.0, 1.0))
+        self.top0 = np.abs(self.out0).max()  # +inf where a check has one slot
+        return e0[:, None], g.syndromes(e0)
 
     def decide(self, sums: np.ndarray, l0: float) -> np.ndarray:
         """(n, r) Pauli codes minimizing 0 for I and l0 + sums[e - 1] for
@@ -315,25 +366,29 @@ class _Kernel:
         The output is negative where the observed syndrome bit (``syn``,
         (m, r)) and the other messages' signs hold an odd number of minuses."""
         r = vmsg.shape[-1]
-        neg, parity = _view(self.neg, r, *self.check), _view(self.parity, r, self.g.m)
-        np.less(vmsg, 0.0, out=neg)
-        np.logical_xor.reduce(neg, axis=0, out=parity)
-        np.logical_xor(parity, syn, out=parity)
-        np.not_equal(neg, parity, out=neg)
-        mag, out = np.abs(vmsg, out=vmsg), _view(self.cmsg, r, *self.check)
-        sign = _view(self.sign, r, *self.check)
-        if cfg.variant == "bp4":
-            phi_llr(np.maximum(mag, PHI_ARG_FLOOR, out=mag), out=mag)
-            total = _slot_sum(mag, sign[0])
-            np.subtract(total, mag, out=out)
-            np.clip(out, PHI_SUM_MIN, PHI_SUM_MAX, out=out)
-            phi_llr(out, out=out)
-        else:
-            np.multiply(_extrinsic_min(mag, out), gain, out=out)
+        neg = _view(self.neg, r, *self.check)
+        _minus_signs(vmsg, syn, neg, _view(self.parity, r, self.g.m))
+        out, sign = _view(self.cmsg, r, *self.check), _view(self.sign, r, *self.check)
+        _cn_magnitudes(np.abs(vmsg, out=vmsg), out, cfg.variant, sign[0])
+        if cfg.variant != "bp4":
+            np.multiply(out, gain, out=out)
         # x * -1.0 is -x, zeros and infinities included
         np.add(np.multiply(neg, -2.0, out=sign), 1.0, out=sign)
         np.multiply(out, sign, out=out)
         return np.clip(out, -LLR_CLIP, LLR_CLIP, out=out)
+
+    def first_cn(self, syn, gain):
+        """The first check-node update, of the v0 messages ``start`` took:
+        ``out0`` times ``gain`` (1 for bp4), negated where the observed
+        syndrome bit (``syn``, (m, r)) is 1, then saturated.  That is
+        ``cn_step``'s (magnitude * gain) * (-1 or 1) bit for bit: a product
+        is rounded on its factors' magnitudes and signed by their signs."""
+        r = syn.shape[-1]
+        signed = np.multiply(np.subtract(1.0, np.multiply(syn, 2.0)), gain)  # (m, r)
+        out = np.multiply(self.out0, signed, out=_view(self.cmsg, r, *self.check))
+        if not self.top0 * np.max(gain) <= LLR_CLIP:  # else no product reaches the clip
+            np.clip(out, -LLR_CLIP, LLR_CLIP, out=out)
+        return out
 
     def vn_decide(self, cv: np.ndarray, l0: float):
         """The decision step of the qubit-node update: the per-Pauli sums of
@@ -341,9 +396,15 @@ class _Kernel:
         r, n = cv.shape[-1], self.g.n
         sums, out = _view(self.sums, r, 3, n), _view(self.qmsg, r, *self.qubit)
         products = _view(self.cv, r, self.to_qubit.size)  # cv and its zero row
-        for e, at in enumerate(self.product_at):
-            np.take(products, at, axis=0, out=out, mode="clip")
-            _slot_sum(out, sums[e])
+        for e, terms in enumerate(self.terms):
+            planes = [
+                cv[t] if at is None else np.take(products, at, axis=0, out=out[t], mode="clip")
+                for t, at in terms
+            ]
+            if planes:
+                _slot_sum(planes, sums[e])
+            else:
+                sums[e].fill(0.0)
         return sums, self.decide(sums, l0)
 
     def vn_messages(self, cv: np.ndarray, sums: np.ndarray, l0: float, cfg) -> np.ndarray:
@@ -417,7 +478,7 @@ def decode_batch(
     b_total = syndromes.shape[0]
     ker = _Kernel(graph, min(b_total, SLAB_ROWS))
     v0 = _marginal_init(l0) if cfg.vn_mode == "marginal" else l0
-    v0 = float(np.clip(v0, -LLR_CLIP, LLR_CLIP))
+    e0, s0 = ker.start(l0, float(np.clip(v0, -LLR_CLIP, LLR_CLIP)), cfg.variant)
 
     success = np.zeros(b_total, dtype=bool)
     iterations = np.full(b_total, cfg.l_max, dtype=np.int64)
@@ -426,9 +487,9 @@ def decode_batch(
     for at in range(0, b_total, SLAB_ROWS):
         syn = syndromes[at : at + SLAB_ROWS].astype(np.uint8)
         active = np.arange(at, at + len(syn))
-        e_hat, cv, sums = ker.start(len(syn), l0, v0), None, None
+        e_hat, cv, sums = np.broadcast_to(e0, (graph.n, len(syn))), None, None
         for ell in range(1, cfg.l_max + 1):
-            residual = syn ^ graph.syndromes(e_hat.T)
+            residual = syn ^ (s0 if ell == 1 else graph.syndromes(e_hat.T))
             unsat = residual.sum(axis=1)
             gamma = unsat / graph.m
             if trace is not None:
@@ -459,11 +520,16 @@ def decode_batch(
                 if trace is None:
                     break
 
-            vmsg = ker.to_checks(len(syn)) if cv is None else ker.vn_messages(cv, sums, l0, cfg)
-            cv = ker.to_qubits(ker.cn_step(vmsg, syn.T, cfg, _gain(cfg, gamma, residual)))
+            gain = _gain(cfg, gamma, residual)
+            if cv is None:
+                cmsg = ker.first_cn(syn.T, gain)
+            else:
+                cmsg = ker.cn_step(ker.vn_messages(cv, sums, l0, cfg), syn.T, cfg, gain)
+            cv = ker.to_qubits(cmsg)
             sums, e_hat = ker.vn_decide(cv, l0)
             if trace is not None:  # (rows, node, slot) copies: the workspace is rewritten
                 rec, vmsg = trace[-1], ker.vn_messages(cv, sums, l0, cfg)
+                rec.kept = active
                 rec.vmsg, rec.cv, rec.e_hat = (a.T.copy() for a in (vmsg, cv, e_hat))
 
     return BatchDecodeResult(success=success, e_hat=e_hat_out, iterations=iterations)

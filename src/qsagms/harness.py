@@ -200,6 +200,11 @@ def config_digest(cfg: SweepConfig) -> str:
     return hashlib.sha256(canonical_json(_config_dict(cfg)).encode()).hexdigest()
 
 
+#: Words of rotated halves ``_orbit_keys`` holds at once: its row chunks
+#: keep that array near 256 KB (260 rows on ell = 63).  Keys do not depend on it.
+_ORBIT_CHUNK_WORDS = 1 << 15
+
+
 def _orbit_keys(syndromes: np.ndarray, ell: int) -> np.ndarray:
     """One key per syndrome row of a graph on ``ell``, equal for two rows
     exactly when a joint rotation of both ell-bit halves maps one onto the
@@ -209,25 +214,35 @@ def _orbit_keys(syndromes: np.ndarray, ell: int) -> np.ndarray:
 
     Each half is packed twice over, so rotation t is the ell bits from bit
     t on: word by word, two source words shifted together, the bits past
-    ell masked off.
+    ell masked off.  All ell rotations of a chunk of rows are formed at
+    once, and the minimum is found word by word, narrowing each row's
+    candidate rotations to those that hold the least word so far.
     """
     rows, width = len(syndromes), -(-ell // 64)
     doubled = np.zeros((rows, 2, 128 * width), dtype=np.uint8)
     doubled[..., :ell] = doubled[..., ell : 2 * ell] = syndromes.reshape(rows, 2, ell)
-    words = np.packbits(doubled, axis=-1).view(">u8").astype(np.uint64)
+    words = np.packbits(doubled, axis=-1).view(">u8").astype(np.uint64).transpose(1, 2, 0)
     in_ell = ~np.uint64(0) << np.uint64(64 * width - ell)  # of the last word
-    best = np.full((rows, 2 * width), ~np.uint64(0))
-    for t in range(ell):
-        q, s = divmod(t, 64)
-        head, tail = words[..., q : q + width], words[..., q + 1 : q + width + 1]
-        rotated = (head << s) | (tail >> (64 - s))
-        rotated[..., -1] &= in_ell
-        rotated = rotated.reshape(rows, 2 * width)
-        less = np.zeros(rows, dtype=bool)  # (half 0 words, half 1 words) < best
-        for a, b in zip(rotated.T[::-1], best.T[::-1]):
-            less = (a < b) | ((a == b) & less)
-        np.copyto(best, rotated, where=less[:, None])
-    return best.view(f"V{16 * width}").ravel()
+    best = np.empty((2 * width, rows), dtype=np.uint64)
+    chunk = max(_ORBIT_CHUNK_WORDS // (2 * width * ell), 1)
+    # word k of half h of rotation t, for the rows of a chunk: [h, k, row, t]
+    rotated = np.empty((2, width, min(chunk, rows), ell), dtype=np.uint64)
+    for lo in range(0, rows, chunk):
+        r = min(chunk, rows - lo)
+        w = words[..., lo : lo + r, None]
+        for q in range(width):  # the rotations t = 64 q + s
+            s = np.arange(min(64, ell - 64 * q), dtype=np.uint64)
+            for k in range(width):
+                out = rotated[:, k, :r, 64 * q : 64 * q + s.size]
+                np.left_shift(w[:, q + k], s, out=out)
+                out |= w[:, q + k + 1] >> (np.uint64(64) - s)
+        rotated[:, -1, :r] &= in_ell
+        least = np.ones((r, ell), dtype=bool)  # rotations tied so far
+        for k, word in enumerate(rotated[..., :r, :].reshape(2 * width, r, ell)):
+            low = np.where(least, word, ~np.uint64(0)).min(axis=1) if k else word.min(axis=1)
+            best[k, lo : lo + r] = low
+            least &= word == low[:, None]
+    return np.ascontiguousarray(best.T).view(f"V{16 * width}").ravel()
 
 
 def _spread(pool, parts: int, fn, total: int, dealt: bool = False) -> list:

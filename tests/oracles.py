@@ -5,7 +5,8 @@ brute-force enumeration, sharing no machinery with the package internals:
 single-Pauli composition and the symplectic pair -> code map,
 dense GF(2) bit-plane syndrome/orthogonality/rank, a pairwise
 row-intersection commutation check, polynomial-gcd dimension
-counting for generalized bicycle codes, a frame-by-frame stop rule,
+counting for generalized bicycle codes, orbit keys taken one rotation
+at a time, a frame-by-frame stop rule,
 exhaustive 4^n posterior enumeration for small codes, and a scalar
 reference decoder composed from the per-node update rules below (to
 cross-check the vectorized kernel; it takes only each node's slot order
@@ -153,6 +154,31 @@ def orbit_key(syndrome, ell: int) -> tuple[int, ...]:
     return min(tuple(np.roll(halves, t, axis=1).ravel().tolist()) for t in range(ell))
 
 
+def orbit_keys(syndromes: np.ndarray, ell: int) -> np.ndarray:
+    """The orbit keys of ``harness._orbit_keys``, one rotation at a time:
+    for each t, the rows' rotation t as big-endian uint64 words (two source
+    words shifted together, the bits past ell masked off) replaces the best
+    so far where it is lexicographically smaller.  A (rows,) array of void
+    scalars, byte for byte the package's."""
+    rows, width = len(syndromes), -(-ell // 64)
+    doubled = np.zeros((rows, 2, 128 * width), dtype=np.uint8)
+    doubled[..., :ell] = doubled[..., ell : 2 * ell] = syndromes.reshape(rows, 2, ell)
+    words = np.packbits(doubled, axis=-1).view(">u8").astype(np.uint64)
+    in_ell = ~np.uint64(0) << np.uint64(64 * width - ell)  # of the last word
+    best = np.full((rows, 2 * width), ~np.uint64(0))
+    for t in range(ell):
+        q, s = divmod(t, 64)
+        head, tail = words[..., q : q + width], words[..., q + 1 : q + width + 1]
+        rotated = (head << s) | (tail >> (64 - s))
+        rotated[..., -1] &= in_ell
+        rotated = rotated.reshape(rows, 2 * width)
+        less = np.zeros(rows, dtype=bool)  # (half 0 words, half 1 words) < best
+        for a, b in zip(rotated.T[::-1], best.T[::-1]):
+            less = (a < b) | ((a == b) & less)
+        np.copyto(best, rotated, where=less[:, None])
+    return best.view(f"V{16 * width}").ravel()
+
+
 def stop_rule_counts(target: int, max_frames: int, batches) -> tuple[int, ...]:
     """(frames, failures, iterations, sampled, decoded) of a point fed
     ``batches`` of (fails, iterations, decoded rows), frame by frame: a
@@ -264,13 +290,14 @@ def cn_update(variant: str, incoming, s_bit: int, gain: float = 1.0) -> float:
     """One check-node output from the extrinsic incoming messages.
 
     ``incoming`` excludes the target edge.  ``gain`` is the fixed alpha for
-    sms or the effective alpha for sagms; bp4 and ms ignore it.
+    sms or the effective alpha for sagms; bp4 and ms ignore it.  The lone
+    edge of a degree-1 check has no incoming message: its sign is +, its
+    min-sum magnitude +inf (so +-LLR_CLIP at the clip) and its phi-domain
+    sum 0 (so PHI_SUM_MIN at the clamp).
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     incoming = np.asarray(incoming, dtype=np.float64)
-    if incoming.size == 0:
-        raise ValueError("check-node update needs at least one incoming message")
     sign = -1.0 if s_bit else 1.0
     sign *= float(np.prod(np.where(incoming < 0.0, -1.0, 1.0)))
     mags = np.abs(incoming)
@@ -279,7 +306,7 @@ def cn_update(variant: str, incoming, s_bit: int, gain: float = 1.0) -> float:
         total = min(max(total, PHI_SUM_MIN), PHI_SUM_MAX)
         mag = float(phi_llr(total))
     else:
-        mag = float(np.min(mags))
+        mag = float(np.min(mags, initial=np.inf))
         if variant in ("sms", "sagms"):
             mag *= gain
     return float(np.clip(sign * mag, -LLR_CLIP, LLR_CLIP))

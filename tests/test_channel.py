@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qsagms import channel
 from qsagms.channel import _CHUNK_FRAMES, _thresholds, prior_llr, sample_error
-from qsagms.pauli import PAULI_X, PAULI_Y, PAULI_Z
+from qsagms.pauli import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 
 
 def _ln_hp(x: str) -> float:
@@ -214,6 +214,52 @@ def test_batch_matches_one_frame_calls(eps, seed, start, n, count):
         assert one.shape == (n,)
         assert np.array_equal(batch[row], one)
         assert np.array_equal(one, _float_rule(eps, seed, n, frame))
+
+
+def _shift_form(words: np.ndarray, eps: float) -> np.ndarray:
+    """Pauli codes of raw Philox words by the shift form of the rule: the
+    53-bit draw m = w >> 11, its rank among the integer thresholds, and the
+    Pauli of that rank in the order (I, X, Y, Z)."""
+    draws = words >> np.uint64(11)
+    rank = sum((draws >= np.uint64(t)).astype(np.uint8) for t in _thresholds(eps))
+    return np.array([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z], dtype=np.uint8)[rank]
+
+
+#: Rates at the edges of the word comparison: 0 and 1e-17, where every
+#: threshold is 2**53 and its word bound 2**64 - 1; the ties of 1 - eps
+#: near 2**-54, where T_x or T_y and T_z are 2**53 but not all three; and
+#: ordinary rates.
+_EDGE_EPS = [0.0, 1e-17, 2.0**-54, 3 * 2.0**-54, 5 * 2.0**-54, 1e-9, 0.01, 0.3, 0.75, 0.999]
+
+
+@pytest.mark.parametrize("eps", _EDGE_EPS)
+def test_raw_words_map_as_the_shift_form(eps, monkeypatch):
+    # the words at and beside each threshold's first word T * 2**11 (none
+    # past 2**64 - 1), and the extremes, as the Philox output of every frame
+    edges = [0, 2**64 - 1] + [
+        w for t in _thresholds(eps) for w in ((t << 11) - 1, t << 11, (t << 11) + 2047)
+        if w < 2**64
+    ]
+    words = np.array(edges, dtype=np.uint64)
+
+    def philox(seed, stream_id, frames, blocks):
+        out = np.zeros((frames, 4 * blocks), dtype=np.uint64)
+        out[:, : words.size] = words
+        return out
+
+    monkeypatch.setattr(channel, "_philox", philox)
+    got = sample_error(eps, 0, words.size, 0, count=3)
+    assert (got == _shift_form(words, eps)).all()
+
+
+@pytest.mark.parametrize("eps", _EDGE_EPS)
+def test_sampled_frames_match_the_shift_form(eps):
+    n, count = 126, _CHUNK_FRAMES + 3
+    words = channel._philox(20260810, 5, count, -(-n // 4))[:, :n]
+    frames = sample_error(eps, 20260810, n, 5, count=count)
+    assert np.array_equal(frames, _shift_form(words, eps))
+    if _thresholds(eps)[0] == 2**53:  # no draw reaches a threshold: only I
+        assert eps < 1e-16 and not frames.any()
 
 
 #: Rates whose thresholds t * 2**53 are exact integers, rates at and beside

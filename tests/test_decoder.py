@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import tracemalloc
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -22,9 +23,10 @@ from qsagms.decoder import (
     _extrinsic_min,
     _marginal_init,
     _slot_sum,
+    _view,
     decode_batch,
 )
-from qsagms.pauli import PAULI_X, PAULI_Y, PAULI_Z
+from qsagms.pauli import PAULI_X, PAULI_Y, PAULI_Z, trace_inner
 
 from .conftest import make_tree_code
 from .oracles import (
@@ -547,6 +549,163 @@ def test_engine_messages_match_reference(small_code, small_graph):
     assert (np.abs(trace[0].cv) == LLR_CLIP).any()
 
 
+# -- the first iteration, once per call -----------------------------------------
+
+
+def _degree_one_code():
+    """A 5-qubit matrix whose check 0 has a lone slot, so its extrinsic
+    minimum is +inf, and whose other checks have 2-4 slots of X, Z and Y.
+    Each qubit's third slot, where it has one, holds X."""
+    rows = [
+        [(0, PAULI_X)],
+        [(0, PAULI_Z), (1, PAULI_Y)],
+        [(1, PAULI_X), (2, PAULI_Z), (3, PAULI_Y)],
+        [(0, PAULI_X), (2, PAULI_X), (3, PAULI_Z), (4, PAULI_X)],
+        [(3, PAULI_X), (4, PAULI_Y)],
+    ]
+    H = SparseCheckMatrix(n=5, rows=rows)
+    return H, tanner_graph(H)
+
+
+def _every_syndrome(m: int) -> np.ndarray:
+    return ((np.arange(2**m)[:, None] >> np.arange(m)) & 1).astype(np.uint8)
+
+
+#: bp4 and a min-sum variant at a prior above zero (eps0 0.1) and below it
+#: (eps0 0.8), where v0 < 0 and the first decision is X on every qubit.
+FIRST_CASES = [
+    (variant, kw, eps0)
+    for variant, kw in (VARIANT_CASES[0], VARIANT_CASES[3])
+    for eps0 in (0.1, 0.8)
+]
+
+
+@pytest.mark.parametrize("early_stop", [True, False])
+@pytest.mark.parametrize("vn_mode", VN_MODES)
+@pytest.mark.parametrize("variant,kw,eps0", FIRST_CASES)
+def test_first_iteration_matches_reference_on_a_degree_one_check(
+    variant, kw, eps0, vn_mode, early_stop
+):
+    H, graph = _degree_one_code()
+    assert (graph.cn_sym > 0).sum(axis=0).min() == 1
+    # two iterations: the first tests e0, the second the decision of the
+    # first update, whose messages are compared alone (later bp4 messages
+    # of the additive rule grow past where the kernel's total-less-own phi
+    # sum keeps 1e-9 of the oracle's)
+    l0 = prior_llr(eps0)
+    cfg = DecoderConfig(variant, l_max=2, vn_mode=vn_mode, **kw)
+    syndromes = _every_syndrome(H.m)
+    trace = []
+    got = decode_batch(graph, syndromes, l0, cfg, early_stop=early_stop, trace=trace)
+    for row, gammas in enumerate(_row_gammas(trace, len(syndromes))):
+        ok, e_hat, iters, ref_gammas = reference_decode(
+            H, syndromes[row], l0, cfg, early_stop=early_stop
+        )
+        assert (got.success[row], got.iterations[row]) == (ok, iters)
+        assert np.array_equal(got.e_hat[row], e_hat)
+        assert gammas == pytest.approx(ref_gammas, abs=1e-12)
+    # the first decision, X everywhere below zero, converges on its own syndrome
+    first = graph.syndromes(np.full(H.n, PAULI_X if l0 < 0 else 0, dtype=np.uint8))
+    hits = (syndromes == first).all(axis=1)
+    assert hits.sum() == 1 and got.iterations[hits] == 1
+    for s in syndromes[::3]:
+        _messages_match_reference(H, (graph,), s, l0, replace(cfg, l_max=1))
+
+
+@pytest.mark.parametrize("vn_mode", VN_MODES)
+@pytest.mark.parametrize("variant,kw", VARIANT_CASES)
+def test_first_update_is_the_check_step_of_v0(gb126_code, gb126_graph, variant, kw, vn_mode):
+    # bit for bit, the lone slot's +inf included, at priors above and below
+    # zero and past the clip
+    cfg = DecoderConfig(variant, vn_mode=vn_mode, **kw)
+    for H, graph in (_degree_one_code(), _irregular_graph(), (gb126_code, gb126_graph)):
+        syndromes = np.random.default_rng(graph.n).integers(0, 2, size=(9, graph.m))
+        syn = syndromes.astype(np.uint8).T
+        for eps0 in (0.1, 0.8, 1e-29):
+            l0 = prior_llr(eps0)
+            v0 = _marginal_init(l0) if vn_mode == "marginal" else l0
+            v0 = float(np.clip(v0, -LLR_CLIP, LLR_CLIP))
+            ker = decoder._Kernel(graph, len(syndromes))
+            e0, s0 = ker.start(l0, v0, variant)
+            assert e0.shape == (graph.n, 1) and (e0 == (PAULI_X if l0 < 0 else 0)).all()
+            assert np.array_equal(s0, syndrome_dense(H, e0[:, 0]))
+            residual = syndromes ^ s0
+            gain = decoder._gain(cfg, residual.sum(axis=1) / graph.m, residual)
+            first = ker.first_cn(syn, gain).copy()
+            vmsg = np.where(graph.cn_sym > 0, v0, np.inf)[..., None].repeat(len(syndromes), -1)
+            want = ker.cn_step(vmsg, syn, cfg, gain)
+            assert first.tobytes() == want.tobytes(), (graph.n, eps0)
+
+
+@pytest.mark.parametrize("variant,kw", [VARIANT_CASES[0], VARIANT_CASES[3]])
+def test_empty_batch_skips_the_first_iteration(small_graph, variant, kw):
+    for early_stop in (True, False):
+        trace = []
+        res = decode_batch(
+            small_graph, np.zeros((0, small_graph.m), dtype=np.uint8), prior_llr(0.8),
+            DecoderConfig(variant, **kw), early_stop=early_stop, trace=trace,
+        )
+        assert res.success.shape == res.iterations.shape == (0,)
+        assert res.e_hat.shape == (0, small_graph.n) and trace == []
+
+
+# -- the per-Pauli sums --------------------------------------------------------
+
+
+def _gathered_sums(ker, cv) -> np.ndarray:
+    """The per-Pauli sums as every slot plane gathered: each slot's message
+    where it anticommutes with e, else the zero row, summed by _slot_sum."""
+    sym = ker.g.vn_sym.astype(np.intp)
+    slots = np.arange(sym.size).reshape(sym.shape)
+    products = np.concatenate([cv.reshape(sym.size, -1), np.zeros((1, cv.shape[-1]))])
+    sums = np.empty((3,) + cv.shape[1:])
+    for e in (1, 2, 3):
+        at = np.where(trace_inner(e, sym) == 1, slots, sym.size)
+        _slot_sum(products[at], sums[e - 1])
+    return sums
+
+
+def test_pauli_sums_classify_the_slot_planes(gb126_graph):
+    # [[126,28]]: each qubit's first five slots hold X, its last five Z, so
+    # X sums the Z planes, Z the X planes and Y all ten, each as a view
+    terms = decoder._Kernel(gb126_graph, 4).terms
+    assert [[t for t, at in e if at is None] for e in terms] == [
+        list(range(5, 10)), list(range(5)), list(range(10))
+    ]
+    assert [len(e) for e in terms] == [5, 5, 10]
+    # irregular degrees and Y symbols: the 60-qubit graph's planes are all
+    # mixed, so gathered; the third plane of the degree-one code holds only
+    # X and padding, so X skips it, and Z and Y gather it
+    for e in decoder._Kernel(_irregular_graph()[1], 4).terms:
+        assert len(e) == 10 and all(at is not None for _, at in e)
+    terms = decoder._Kernel(_degree_one_code()[1], 4).terms
+    assert [[t for t, _ in e] for e in terms] == [[0, 1], [0, 1, 2], [0, 1, 2]]
+    assert terms[1][2][1] is not None and terms[2][2][1] is not None
+
+
+@pytest.mark.parametrize("vn_mode", VN_MODES)
+@pytest.mark.parametrize("variant,kw", VARIANT_CASES)
+def test_pauli_sums_match_the_gathered_slot_sums(gb126_graph, variant, kw, vn_mode):
+    # gathered, skipped and whole planes, and zeros of either sign
+    cfg = DecoderConfig(variant, vn_mode=vn_mode, **kw)
+    for g in (_irregular_graph()[1], _degree_one_code()[1], gb126_graph):
+        ker = decoder._Kernel(g, 16)
+        rng = np.random.default_rng(g.n)
+        cv = rng.normal(0.0, 3.0, size=ker.qubit + (16,))
+        cv[g.vn_sym == 0] = 0.0  # padding slots hold 0, as to_qubits gives
+        cv[rng.random(cv.shape) < 0.05] = -0.0
+        l0 = prior_llr(0.08)
+        src = _view(ker.cv, 16, ker.to_qubit.size)  # the qubit view, then its zero row
+        src[:-1], src[-1] = cv.reshape(-1, 16), 0.0
+        view = src[:-1].reshape(cv.shape)
+        sums, e_hat = (a.copy() for a in ker.vn_decide(view, l0))
+        want = _gathered_sums(ker, cv)
+        assert np.array_equal(sums, want)  # equal up to the signs of zeros
+        assert np.array_equal(e_hat, ker.decide(want, l0))
+        got = ker.vn_messages(view, sums, l0, cfg).copy()
+        assert got.tobytes() == ker.vn_messages(view, want, l0, cfg).tobytes()
+
+
 #: SHA-256 over (success, iterations, e_hat) of frames 0-511 of
 #: ``sample_error`` at rate 0.05 and seed 20260810 on [[126,28]], l_max 8.
 PINNED_126_HASHES = {
@@ -852,16 +1011,20 @@ def test_trace_decision_is_the_one_the_next_iteration_tests(
     monkeypatch.setattr(decoder, "SLAB_ROWS", 7)
     trace = []
     res = decode_batch(small_graph, syndromes, prior, cfg, early_stop=early_stop, trace=trace)
-    # a record's decision is for the rows left after early exit, which the
-    # slab's next record decodes
-    left = [r.rows[r.gamma > 0] if early_stop else r.rows for r in trace]
-    for rec, rows in zip(trace, left):
-        want = (rows.size, small_code.n)
-        assert rec.e_hat is None if rows.size == 0 else rec.e_hat.shape == want
-    nexts = [(a, rows, b) for a, rows, b in zip(trace, left, trace[1:]) if b.iteration > 1]
+    # a record's messages and decision are for the rows left after early
+    # exit, ``kept``, which the slab's next record decodes
+    for rec in trace:
+        left = rec.rows[rec.gamma > 0] if early_stop else rec.rows
+        if left.size == 0:
+            assert rec.kept is rec.vmsg is rec.cv is rec.e_hat is None
+        else:
+            assert np.array_equal(rec.kept, left)
+            assert rec.e_hat.shape == (left.size, small_code.n)
+            assert len(rec.vmsg) == len(rec.cv) == left.size
+    nexts = [(a, b) for a, b in zip(trace, trace[1:]) if b.iteration > 1]
     assert len(nexts) == len(trace) - sum(r.iteration == 1 for r in trace)
-    for rec, rows, nxt in nexts:
-        assert np.array_equal(nxt.rows, rows)
+    for rec, nxt in nexts:
+        assert np.array_equal(nxt.rows, rec.kept)
         # its residual syndrome ratios are the next record's gammas
         residual = syndromes[nxt.rows] ^ small_graph.syndromes(rec.e_hat)
         assert nxt.gamma.tolist() == [syndrome_ratio(r) for r in residual]

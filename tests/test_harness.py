@@ -36,7 +36,7 @@ from qsagms.harness import (
 )
 from qsagms.pauli import PAULI_Z
 
-from .oracles import orbit_key, stop_rule_counts
+from .oracles import orbit_key, orbit_keys, stop_rule_counts
 
 
 @pytest.fixture(autouse=True)
@@ -650,6 +650,25 @@ def test_orbit_keys_match_brute_force_oracle(args):
     want = [orbit_key(row, ell) for row in rows]
     for a, b in itertools.product(range(len(rows)), repeat=2):
         assert (keys[a, 0] == keys[b, 0]) == (want[a] == want[b])
+
+
+@pytest.mark.parametrize("ell", [3, 63, 64, 65, 127, 128])
+def test_chunked_orbit_keys_match_one_rotation_at_a_time(ell):
+    # all rotations of a chunk of rows at once, against the per-rotation form;
+    # the row counts end each call in a partial chunk
+    chunk = harness._ORBIT_CHUNK_WORDS // (2 * -(-ell // 64) * ell)
+    rng = np.random.default_rng(ell)
+    for rows in (1, 7, chunk - 1, chunk + 1, 2 * chunk + 5):
+        for syndromes in (
+            np.zeros((rows, 2 * ell), dtype=np.uint8),
+            np.ones((rows, 2 * ell), dtype=np.uint8),
+            rng.integers(0, 2, size=(rows, 2 * ell), dtype=np.uint8),
+            (rng.random((rows, 2 * ell)) < 0.03).astype(np.uint8),
+        ):
+            got, want = harness._orbit_keys(syndromes, ell), orbit_keys(syndromes, ell)
+            assert got.shape == want.shape == (rows,) and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+    assert harness._orbit_keys(np.zeros((0, 2 * ell), dtype=np.uint8), ell).shape == (0,)
 
 
 @pytest.mark.parametrize("workers", [1, 2], ids=["1w", "2w"])
