@@ -2,20 +2,20 @@
 
 Frames are numbered 0, 1, 2, ...; frame f draws its error pattern from the
 channel stream keyed by (master seed, f), so the sequence of frames is a
-pure function of the configuration.  N workers sample a batch as N frame
-ranges, one ``sample_error`` call each, which runs Philox in chunks of
-``channel._CHUNK_FRAMES`` frames; a frame's bits never depend on the split.
-A noise point stops at the smallest frame index at which the cumulative
-failure count reaches the target (or at the frame cap), and every started
-frame up to that index is counted exactly once.  One loop, ``run_point``,
-applies that rule: it runs one batch of contiguous frames at a time, each
-sized from the stop rule (it ends where the failure rate seen so far
-predicts the target), sampled by ``_syndromes`` and scored by
-``_outcomes``; one value, ``_Tally``, owns the counts and counts each
-batch through the stopping frame.  The batch plan is the same for any
-worker count: N workers split each batch into N frame ranges to sample and
-deal its rows to decode into N parts, on a pool of threads and on the
-caller's Tanner graph, so the estimate is bit-identical for any worker count.
+pure function of the configuration.  A noise point stops at the smallest
+frame index at which the cumulative failure count reaches the target (or
+at the frame cap), and every started frame up to that index is counted
+exactly once.  One loop, ``run_point``, applies that rule: it runs one
+batch of contiguous frames at a time, each sized from the stop rule (it
+ends where the failure rate seen so far predicts the target), sampled by
+``_syndromes`` and scored by ``_outcomes``; one value, ``_Tally``, owns the
+counts and counts each batch through the stopping frame.  The batch plan
+is the same for any worker count, and N workers only decode: the calling
+thread samples each batch in one ``sample_error`` call (Philox in chunks
+of ``channel._CHUNK_FRAMES`` frames, so a frame's bits never depend on the
+batch) and deals the rows the memo lacks into N parts, decoded on a pool
+of threads and on the caller's Tanner graph.  So the estimate is
+bit-identical for any worker count.
 
 The decoder is a deterministic function of (syndrome, prior, config), and
 the harness needs only its (fail, iterations) per frame.  So each point
@@ -47,7 +47,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -86,8 +85,9 @@ class SweepConfig:
     epsilon) or "fixed" (one assumed epsilon0 for the whole sweep).
     ``workers`` is runtime provenance only: it never influences results and
     is excluded from the configuration digest and persisted artifacts.  A
-    point splits each batch over ``workers`` threads, but starts at most as
-    many as this process may use CPUs (``_usable_cpus``).
+    point samples each batch on the calling thread and deals its decoding
+    to ``workers`` threads, but starts at most as many as this process may
+    use CPUs (``_usable_cpus``).
     """
 
     code_id: str
@@ -245,45 +245,26 @@ def _orbit_keys(syndromes: np.ndarray, ell: int) -> np.ndarray:
     return np.ascontiguousarray(best.T).view(f"V{16 * width}").ravel()
 
 
-def _spread(pool, parts: int, fn, total: int, dealt: bool = False) -> list:
-    """[fn(part)] for at most ``parts`` non-empty slices of range(total) in order,
-    on ``pool`` (numpy releases the GIL in array work), else in this thread.
-    Slice k is the k-th range in a row or, ``dealt``, every parts-th index from k."""
-    parts = min(parts, total)
-    split = [
-        slice(k, total, parts) if dealt else slice(total * k // parts, total * (k + 1) // parts)
-        for k in range(parts)
-    ]
-    return list((pool.map if pool else map)(fn, split))
+def _syndromes(graph: TannerGraph, epsilon, seed, start, count) -> np.ndarray:
+    """Syndromes of frames [start, start+count) at ``epsilon`` and ``seed``, one
+    row a frame, from one ``sample_error`` call on the calling thread."""
+    return graph.syndromes(sample_error(epsilon, seed, graph.n, start, count=count))
 
 
-def _syndromes(graph: TannerGraph, epsilon, seed, spread, start, count) -> np.ndarray:
-    """Syndromes of frames [start, start+count) at ``epsilon`` and ``seed``, one row a frame.
-
-    ``spread`` is ``_spread`` bound to the point's pool and thread count.
-    Each of its frame ranges is one ``sample_error`` call, and the ranges'
-    syndromes are joined in frame order.
-    """
-    def sample(part):
-        lo, hi = start + part.start, start + part.stop
-        return graph.syndromes(sample_error(epsilon, seed, graph.n, lo, count=hi - lo))
-
-    parts = spread(sample, count)
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _outcomes(graph: TannerGraph, decoder_cfg, l0, memo: dict, spread, syndromes):
+def _outcomes(graph: TannerGraph, decoder_cfg, l0, memo: dict, threads, pool, syndromes):
     """(fails, iterations, decoded) of decoding each row of ``syndromes`` at prior ``l0``.
 
     The decoder is a deterministic function of the syndrome, so each
     distinct syndrome is decoded once, and only if ``memo`` (packed
-    syndrome -> ``2 * iterations + fail``) lacks it, in one ``decode_batch``
-    call per part of ``spread``, each dealt every N-th miss (later keys
-    carry more decoder work).  On a graph with ``ell`` the distinct
-    syndromes are grouped by orbit (``_orbit_keys``), the memo is keyed by
-    orbit and one syndrome of each orbit is decoded.  ``decoded`` counts the
-    rows decoded.  Only the calling thread touches ``memo``, and it stores
-    at most the room left below MEMO_ENTRIES.
+    syndrome -> ``2 * iterations + fail``) lacks it.  The misses are dealt
+    to ``threads`` parts, part k every threads-th miss from miss k in key
+    order (later keys carry more decoder work), one ``decode_batch`` call
+    each on ``pool``, or on the calling thread without one.  On a graph
+    with ``ell`` the distinct syndromes are grouped by orbit
+    (``_orbit_keys``), the memo is keyed by orbit and one syndrome of each
+    orbit is decoded.  ``decoded`` counts the rows decoded.  Only the
+    calling thread touches ``memo``, and it stores at most the room left
+    below MEMO_ENTRIES.
     """
     packed = np.packbits(syndromes, axis=1)
     rows, first, inverse = np.unique(
@@ -299,10 +280,12 @@ def _outcomes(graph: TannerGraph, decoder_cfg, l0, memo: dict, spread, syndromes
     miss = np.flatnonzero(outcome < 0)
 
     def decode(part):
-        res = decode_batch(graph, syndromes[first[miss[part]]], l0, decoder_cfg)
-        outcome[miss[part]] = 2 * res.iterations + ~res.success
+        res = decode_batch(graph, syndromes[first[part]], l0, decoder_cfg)
+        return 2 * res.iterations + ~res.success
 
-    spread(decode, miss.size, dealt=True)
+    parts = [miss[k::threads] for k in range(min(threads, miss.size))]
+    for part, out in zip(parts, (pool.map if pool else map)(decode, parts)):
+        outcome[part] = out
     stored = miss[: max(MEMO_ENTRIES - len(memo), 0)]
     memo.update(zip([keys[i] for i in stored], outcome[stored].tolist()))
     outcome = outcome[inverse]
@@ -360,21 +343,22 @@ def run_point(
     ``cfg.target_failures``, else at ``cfg.max_frames`` (recorded as a cap
     hit so partial points are never mistaken for converged estimates).
     Each batch is sized by ``_batch_size`` and counted by ``_Tally.add``
-    from the tally of the batches before it; at N workers its sampling and
-    decoding are split over a pool of at most N threads (fewer with fewer
-    usable CPUs; none for one), shut down when the point ends.  ``H`` is
-    the matrix ``graph`` was built from; the harness no longer reads it.
+    from the tally of the batches before it.  The calling thread samples
+    it; at N workers its decoding is dealt to a pool of at most N threads
+    (fewer with fewer usable CPUs; none for one), shut down when the point
+    ends.  ``H`` is the matrix ``graph`` was built from; the harness no
+    longer reads it.
     """
     epsilon0 = epsilon if cfg.epsilon0_mode == "matched" else float(cfg.epsilon0)
     l0, memo, tally = prior_llr(epsilon0), {}, _Tally()
     threads = min(cfg.workers, _usable_cpus())
     pool = None if threads == 1 else ThreadPoolExecutor(threads)
-    spread = partial(_spread, pool, threads)
     try:
         while tally.frames < cfg.max_frames and tally.failures < cfg.target_failures:
             batch = _batch_size(cfg, tally)
-            syndromes = _syndromes(graph, epsilon, cfg.seed, spread, tally.frames, batch)
-            tally = tally.add(cfg, *_outcomes(graph, cfg.decoder, l0, memo, spread, syndromes))
+            syndromes = _syndromes(graph, epsilon, cfg.seed, tally.frames, batch)
+            scored = _outcomes(graph, cfg.decoder, l0, memo, threads, pool, syndromes)
+            tally = tally.add(cfg, *scored)
             del syndromes  # not held while the next batch is sampled (peak RSS)
     finally:
         if pool:

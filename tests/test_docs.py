@@ -24,9 +24,14 @@ def test_every_exported_name_resolves():
     assert len(set(qsagms.__all__)) == len(qsagms.__all__)
 
 
+def test_readme_quotes_the_numerics_tag():
+    assert qsagms.harness.NUMERICS in README.read_text(encoding="utf-8")
+
+
 def test_every_public_definition_has_a_use():
-    # a public top-level function or class is exported or used in the package;
-    # a helper only the tests call belongs in tests/oracles.py
+    # a public top-level function or class is exported or used in the package,
+    # a private one is used in the package; a helper only the tests call
+    # belongs in tests/oracles.py
     trees = {
         path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")
     }
@@ -41,8 +46,6 @@ def test_every_public_definition_has_a_use():
         f"{name}.{node.name}"
         for name, tree in sorted(trees.items())
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in used
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
     ]
     assert unused == []

@@ -8,7 +8,6 @@ import os
 import sys
 import threading
 from dataclasses import astuple, replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -358,15 +357,55 @@ def test_batch_plan_pins(small_code, small_graph, monkeypatch, point, workers):
     assert plan == BATCH_PLANS[point, 1]
 
 
-@pytest.mark.parametrize("parts, total", [(1, 5), (2, 5), (3, 2), (2, 0), (3, 4096)])
-def test_spread_makes_ordered_non_empty_ranges(parts, total):
-    ranges = harness._spread(None, parts, lambda part: (part.start, part.stop), total)
-    assert len(ranges) == min(parts, total)  # no call at all for no rows
-    assert all(lo < hi for lo, hi in ranges)
-    assert [hi for _, hi in ranges[:-1]] == [lo for lo, _ in ranges[1:]]  # contiguous
-    assert ranges == [] or (ranges[0][0], ranges[-1][1]) == (0, total)
-    dealt = harness._spread(None, parts, lambda part: list(range(total)[part]), total, dealt=True)
-    assert dealt == [list(range(k, total, len(ranges))) for k in range(len(ranges))]
+@pytest.mark.parametrize("workers", [1, 2, 3], ids=["1w", "2w", "3w"])
+@pytest.mark.parametrize("point", ["memo", "converging"])
+def test_calling_thread_samples_and_workers_decode_dealt_misses(
+    small_code, small_graph, monkeypatch, point, workers
+):
+    make, eps = {"memo": (_memo_sweep, 0.1), "converging": (_converging_sweep, 0.03)}[point]
+    caller = threading.get_ident()
+    samples, batches = [], []
+
+    def sampling(epsilon, seed, n, start, count):
+        samples.append((threading.get_ident(), start, count))
+        return sample_error(epsilon, seed, n, start, count=count)
+
+    def scoring(graph, cfg, l0, memo, *args):
+        # the batch's syndromes, the memo keys before it, its decode_batch calls
+        batches.append((args[-1], set(memo), []))
+        return _outcomes(graph, cfg, l0, memo, *args)
+
+    def decoding(graph, syndromes, *args):
+        batches[-1][2].append(syndromes)
+        return decode_batch(graph, syndromes, *args)
+
+    monkeypatch.setattr(harness, "sample_error", sampling)
+    monkeypatch.setattr(harness, "_outcomes", scoring)
+    monkeypatch.setattr(harness, "decode_batch", decoding)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: workers)  # N threads on any host
+    run_point(small_code, small_graph, make(workers=workers), epsilon=eps)
+    # one sample_error call per batch, on the calling thread, for the batch's frames
+    assert samples == [(caller, start, size) for start, size in BATCH_PLANS[point, 1]]
+    for syndromes, known, parts in batches:
+        # the misses in key order: part k holds misses k, k + N, ..., so the
+        # parts, which the pool's threads may start in any order, sort by
+        # their first key
+        misses = sorted(set(orbit_keys(syndromes, small_graph.ell).tolist()) - known)
+        dealt = sorted(orbit_keys(part, small_graph.ell).tolist() for part in parts)
+        assert dealt == [misses[k::workers] for k in range(min(workers, len(misses)))]
+        assert len(dealt) >= 1 and max(map(len, dealt)) - min(map(len, dealt)) <= 1
+
+    # a batch whose every row hits the memo makes no decode_batch call
+    syndromes, memo, l0 = batches[0][0], {}, prior_llr(eps)
+    pool = harness.ThreadPoolExecutor(workers)
+    try:
+        first = _outcomes(small_graph, make().decoder, l0, memo, workers, pool, syndromes)
+        batches.append((syndromes, set(memo), []))
+        again = _outcomes(small_graph, make().decoder, l0, memo, workers, pool, syndromes)
+    finally:
+        pool.shutdown()
+    assert first[2] > 0 and batches[-1][2] == [] and again[2] == 0
+    assert all(np.array_equal(a, b) for a, b in zip(first[:2], again[:2]))
 
 
 @pytest.mark.parametrize("point", ["memo", "converging"])
@@ -548,8 +587,8 @@ def test_memo_cap_does_not_change_points(small_code, small_graph, monkeypatch):
 @pytest.mark.parametrize("workers", [2, 4], ids=["2w", "4w"])
 def test_shared_memo_stays_within_its_bound(small_code, small_graph, monkeypatch, workers):
     # small batches, more threads than this host may have cores and a short
-    # switch interval: the pool's threads sample and decode, but only the
-    # calling thread stores, so the memo stops at MEMO_ENTRIES exactly
+    # switch interval: the pool's threads decode, but only the calling
+    # thread samples and stores, so the memo stops at MEMO_ENTRIES exactly
     want = run_point(small_code, small_graph, _memo_sweep(), epsilon=0.1)
     sizes = []
 
@@ -579,10 +618,9 @@ def test_memo_past_its_cap_stops_growing(small_graph, monkeypatch):
     monkeypatch.setattr(harness, "MEMO_ENTRIES", 5)
     cfg = _memo_sweep()
     memo = {f"filler {i}": 0 for i in range(7)}
-    spread = partial(harness._spread, None, 1)
-    syndromes = _syndromes(small_graph, 0.1, cfg.seed, spread, 0, 512)
+    syndromes = _syndromes(small_graph, 0.1, cfg.seed, 0, 512)
     prior = prior_llr(0.1)
-    fails, _, decoded = _outcomes(small_graph, cfg.decoder, prior, memo, spread, syndromes)
+    fails, _, decoded = _outcomes(small_graph, cfg.decoder, prior, memo, 1, None, syndromes)
     assert decoded > 2 and fails.any()
     assert list(memo) == [f"filler {i}" for i in range(7)]
 
