@@ -257,10 +257,10 @@ def _outcomes(graph: TannerGraph, decoder_cfg, l0, memo: dict, threads, pool, sy
     The decoder is a deterministic function of the syndrome, so each
     distinct syndrome is decoded once, and only if ``memo`` (packed
     syndrome -> ``2 * iterations + fail``) lacks it.  The misses are dealt
-    to ``threads`` parts, part k every threads-th miss from miss k in key
-    order (later keys carry more decoder work), one ``decode_batch`` call
-    each on ``pool``, or on the calling thread without one.  On a graph
-    with ``ell`` the distinct syndromes are grouped by orbit
+    into at most ``threads`` parts, part k holding misses k, k + threads,
+    ... in key order (later keys carry more decoder work), one
+    ``decode_batch`` call each, on ``pool`` or on the calling thread.  On a
+    graph with ``ell`` the distinct syndromes are grouped by orbit
     (``_orbit_keys``), the memo is keyed by orbit and one syndrome of each
     orbit is decoded.  ``decoded`` counts the rows decoded.  Only the
     calling thread touches ``memo``, and it stores at most the room left

@@ -397,13 +397,14 @@ def test_calling_thread_samples_and_workers_decode_dealt_misses(
 
     # a batch whose every row hits the memo makes no decode_batch call
     syndromes, memo, l0 = batches[0][0], {}, prior_llr(eps)
-    pool = harness.ThreadPoolExecutor(workers)
+    pool = harness.ThreadPoolExecutor(workers) if workers > 1 else None
     try:
         first = _outcomes(small_graph, make().decoder, l0, memo, workers, pool, syndromes)
         batches.append((syndromes, set(memo), []))
         again = _outcomes(small_graph, make().decoder, l0, memo, workers, pool, syndromes)
     finally:
-        pool.shutdown()
+        if pool:
+            pool.shutdown()
     assert first[2] > 0 and batches[-1][2] == [] and again[2] == 0
     assert all(np.array_equal(a, b) for a, b in zip(first[:2], again[:2]))
 
